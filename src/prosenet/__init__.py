@@ -23,10 +23,6 @@ class EmptyDocumentError(ProsenetError):
     """Preprocessing left no tokens."""
 
 
-class DisconnectedGraphError(ProsenetError):
-    """An operation that requires a connected network received a disconnected one."""
-
-
 class ConvergenceError(ProsenetError):
     """An iterative solver failed to reach its tolerance."""
 

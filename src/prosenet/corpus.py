@@ -181,16 +181,3 @@ def preprocess(
 def word_frequencies(doc: Document) -> dict[str, int]:
     """Lemma occurrence counts; values sum to len(doc.tokens)."""
     return dict(Counter(doc.tokens))
-
-
-def load_corpus(
-    manifest: CorpusManifest,
-    dictionary: LemmaDictionary,
-    keep_stopwords: bool,
-) -> list[Document]:
-    """Preprocess every manifest entry, in manifest (id-sorted) order."""
-    docs = []
-    for entry in manifest.entries:
-        raw = entry.path.read_text(encoding="utf-8", errors="replace")
-        docs.append(preprocess(raw, dictionary, keep_stopwords, entry.doc_id, entry.label))
-    return docs

@@ -8,12 +8,12 @@ heavier measurements can run vectorized.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
-from . import DisconnectedGraphError, ProsenetError
+from . import ProsenetError
 from .corpus import Document
 
 
@@ -59,17 +59,6 @@ class WordNetwork:
         data = np.ones(len(self.indices), dtype=np.float64)
         n = self.node_count
         return sparse.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
-
-
-@dataclass
-class DistanceOracle:
-    """All-pairs hop distances of a connected network (dist[i, j] = d_ij)."""
-
-    dist: np.ndarray = field(repr=False)
-
-    @property
-    def node_count(self) -> int:
-        return self.dist.shape[0]
 
 
 def _csr_from_edges(n: int, pairs: set[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -185,16 +174,6 @@ def bfs_distances(net: WordNetwork, sources: np.ndarray) -> np.ndarray:
         dist[new] = level
         frontier = new.astype(np.float64)
     return dist
-
-
-def all_pairs_distances(net: WordNetwork) -> DistanceOracle:
-    """Exact all-pairs hop distances; raises on disconnected input."""
-    dist = bfs_distances(net, np.arange(net.node_count))
-    if (dist < 0).any():
-        raise DisconnectedGraphError(
-            f"network {net.doc_id!r} is disconnected; reduce to the largest component first"
-        )
-    return DistanceOracle(dist)
 
 
 def network_to_json(net: WordNetwork) -> str:

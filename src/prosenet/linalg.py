@@ -1,9 +1,5 @@
-"""Dense numerical kernels: matrix exponential and power-iteration eigensolvers.
-
-The matrix exponential uses scaling-and-squaring with a degree-13 Pade
-approximant, which is exact to machine precision for the row-stochastic
-transition matrices this package feeds it (their 1-norm is at most 1, so no
-scaling step is usually needed).
+"""Power-iteration eigensolvers: the leading eigenvector of a nonnegative
+operator and the top eigenpairs of a symmetric PSD matrix.
 """
 
 from __future__ import annotations
@@ -11,64 +7,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import ConvergenceError
-
-# Degree-13 Pade coefficients for exp(x) (numerator; denominator mirrors signs).
-_PADE13 = np.array(
-    [
-        64764752532480000.0,
-        32382376266240000.0,
-        7771770303897600.0,
-        1187353796428800.0,
-        129060195264000.0,
-        10559470521600.0,
-        670442572800.0,
-        33522128640.0,
-        1323241920.0,
-        40840800.0,
-        960960.0,
-        16380.0,
-        182.0,
-        1.0,
-    ]
-)
-_THETA13 = 5.371920351148152
-
-
-def expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a square dense matrix."""
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("expm expects a square matrix")
-    n = a.shape[0]
-    norm = np.linalg.norm(a, 1)
-    squarings = 0
-    if norm > _THETA13:
-        squarings = int(np.ceil(np.log2(norm / _THETA13)))
-        a = a / (2.0**squarings)
-
-    b = _PADE13
-    ident = np.eye(n)
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a2 @ a4
-    u = a @ (
-        a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-        + b[7] * a6
-        + b[5] * a4
-        + b[3] * a2
-        + b[1] * ident
-    )
-    v = (
-        a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-        + b[6] * a6
-        + b[4] * a4
-        + b[2] * a2
-        + b[0] * ident
-    )
-    result = np.linalg.solve(v - u, v + u)
-    for _ in range(squarings):
-        result = result @ result
-    return result
 
 
 def leading_eigenvector(

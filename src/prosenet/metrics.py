@@ -84,53 +84,36 @@ def clustering(net: WordNetwork) -> NodeMeasures:
 
 def _component_subgraph(net: WordNetwork):
     comp = largest_component_nodes(net)
-    if len(comp) == net.node_count:
-        return comp, net.adjacency()
-    remap = np.full(net.node_count, -1, dtype=np.int64)
-    remap[comp] = np.arange(len(comp))
-    rows, cols = [], []
-    for u in comp:
-        for v in net.neighbors(u):
-            rows.append(remap[u])
-            cols.append(remap[v])
-    from scipy import sparse
-
-    n = len(comp)
-    adj = sparse.csr_matrix(
-        (np.ones(len(rows)), (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64))),
-        shape=(n, n),
-    )
-    return comp, adj
+    return comp, net.adjacency()[comp][:, comp]
 
 
-def betweenness(net: WordNetwork) -> NodeMeasures:
+def _component_distances(net: WordNetwork, comp: np.ndarray,
+                         dist: np.ndarray | None) -> np.ndarray:
+    """The component's block of the all-pairs hop distances ``dist``."""
+    if dist is None:
+        dist = bfs_distances(net, np.arange(net.node_count))
+    return dist[np.ix_(comp, comp)]
+
+
+def betweenness(net: WordNetwork, dist: np.ndarray | None = None) -> NodeMeasures:
     """Shortest-path betweenness over ordered pairs, on the largest component.
 
-    Brandes accumulation, run level-synchronously for all sources at once:
-    sigma (geodesic counts) and the dependency sweep advance one distance
-    level per sparse product.
+    Brandes accumulation over the component's hop distances, run
+    level-synchronously for all sources at once: sigma (geodesic counts) and
+    the dependency sweep advance one distance level per sparse product.
     """
     comp, adj = _component_subgraph(net)
     n = len(comp)
     if n <= 2:
         return _on_component(net, "B", comp, np.zeros(n))
 
-    dist = np.full((n, n), -1, dtype=np.int32)
-    np.fill_diagonal(dist, 0)
-    sigma = np.zeros((n, n), dtype=np.float64)
-    np.fill_diagonal(sigma, 1.0)
-    frontier = np.eye(n, dtype=np.float64)
-    level = 0
-    while True:
-        level += 1
-        counts = frontier @ adj
-        new = (counts > 0) & (dist < 0)
-        if not new.any():
-            break
-        dist[new] = level
-        sigma[new] = counts[new]
-        frontier = np.where(new, sigma, 0.0)
+    dist = _component_distances(net, comp, dist)
     max_level = int(dist.max())
+    sigma = np.eye(n, dtype=np.float64)
+    for lev in range(1, max_level + 1):
+        counts = np.where(dist == lev - 1, sigma, 0.0) @ adj
+        ring = dist == lev
+        sigma[ring] = counts[ring]
 
     delta = np.zeros((n, n), dtype=np.float64)
     for lev in range(max_level, 0, -1):
@@ -143,30 +126,21 @@ def betweenness(net: WordNetwork) -> NodeMeasures:
     return _on_component(net, "B", comp, delta.sum(axis=0))
 
 
-def closeness(net: WordNetwork, reciprocal: bool = False) -> NodeMeasures:
+def closeness(net: WordNetwork, reciprocal: bool = False,
+              dist: np.ndarray | None = None) -> NodeMeasures:
     """Mean geodesic distance (self included); optionally its reciprocal."""
-    comp, adj = _component_subgraph(net)
-    n = len(comp)
-    sub = WordNetwork([""] * n, *_csr_of(adj), np.zeros(n), np.zeros(n, dtype=bool))
-    dist = bfs_distances(sub, np.arange(n)).astype(np.float64)
-    mean_dist = dist.mean(axis=1)
+    comp = largest_component_nodes(net)
+    mean_dist = _component_distances(net, comp, dist).mean(axis=1)
     if reciprocal:
         values = np.divide(1.0, mean_dist, out=np.zeros_like(mean_dist), where=mean_dist > 0)
         return _on_component(net, "C", comp, values)
     return _on_component(net, "C", comp, mean_dist)
 
 
-def eccentricity(net: WordNetwork) -> NodeMeasures:
-    comp, adj = _component_subgraph(net)
-    n = len(comp)
-    sub = WordNetwork([""] * n, *_csr_of(adj), np.zeros(n), np.zeros(n, dtype=bool))
-    dist = bfs_distances(sub, np.arange(n))
-    return _on_component(net, "E", comp, dist.max(axis=1).astype(np.float64))
-
-
-def _csr_of(adj) -> tuple[np.ndarray, np.ndarray]:
-    adj = adj.tocsr()
-    return adj.indptr.astype(np.int64), adj.indices.astype(np.int32)
+def eccentricity(net: WordNetwork, dist: np.ndarray | None = None) -> NodeMeasures:
+    comp = largest_component_nodes(net)
+    ecc = _component_distances(net, comp, dist).max(axis=1)
+    return _on_component(net, "E", comp, ecc.astype(np.float64))
 
 
 def eigenvector_centrality(net: WordNetwork, tol: float = 1e-10,

@@ -187,9 +187,9 @@ def measure_document(
     for h in cfg.h_access:
         measures[f"N{h}"] = neighborhood_connectivity(net, h, cfg.cumulative, dist=dist_all)
     measures["cc"] = clustering(net)
-    measures["B"] = betweenness(net)
-    measures["C"] = closeness(net, reciprocal=cfg.closeness == "reciprocal")
-    measures["E"] = eccentricity(net)
+    measures["B"] = betweenness(net, dist=dist_all)
+    measures["C"] = closeness(net, reciprocal=cfg.closeness == "reciprocal", dist=dist_all)
+    measures["E"] = eccentricity(net, dist=dist_all)
     measures["Ec"] = eigenvector_centrality(net)
     measures["Pr"] = pagerank(net, cfg.alpha)
     measures["Ag"] = generalized_accessibility(net, cfg.ag_exclude_self)
@@ -212,18 +212,15 @@ def measure_document(
         measures[name] = NodeMeasures(name, values, missing, doc.id)
 
     if want_walks:
-        if len(sources):
-            dist_sources = dist_all[sources]
-            acc = accessibility_batch(net, sources, cfg.h_access, dist_block=dist_sources)
-            sb = backbone_symmetry_batch(net, sources, cfg.h_symmetry, dist=dist_sources)
-            sm = merged_symmetry_batch(net, sources, cfg.h_symmetry, dist=dist_sources)
-        else:  # none of the requested words occur in this document
-            acc = sb = sm = np.zeros((0, 8))
+        dist_sources = dist_all[sources]
+        acc = accessibility_batch(net, sources, cfg.h_access, dist_block=dist_sources)
+        sb = backbone_symmetry_batch(net, sources, cfg.h_symmetry, dist=dist_sources)
+        sm = merged_symmetry_batch(net, sources, cfg.h_symmetry, dist=dist_sources)
         for col, h in enumerate(cfg.h_access):
-            walk_measure(f"A{h}", acc[:len(sources), col])
+            walk_measure(f"A{h}", acc[:, col])
         for col, h in enumerate(cfg.h_symmetry):
-            walk_measure(f"Sb{h}", sb[:len(sources), col])
-            walk_measure(f"Sm{h}", sm[:len(sources), col])
+            walk_measure(f"Sb{h}", sb[:, col])
+            walk_measure(f"Sm{h}", sm[:, col])
 
     return DocumentMeasures(
         doc_id=doc.id,
@@ -240,13 +237,21 @@ def measure_document(
 # caching
 # ---------------------------------------------------------------------------
 
-def _measure_cache_key(raw_text: str, cfg: RunConfig, keep_stopwords: bool,
-                       walk_sources: list[str] | None, doc_id: str = "") -> str:
+def _dictionary_digest(dictionary: LemmaDictionary) -> str:
+    """sha256 of the lemma mapping and stoplist, independent of their order."""
+    blob = json.dumps([sorted(dictionary.mapping.items()), sorted(dictionary.stoplist)])
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def _measure_cache_key(raw_text: str, cfg: RunConfig, dictionary_digest: str,
+                       keep_stopwords: bool, walk_sources: list[str] | None,
+                       doc_id: str = "") -> str:
     payload = json.dumps(
         {
             "version": __version__,
             "doc_id": doc_id,
             "content": hashlib.sha256(raw_text.encode("utf-8")).hexdigest(),
+            "dictionary": dictionary_digest,
             "keep_stopwords": keep_stopwords,
             "window": cfg.window,
             "h_access": list(cfg.h_access),
@@ -386,9 +391,11 @@ def compute_corpus_measures(
     results: dict[str, DocumentMeasures] = {}
     pending = []
     keys = {}
+    dictionary_digest = _dictionary_digest(_dictionary_for(cfg))
     for entry in manifest.entries:
         raw = entry.path.read_text(encoding="utf-8", errors="replace")
-        key = _measure_cache_key(raw, cfg, keep_stopwords, walk_sources, entry.doc_id)
+        key = _measure_cache_key(raw, cfg, dictionary_digest, keep_stopwords, walk_sources,
+                                 entry.doc_id)
         keys[entry.doc_id] = key
         cached = _cache_load(cache_dir / f"{key}.json", key) if cache_dir else None
         if cached is not None and cached.doc_id == entry.doc_id:

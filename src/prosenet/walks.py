@@ -21,13 +21,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import expm
 from scipy.sparse import csgraph, csr_matrix
 
 from .graph import WordNetwork, bfs_distances
-from .linalg import expm
 
 DEFAULT_DEPTH_CAP = 4
-PRUNE_MASS = 1e-15
 
 
 @dataclass
@@ -114,7 +113,6 @@ def _saw_levels(
     net: WordNetwork,
     sources: np.ndarray,
     h_max: int,
-    prune: float = PRUNE_MASS,
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Exact SAW position distributions for a batch of sources.
 
@@ -156,17 +154,11 @@ def _saw_levels(
         if stuck.any():
             np.add.at(dead_running, src_idx[stuck], prob[stuck])
 
-        new_prob = prob[path_id[mask]] / branch[path_id[mask]]
-        keep = new_prob >= prune
-        if not keep.all():
-            np.add.at(dead_running, src_idx[path_id[mask][~keep]], new_prob[~keep])
-        sel = path_id[mask][keep]
-        new_cur = nbr[mask][keep]
-        new_prob = new_prob[keep]
+        sel = path_id[mask]
+        prob = prob[sel] / branch[sel]
         hist = [col[sel] for col in hist] + [cur[sel]]
         src_idx = src_idx[sel]
-        cur = new_cur
-        prob = new_prob
+        cur = nbr[mask]
 
         dead[:, t] = dead_running
         if len(cur):
@@ -180,12 +172,11 @@ def saw_distribution(
     source: int,
     h: int,
     cap: int = DEFAULT_DEPTH_CAP,
-    prune: float = PRUNE_MASS,
 ) -> WalkDistribution:
     """Exact endpoint distribution of h-step self-avoiding walks from source."""
     if not 1 <= h <= cap:
         raise ValueError(f"h must lie in 1..{cap}")
-    levels, dead = _saw_levels(net, np.array([source]), h, prune)
+    levels, dead = _saw_levels(net, np.array([source]), h)
     row = levels[h - 1][0]
     probs = {int(v): float(row[v]) for v in np.flatnonzero(row > 0)}
     return WalkDistribution(source, h, probs, float(dead[0, h]))
@@ -204,7 +195,6 @@ def accessibility(
     source: int,
     h: int,
     cap: int = DEFAULT_DEPTH_CAP,
-    prune: float = PRUNE_MASS,
 ) -> float:
     """Effective number of nodes reached at concentric level h.
 
@@ -213,7 +203,7 @@ def accessibility(
     walk reaches that level.
     """
     dist = bfs_distances(net, np.array([source]))[0]
-    walk = saw_distribution(net, source, h, cap=cap, prune=prune)
+    walk = saw_distribution(net, source, h, cap=cap)
     ring_probs = np.array(
         [p for node, p in sorted(walk.probs.items()) if dist[node] == h], dtype=np.float64
     )
@@ -225,7 +215,6 @@ def accessibility_batch(
     sources: np.ndarray,
     h_values: tuple[int, ...],
     cap: int = DEFAULT_DEPTH_CAP,
-    prune: float = PRUNE_MASS,
     chunk: int = 16,
     dist_block: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -237,7 +226,7 @@ def accessibility_batch(
     out = np.zeros((len(sources), len(h_values)), dtype=np.float64)
     for start in range(0, len(sources), chunk):
         batch = np.asarray(sources[start : start + chunk])
-        levels, _ = _saw_levels(net, batch, h_max, prune)
+        levels, _ = _saw_levels(net, batch, h_max)
         if dist_block is None:
             dist = bfs_distances(net, batch)
         else:

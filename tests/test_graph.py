@@ -5,9 +5,8 @@ import pytest
 
 from conftest import make_doc
 from oracles import adjacency, net_from_edges, oracle_distances, random_connected_graph
-from prosenet import DisconnectedGraphError, ProsenetError
+from prosenet import ProsenetError
 from prosenet.graph import (
-    all_pairs_distances,
     bfs_distances,
     build_network,
     component_labels,
@@ -122,12 +121,12 @@ class TestComponents:
 class TestDistances:
     def test_path(self):
         net = build_network(make_doc(["a", "b", "c"]))
-        oracle = all_pairs_distances(net)
-        assert oracle.dist[0, 2] == 2
+        dist = bfs_distances(net, np.arange(net.node_count))
+        assert dist[0, 2] == 2
 
     def test_complete(self):
         net = net_from_edges(4, {(i, j) for i in range(4) for j in range(i + 1, 4)})
-        dist = all_pairs_distances(net).dist
+        dist = bfs_distances(net, np.arange(4))
         off = dist[~np.eye(4, dtype=bool)]
         assert (off == 1).all()
 
@@ -137,13 +136,8 @@ class TestDistances:
             n, edges = random_connected_graph(rng, 4, 9)
             net = net_from_edges(n, edges)
             expected = oracle_distances(adjacency(n, edges), n)
-            got = all_pairs_distances(net).dist
+            got = bfs_distances(net, np.arange(n))
             assert (got == expected).all()
-
-    def test_disconnected_rejected(self):
-        net = net_from_edges(4, {(0, 1), (2, 3)})
-        with pytest.raises(DisconnectedGraphError):
-            all_pairs_distances(net)
 
     def test_bfs_unreachable_marked(self):
         net = net_from_edges(4, {(0, 1), (2, 3)})

@@ -15,7 +15,7 @@ from oracles import (
     random_connected_graph,
 )
 from prosenet import ProsenetError
-from prosenet.graph import build_network
+from prosenet.graph import bfs_distances, build_network
 from prosenet.metrics import (
     betweenness,
     closeness,
@@ -166,6 +166,28 @@ class TestEccentricity:
             values = eccentricity(net).values
             assert values.max() == dist.max()
             assert np.allclose(values, dist.max(axis=1))
+
+
+class TestSharedDistances:
+    def test_dist_argument_does_not_change_results(self):
+        rng = np.random.default_rng(13)
+        for _ in range(15):
+            n1, e1 = random_connected_graph(rng, 3, 9)
+            n2, e2 = random_connected_graph(rng, 3, 9)
+            n = n1 + n2 + 1  # the last node is isolated
+            perm = rng.permutation(n)
+            edges = {(u, v) for u, v in e1} | {(u + n1, v + n1) for u, v in e2}
+            edges = {(min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in edges}
+            net = net_from_edges(n, edges)
+            dist = bfs_distances(net, np.arange(n))
+            for fn in (betweenness, closeness, eccentricity):
+                plain, shared = fn(net), fn(net, dist=dist)
+                assert np.array_equal(plain.values, shared.values), fn.__name__
+                assert np.array_equal(plain.missing, shared.missing), fn.__name__
+                assert plain.missing.sum() == n - max(n1, n2)
+            plain = closeness(net, reciprocal=True)
+            shared = closeness(net, reciprocal=True, dist=dist)
+            assert np.array_equal(plain.values, shared.values)
 
 
 class TestEigenvector:

@@ -5,10 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import write_toy_corpus
+from conftest import make_doc, write_toy_corpus
 from prosenet import CostGuardError, ProsenetError
 from prosenet.cli import main
-from prosenet.corpus import load_manifest
+from prosenet.corpus import load_lemma_dictionary, load_manifest
 from prosenet.pipeline import (
     RunConfig,
     cmd_baselines,
@@ -16,6 +16,7 @@ from prosenet.pipeline import (
     cmd_measure,
     cmd_relevance,
     config_from_sources,
+    measure_document,
     parse_config_file,
     prepare_manifest,
 )
@@ -89,6 +90,31 @@ class TestMeasureCommand:
         import hashlib
 
         assert repaired["checksum"] == hashlib.sha256(blob).hexdigest()
+
+
+class TestMeasureCacheKey:
+    def test_stoplist_change_is_not_served_from_cache(self, measured, tmp_path):
+        stoplist = tmp_path / "stop.txt"
+        stops = sorted(load_lemma_dictionary().stoplist - {"the", "of", "and"})
+        stoplist.write_text("\n".join(stops) + "\n", encoding="utf-8")
+        base = {"manifest": str(measured[0]), "strategy": "GS", "gs_walks": False}
+        shared = tmp_path / "shared"
+        cmd_measure(RunConfig(**base, out=str(shared)))
+        reused = cmd_measure(RunConfig(**base, out=str(shared), stoplist=str(stoplist)))
+        fresh = cmd_measure(RunConfig(**base, out=str(tmp_path / "fresh"),
+                                      stoplist=str(stoplist)))
+        assert any(",the,k," in p.read_text() for p in fresh)
+        assert [p.read_bytes() for p in reused] == [p.read_bytes() for p in fresh]
+
+
+class TestMeasureDocument:
+    def test_absent_sources_with_many_symmetry_depths(self):
+        depths = tuple(range(1, 10))
+        dm = measure_document(make_doc(["a", "b", "c", "a"]),
+                              RunConfig(h_symmetry=depths), ["zzz"])
+        for h in depths:
+            assert dm.measures[f"Sb{h}"].missing.all()
+            assert dm.measures[f"Sm{h}"].missing.all()
 
 
 class TestMeasureErrorCollection:

@@ -184,7 +184,7 @@ class TestTransitionMatrix:
         assert w[0, 1] == pytest.approx(math.sinh(1), abs=1e-12)
 
     def test_identity_on_zero_matrix(self):
-        from prosenet.linalg import expm
+        from prosenet.walks import expm
 
         assert np.allclose(expm(np.zeros((4, 4))), np.eye(4))
 
