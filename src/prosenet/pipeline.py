@@ -13,7 +13,7 @@ import hashlib
 import json
 import os
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,7 +40,7 @@ from .features import (
     select_top_k,
     select_word_list,
 )
-from .graph import build_network, network_to_json
+from .graph import WordNetwork, build_network, network_to_json
 from .learn import (
     ClassificationReport,
     ClassifierSpec,
@@ -53,6 +53,7 @@ from .learn import (
     relevance_index,
 )
 from .metrics import (
+    NodeMeasures,
     clustering,
     betweenness,
     closeness,
@@ -172,16 +173,59 @@ def measure_document(
     doc: Document,
     cfg: RunConfig,
     walk_sources: list[str] | None,
+    known: DocumentMeasures | None = None,
 ) -> DocumentMeasures:
     """All measures for one document's network.
 
     ``walk_sources`` limits the expensive walk measures (A, Sb, Sm) to the
-    named words; None measures every node.
+    named words; None measures every node and an empty list omits them.
+    ``known`` holds measures already taken on this network with these
+    settings (a cache entry): its classic measures and walk values are kept,
+    and the network is walked only from the requested nodes it lacks.
     """
     net = build_network(doc, cfg.window)
     from .graph import bfs_distances
 
-    dist_all = bfs_distances(net, np.arange(net.node_count))
+    dist_all = None
+    if known is None:
+        dist_all = bfs_distances(net, np.arange(net.node_count))
+        known = DocumentMeasures(
+            doc_id=doc.id,
+            label=doc.label,
+            node_labels=list(net.node_labels),
+            measures=_classic_measures(net, cfg, dist_all),
+            vocabulary_size=net.node_count,
+            modularity_q=detect_communities(net).q,
+            word_frequencies=word_frequencies(doc),
+        )
+    if walk_sources == []:
+        return known
+
+    walked = _walked(known, cfg)
+    sources = np.flatnonzero(_source_mask(known.node_labels, walk_sources) & ~walked)
+    dist_sources = bfs_distances(net, sources) if dist_all is None else dist_all[sources]
+    walked[sources] = True
+    measures = dict(known.measures)
+
+    def walk_measure(name: str, per_source: np.ndarray) -> None:
+        values = known.measures[name].values.copy() if name in known.measures \
+            else np.zeros(net.node_count, dtype=np.float64)
+        values[sources] = per_source
+        measures[name] = NodeMeasures(name, values, ~walked, doc.id)
+
+    acc = accessibility_batch(net, sources, cfg.h_access, dist_block=dist_sources)
+    sb = backbone_symmetry_batch(net, sources, cfg.h_symmetry, dist=dist_sources)
+    sm = merged_symmetry_batch(net, sources, cfg.h_symmetry, dist=dist_sources)
+    for col, h in enumerate(cfg.h_access):
+        walk_measure(f"A{h}", acc[:, col])
+    for col, h in enumerate(cfg.h_symmetry):
+        walk_measure(f"Sb{h}", sb[:, col])
+        walk_measure(f"Sm{h}", sm[:, col])
+    return dataclasses.replace(known, measures=measures)
+
+
+def _classic_measures(net: WordNetwork, cfg: RunConfig, dist_all: np.ndarray) -> dict:
+    """Every all-node measure that needs no walk sources."""
     measures = {}
     measures["k"] = degree(net)
     for h in cfg.h_access:
@@ -193,44 +237,49 @@ def measure_document(
     measures["Ec"] = eigenvector_centrality(net)
     measures["Pr"] = pagerank(net, cfg.alpha)
     measures["Ag"] = generalized_accessibility(net, cfg.ag_exclude_self)
+    return measures
 
-    index = net.node_index()
+
+def _walk_names(cfg: RunConfig) -> list[str]:
+    return ([f"A{h}" for h in cfg.h_access] + [f"Sb{h}" for h in cfg.h_symmetry]
+            + [f"Sm{h}" for h in cfg.h_symmetry])
+
+
+def _source_mask(node_labels: list[str], walk_sources: list[str] | None) -> np.ndarray:
+    """Which nodes ``walk_sources`` names; None names every node."""
     if walk_sources is None:
-        sources = np.arange(net.node_count)
-        want_walks = True
-    else:
-        sources = np.array(sorted(index[w] for w in walk_sources if w in index), dtype=np.int64)
-        want_walks = len(walk_sources) > 0  # empty request omits walk measures
+        return np.ones(len(node_labels), dtype=bool)
+    wanted = set(walk_sources)
+    return np.array([label in wanted for label in node_labels], dtype=bool)
 
-    def walk_measure(name: str, per_source: np.ndarray) -> None:
-        values = np.zeros(net.node_count, dtype=np.float64)
-        missing = np.ones(net.node_count, dtype=bool)
-        values[sources] = per_source
-        missing[sources] = False
-        from .metrics import NodeMeasures
 
-        measures[name] = NodeMeasures(name, values, missing, doc.id)
+def _walked(dm: DocumentMeasures, cfg: RunConfig) -> np.ndarray:
+    """Nodes with walk values: a walked node is never missing a walk measure."""
+    first = dm.measures.get(_walk_names(cfg)[0])
+    return np.zeros(len(dm.node_labels), dtype=bool) if first is None else ~first.missing
 
-    if want_walks:
-        dist_sources = dist_all[sources]
-        acc = accessibility_batch(net, sources, cfg.h_access, dist_block=dist_sources)
-        sb = backbone_symmetry_batch(net, sources, cfg.h_symmetry, dist=dist_sources)
-        sm = merged_symmetry_batch(net, sources, cfg.h_symmetry, dist=dist_sources)
-        for col, h in enumerate(cfg.h_access):
-            walk_measure(f"A{h}", acc[:, col])
-        for col, h in enumerate(cfg.h_symmetry):
-            walk_measure(f"Sb{h}", sb[:, col])
-            walk_measure(f"Sm{h}", sm[:, col])
 
-    return DocumentMeasures(
-        doc_id=doc.id,
-        label=doc.label,
-        node_labels=list(net.node_labels),
-        measures=measures,
-        vocabulary_size=net.node_count,
-        modularity_q=detect_communities(net).q,
-        word_frequencies=word_frequencies(doc),
-    )
+def _covers(dm: DocumentMeasures, cfg: RunConfig, walk_sources: list[str] | None) -> bool:
+    if walk_sources == []:
+        return True
+    return not (_source_mask(dm.node_labels, walk_sources) & ~_walked(dm, cfg)).any()
+
+
+def _restrict_walks(dm: DocumentMeasures, cfg: RunConfig,
+                    walk_sources: list[str] | None) -> DocumentMeasures:
+    """``dm`` as a fresh ``measure_document(..., walk_sources)`` returns it:
+    walk values only at the requested nodes, none at all for an empty list.
+    Measures come in name order."""
+    names = _walk_names(cfg)
+    measures = {name: nm for name, nm in dm.measures.items() if name not in names}
+    if walk_sources != []:
+        requested = _source_mask(dm.node_labels, walk_sources)
+        for name in names:
+            values = np.zeros(len(requested), dtype=np.float64)
+            if name in dm.measures:
+                values[requested] = dm.measures[name].values[requested]
+            measures[name] = NodeMeasures(name, values, ~requested, dm.doc_id)
+    return dataclasses.replace(dm, measures=dict(sorted(measures.items())))
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +293,9 @@ def _dictionary_digest(dictionary: LemmaDictionary) -> str:
 
 
 def _measure_cache_key(raw_text: str, cfg: RunConfig, dictionary_digest: str,
-                       keep_stopwords: bool, walk_sources: list[str] | None,
-                       doc_id: str = "") -> str:
+                       keep_stopwords: bool, doc_id: str = "") -> str:
+    """Names one document's network and its measure settings, not the walk
+    sources: an entry gathers walk values node by node."""
     payload = json.dumps(
         {
             "version": __version__,
@@ -260,7 +310,6 @@ def _measure_cache_key(raw_text: str, cfg: RunConfig, dictionary_digest: str,
             "closeness": cfg.closeness,
             "cumulative": cfg.cumulative,
             "ag_exclude_self": cfg.ag_exclude_self,
-            "sources": sorted(walk_sources) if walk_sources is not None else None,
         },
         sort_keys=True,
     )
@@ -286,8 +335,6 @@ def _measures_to_payload(dm: DocumentMeasures) -> dict:
 
 
 def _measures_from_payload(data: dict) -> DocumentMeasures:
-    from .metrics import NodeMeasures
-
     measures = {
         name: NodeMeasures(
             name,
@@ -320,15 +367,13 @@ def _cache_load(path: Path, key: str) -> DocumentMeasures | None:
         return None
 
 
-def _cache_store(path: Path, key: str, dm: DocumentMeasures) -> None:
-    payload = _measures_to_payload(dm)
-    blob = json.dumps(payload, sort_keys=True).encode("utf-8")
-    entry = {
-        "key": key,
-        "checksum": hashlib.sha256(blob).hexdigest(),
-        "payload": payload,
-    }
-    atomic_write(path, json.dumps(entry, sort_keys=True))
+def _cache_store(path: Path, key: str, blob: str) -> None:
+    """Write the entry {key, checksum, payload} around ``blob``, the payload
+    as ``json.dumps(payload, sort_keys=True)`` gives it, so the bytes under
+    the checksum are the bytes stored. The text is what
+    ``json.dumps(entry, sort_keys=True)`` would write."""
+    checksum = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    atomic_write(path, f'{{"checksum": "{checksum}", "key": "{key}", "payload": {blob}}}')
 
 
 def atomic_write(path: Path, text: str) -> None:
@@ -358,16 +403,18 @@ def _dictionary_for(cfg: RunConfig) -> LemmaDictionary:
     return _WORKER_DICT[key]
 
 
-def _measure_task(args) -> tuple[str, dict | None, str | None]:
-    doc_id, label, path, keep_stopwords, sources, cfg_dict = args
+def _measure_task(args) -> tuple[str, DocumentMeasures | None, str | None, str | None]:
+    """(doc_id, measures, serialised payload or None, error or None)."""
+    doc_id, label, path, keep_stopwords, sources, cfg_dict, known, serialise = args
     try:
         cfg = RunConfig(**cfg_dict)
         raw = Path(path).read_text(encoding="utf-8", errors="replace")
         doc = preprocess(raw, _dictionary_for(cfg), keep_stopwords, doc_id, label)
-        dm = measure_document(doc, cfg, sources)
-        return doc_id, _measures_to_payload(dm), None
+        dm = measure_document(doc, cfg, sources, known)
+        blob = json.dumps(_measures_to_payload(dm), sort_keys=True) if serialise else None
+        return doc_id, dm, blob, None
     except Exception as exc:  # noqa: BLE001 - reported per document by the caller
-        return doc_id, None, f"{type(exc).__name__}: {exc}"
+        return doc_id, None, None, f"{type(exc).__name__}: {exc}"
 
 
 def _plain_cfg_dict(cfg: RunConfig) -> dict:
@@ -384,45 +431,55 @@ def compute_corpus_measures(
 ):
     """Measure every document, using the cache and optional process pool.
 
-    Returns the DocumentMeasures in manifest order; with ``collect_errors``
-    the return value is (measures, failures) where failures pairs document
-    ids with error strings and the measures list skips the failed ones.
+    A cache entry belongs to one document's network and measure settings. It
+    holds the classic measures and the walk values of every node walked so
+    far, so an entry that covers the requested sources is served without
+    measuring; otherwise only the missing sources are walked and the merged
+    entry is stored as soon as its document completes, which lets an
+    interrupted run resume from the documents it finished.
+
+    Returns the DocumentMeasures in manifest order, with walk values at the
+    requested sources only; with ``collect_errors`` the return value is
+    (measures, failures) where failures pairs document ids with error strings
+    and the measures list skips the failed ones.
     """
     results: dict[str, DocumentMeasures] = {}
+    errors: dict[str, str] = {}
     pending = []
-    keys = {}
     dictionary_digest = _dictionary_digest(_dictionary_for(cfg))
     for entry in manifest.entries:
         raw = entry.path.read_text(encoding="utf-8", errors="replace")
-        key = _measure_cache_key(raw, cfg, dictionary_digest, keep_stopwords, walk_sources,
-                                 entry.doc_id)
-        keys[entry.doc_id] = key
-        cached = _cache_load(cache_dir / f"{key}.json", key) if cache_dir else None
-        if cached is not None and cached.doc_id == entry.doc_id:
-            results[entry.doc_id] = cached
+        key = _measure_cache_key(raw, cfg, dictionary_digest, keep_stopwords, entry.doc_id)
+        path = cache_dir / f"{key}.json" if cache_dir else None
+        known = _cache_load(path, key) if path else None
+        if known is not None and _covers(known, cfg, walk_sources):
+            results[entry.doc_id] = _restrict_walks(known, cfg, walk_sources)
         else:
-            pending.append(
-                (entry.doc_id, entry.label, str(entry.path), keep_stopwords,
-                 walk_sources, _plain_cfg_dict(cfg))
-            )
+            task = (entry.doc_id, entry.label, str(entry.path), keep_stopwords,
+                    walk_sources, _plain_cfg_dict(cfg), known, path is not None)
+            pending.append((task, key, path))
 
-    failures: list[tuple[str, str]] = []
-    if pending:
-        if cfg.jobs > 1:
-            with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-                computed = list(pool.map(_measure_task, pending, chunksize=1))
-        else:
-            computed = [_measure_task(args) for args in pending]
-        for doc_id, payload, error in computed:
-            if error is not None:
-                failures.append((doc_id, error))
-                continue
-            dm = _measures_from_payload(payload)
-            results[doc_id] = dm
-            if cache_dir:
-                _cache_store(cache_dir / f"{keys[doc_id]}.json", keys[doc_id], dm)
+    def finish(outcome, key: str, path: Path | None) -> None:
+        doc_id, dm, blob, error = outcome
+        if error is not None:
+            errors[doc_id] = error
+            return
+        if path is not None:
+            _cache_store(path, key, blob)
+        results[doc_id] = _restrict_walks(dm, cfg, walk_sources)
+
+    if pending and cfg.jobs > 1:
+        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+            futures = {pool.submit(_measure_task, task): (key, path)
+                       for task, key, path in pending}
+            for future in as_completed(futures):
+                finish(future.result(), *futures[future])
+    else:
+        for task, key, path in pending:
+            finish(_measure_task(task), key, path)
 
     ordered = [results[e.doc_id] for e in manifest.entries if e.doc_id in results]
+    failures = [(e.doc_id, errors[e.doc_id]) for e in manifest.entries if e.doc_id in errors]
     if collect_errors:
         return ordered, failures
     if failures:

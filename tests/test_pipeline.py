@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import make_doc, write_toy_corpus
-from prosenet import CostGuardError, ProsenetError
+from prosenet import CostGuardError, ProsenetError, pipeline
 from prosenet.cli import main
 from prosenet.corpus import load_lemma_dictionary, load_manifest
 from prosenet.pipeline import (
@@ -107,7 +107,125 @@ class TestMeasureCacheKey:
         assert [p.read_bytes() for p in reused] == [p.read_bytes() for p in fresh]
 
 
+class TestSharedMeasureCache:
+    """GS and LS measure the same network: one cache entry serves both."""
+
+    @pytest.fixture
+    def corpus(self, tmp_path):
+        return write_toy_corpus(tmp_path / "corpus", n_per_class=2, tokens=240)
+
+    @staticmethod
+    def measure(manifest, out, strategy):
+        cfg = RunConfig(manifest=str(manifest), strategy=strategy, out=str(out),
+                        word_list_size=10)
+        return {p.name: p.read_bytes() for p in cmd_measure(cfg)}
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        calls = []
+        real = pipeline.measure_document
+
+        def counted(doc, cfg, walk_sources, known=None):
+            calls.append((doc.id, known is not None))
+            return real(doc, cfg, walk_sources, known)
+
+        monkeypatch.setattr(pipeline, "measure_document", counted)
+        return calls
+
+    def test_ls_after_gs_measures_nothing(self, corpus, tmp_path, monkeypatch):
+        shared = tmp_path / "shared"
+        self.measure(corpus, shared, "GS")
+        entries = sorted((shared / "cache").glob("*.json"))
+        calls = self.count_calls(monkeypatch)
+        reused = self.measure(corpus, shared, "LS")
+        assert calls == []
+        assert sorted((shared / "cache").glob("*.json")) == entries
+        assert reused == self.measure(corpus, tmp_path / "fresh", "LS")
+
+    @staticmethod
+    def walked_cells(files):
+        """Nodes with an A2 value, over every measure CSV."""
+        return sum(1 for body in files.values() for line in body.decode().splitlines()
+                   if ",A2," in line and not line.endswith(","))
+
+    def test_gs_after_ls_walks_only_the_rest(self, corpus, tmp_path, monkeypatch):
+        shared = tmp_path / "shared"
+        by_ls = self.measure(corpus, shared, "LS")
+        calls = self.count_calls(monkeypatch)
+        walked = []
+        real_batch = pipeline.accessibility_batch
+
+        def counted_batch(net, sources, *args, **kwargs):
+            walked.append(len(sources))
+            return real_batch(net, sources, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "accessibility_batch", counted_batch)
+        merged = self.measure(corpus, shared, "GS")
+        assert sorted(calls) == [(doc_id, True) for doc_id in ("ima00", "ima01", "inf00", "inf01")]
+        assert 0 < self.walked_cells(by_ls)
+        assert sum(walked) == self.walked_cells(merged) - self.walked_cells(by_ls)
+        assert len(list((shared / "cache").glob("*.json"))) == 4
+        assert merged == self.measure(corpus, tmp_path / "fresh", "GS")
+
+    def test_no_walk_request_is_served_by_any_entry(self, corpus, tmp_path, monkeypatch):
+        shared = tmp_path / "shared"
+        self.measure(corpus, shared, "LS")
+        calls = self.count_calls(monkeypatch)
+        cfg = RunConfig(manifest=str(corpus), strategy="GS", gs_walks=False, out=str(shared))
+        reused = [p.read_bytes() for p in cmd_measure(cfg)]
+        assert calls == []
+        fresh = RunConfig(manifest=str(corpus), strategy="GS", gs_walks=False,
+                          out=str(tmp_path / "fresh"))
+        assert reused == [p.read_bytes() for p in cmd_measure(fresh)]
+        assert not any(b",A2," in body for body in reused)
+
+
+class TestResumableRuns:
+    def test_interrupted_run_keeps_finished_documents(self, tmp_path, monkeypatch):
+        manifest = write_toy_corpus(tmp_path / "corpus", n_per_class=2, tokens=200)
+        cfg = RunConfig(manifest=str(manifest), strategy="GS", gs_walks=False,
+                        out=str(tmp_path / "out"))
+        cache = tmp_path / "out" / "cache"
+        real = pipeline.measure_document
+
+        def interrupting(doc, *args):
+            if doc.id == "inf00":  # the third document in manifest order
+                raise KeyboardInterrupt
+            return real(doc, *args)
+
+        monkeypatch.setattr(pipeline, "measure_document", interrupting)
+        with pytest.raises(KeyboardInterrupt):
+            cmd_measure(cfg)
+        finished = sorted(cache.glob("*.json"))
+        assert len(finished) == 2
+
+        measured = []
+
+        def counting(doc, *args):
+            measured.append(doc.id)
+            return real(doc, *args)
+
+        monkeypatch.setattr(pipeline, "measure_document", counting)
+        resumed = [p.read_bytes() for p in cmd_measure(cfg)]
+        assert measured == ["inf00", "inf01"]
+        assert set(finished) < set(cache.glob("*.json"))
+        fresh = RunConfig(manifest=str(manifest), strategy="GS", gs_walks=False,
+                          out=str(tmp_path / "fresh"))
+        assert resumed == [p.read_bytes() for p in cmd_measure(fresh)]
+
+
 class TestMeasureDocument:
+    def test_known_measures_are_walked_only_where_missing(self):
+        doc = make_doc("a b c a d e b f c g a h d".split())
+        cfg = RunConfig(h_symmetry=(1, 2, 3))
+        full = measure_document(doc, cfg, None)
+        part = measure_document(doc, cfg, ["b", "d", "zzz"])
+        merged = measure_document(doc, cfg, None, known=part)
+        assert merged.measures.keys() == full.measures.keys()
+        for name, nm in full.measures.items():
+            assert np.array_equal(merged.measures[name].values, nm.values), name
+            assert np.array_equal(merged.measures[name].missing, nm.missing), name
+
     def test_absent_sources_with_many_symmetry_depths(self):
         depths = tuple(range(1, 10))
         dm = measure_document(make_doc(["a", "b", "c", "a"]),
