@@ -26,6 +26,8 @@ from .features import (
 from .linalg import top_eigenpairs_sym
 
 RELEVANCE_MAX_FEATURES = 15
+# cells of one (subsets, n, n) distance block in the relevance sweep
+SWEEP_BLOCK_CELLS = 1 << 16
 
 
 @dataclass
@@ -84,27 +86,6 @@ def _zscore_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, std
 
 
-def knn_classify(
-    train_x: np.ndarray, train_y: list[str], row: np.ndarray, k: int = 1
-) -> str:
-    """Majority label among the K nearest training rows (Euclidean).
-
-    Rows tied with the K-th distance all vote; label ties go to the
-    lexicographically smaller label. Inputs are assumed already normalized.
-    """
-    if len(train_x) == 0:
-        raise ValueError("empty training set")
-    d2 = ((train_x - row) ** 2).sum(axis=1)
-    kth = np.partition(d2, min(k, len(d2)) - 1)[min(k, len(d2)) - 1]
-    voters = d2 <= kth
-    labels = sorted(set(train_y))
-    counts = {lab: 0 for lab in labels}
-    for lab, v in zip(train_y, voters):
-        if v:
-            counts[lab] += 1
-    return sorted(labels, key=lambda lab: (-counts[lab], lab))[0]
-
-
 @dataclass
 class _CartNode:
     feature: int = -1
@@ -114,52 +95,78 @@ class _CartNode:
     label: str | None = None
 
 
-def _gini(y: np.ndarray) -> float:
-    _, counts = np.unique(y, return_counts=True)
-    p = counts / counts.sum()
-    return 1.0 - float((p * p).sum())
+def _gini_rows(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """Gini impurity 1 - sum((c/t)^2) of each row of class counts.
+
+    Absent classes add exact zeros, so each sum equals the one over the
+    classes present, in label order.
+    """
+    p = counts / totals[:, None]
+    return 1.0 - (p * p).sum(axis=1)
+
+
+def _best_split(x: np.ndarray, y: np.ndarray, n_classes: int) -> tuple[int, float] | None:
+    """(feature, threshold) of the lowest weighted Gini impurity, or None.
+
+    Every column is sorted once; a candidate's class counts are read from
+    the cumulative class counts of the labels in sorted order. Candidates run
+    in feature order, then ascending threshold, and the first minimum wins.
+    """
+    n = len(y)
+    order = np.argsort(x, axis=0, kind="stable")
+    xs = np.take_along_axis(x, order, axis=0)
+    # cum[k, f, c]: rows of class c among the k smallest values of column f
+    cum = np.zeros((n + 1, x.shape[1], n_classes), dtype=np.int64)
+    np.cumsum(y[order][..., None] == np.arange(n_classes), axis=0, out=cum[1:])
+    feat, pos = np.nonzero((xs[1:] > xs[:-1]).T)
+    upper = xs[pos + 1, feat]
+    thr = (xs[pos, feat] + upper) / 2.0
+    n_l = pos + 1
+    # a midpoint of two adjacent floats can round onto the upper value,
+    # which `col <= thr` then counts as well
+    for j in np.flatnonzero(thr >= upper):
+        n_l[j] = np.searchsorted(xs[:, feat[j]], thr[j], side="right")
+    # a threshold that keeps every row on the left is no split
+    keep = n_l < n
+    feat, thr, n_l = feat[keep], thr[keep], n_l[keep]
+    if not len(feat):
+        return None
+    left = cum[n_l, feat]
+    n_r = n - n_l
+    impurity = (
+        n_l * _gini_rows(left, n_l) + n_r * _gini_rows(cum[n, feat] - left, n_r)
+    ) / n
+    best = int(np.argmin(impurity))
+    return int(feat[best]), float(thr[best])
 
 
 def cart_train(train_x: np.ndarray, train_y: list[str], min_split: int = 2) -> _CartNode:
     """Binary Gini tree; thresholds at midpoints of sorted unique values.
 
     Tie-break across equal-impurity splits: lowest feature index, then lowest
-    threshold. No pruning.
+    threshold; a majority tie goes to the smaller label. No pruning.
     """
-    y = np.asarray(train_y, dtype=object)
+    labels = sorted(set(train_y))
+    code = {lab: i for i, lab in enumerate(labels)}
+    y = np.array([code[lab] for lab in train_y], dtype=np.int64)
+    x = np.asarray(train_x, dtype=np.float64)
 
-    def majority(labels: np.ndarray) -> str:
-        vals, counts = np.unique(labels, return_counts=True)
-        order = sorted(range(len(vals)), key=lambda i: (-counts[i], vals[i]))
-        return str(vals[order[0]])
-
-    def build(x: np.ndarray, labels: np.ndarray) -> _CartNode:
-        if len(set(labels)) == 1 or len(labels) < min_split:
-            return _CartNode(label=majority(labels))
-        best = None  # (weighted_gini, feature, threshold)
-        for f in range(x.shape[1]):
-            col = x[:, f]
-            uniq = np.unique(col)
-            for a, b in zip(uniq[:-1], uniq[1:]):
-                thr = (a + b) / 2.0
-                mask = col <= thr
-                n_l = int(mask.sum())
-                impurity = (
-                    n_l * _gini(labels[mask]) + (len(labels) - n_l) * _gini(labels[~mask])
-                ) / len(labels)
-                cand = (impurity, f, float(thr))
-                if best is None or cand < best:
-                    best = cand
-        if best is None:
-            return _CartNode(label=majority(labels))
-        _, f, thr = best
-        mask = x[:, f] <= thr
+    def build(rows: np.ndarray) -> _CartNode:
+        counts = np.bincount(y[rows], minlength=len(labels))
+        leaf = _CartNode(label=labels[int(np.argmax(counts))])
+        if np.count_nonzero(counts) == 1 or len(rows) < min_split:
+            return leaf
+        split = _best_split(x[rows], y[rows], len(labels))
+        if split is None:
+            return leaf
+        f, thr = split
+        mask = x[rows, f] <= thr
         node = _CartNode(feature=f, threshold=thr)
-        node.left = build(x[mask], labels[mask])
-        node.right = build(x[~mask], labels[~mask])
+        node.left = build(rows[mask])
+        node.right = build(rows[~mask])
         return node
 
-    return build(np.asarray(train_x, dtype=np.float64), y)
+    return build(np.arange(len(y)))
 
 
 def cart_classify(tree: _CartNode, row: np.ndarray) -> str:
@@ -220,20 +227,26 @@ def significance(accuracy: float, n: int) -> float:
     return float(Fraction(numer, 2**n))
 
 
-def _loo_knn_predictions(x: np.ndarray, y01: np.ndarray, k: int) -> np.ndarray:
-    """Vectorized leave-one-out KNN with per-fold z-scoring.
-
-    Mean-centering cancels in Euclidean distances, so each fold only needs
-    its per-feature inverse variances, computed from leave-one-out sums.
-    """
-    n, f = x.shape
+def _loo_fold_weights(x: np.ndarray) -> np.ndarray:
+    """w[i, f]: 1 / variance of column f without row i (1 where it is 0)."""
+    n = len(x)
     s = x.sum(axis=0)
     ss = (x * x).sum(axis=0)
     mean_i = (s - x) / (n - 1)
     var_i = (ss - x * x) / (n - 1) - mean_i**2
     w = np.ones_like(var_i)
     np.divide(1.0, var_i, out=w, where=var_i > 1e-300)
+    return w
 
+
+def _loo_knn_predictions(x: np.ndarray, y01: np.ndarray, k: int) -> np.ndarray:
+    """Vectorized leave-one-out KNN with per-fold z-scoring.
+
+    Mean-centering cancels in Euclidean distances, so each fold only needs
+    its per-feature inverse variances, computed from leave-one-out sums.
+    """
+    n = len(x)
+    w = _loo_fold_weights(x)
     preds = np.empty(n, dtype=np.int64)
     for i in range(n):
         d2 = ((x - x[i]) ** 2 * w[i]).sum(axis=1)
@@ -293,6 +306,63 @@ def loo_evaluate(fm: FeatureMatrix, spec: ClassifierSpec) -> ClassificationRepor
     )
 
 
+def _knn_subset_accuracies(
+    x: np.ndarray, y01: np.ndarray, k: int, block_cells: int = SWEEP_BLOCK_CELLS
+) -> np.ndarray:
+    """LOO KNN accuracy of every nonempty column subset, by bitmask - 1.
+
+    A subset's squared distances are its per-feature terms w[i, f] * (x[i, f]
+    - x[j, f])^2 added in ascending feature order from zero, so each one is
+    bit-identical to a per-subset sum. The 2^L subsets of the L lowest
+    features form one block, summed once, where L is the largest that keeps
+    2^L n^2 within ``block_cells`` (at least 0). Each subset of the higher
+    features adds its highest feature's term to its parent's block (the same
+    subset without that feature), depth first, so phi - L + 1 blocks are live
+    at most; each block's 2^L subsets are voted on at once. Blocks are laid
+    out [subset, j, i] so every reduction over the neighbours j runs along
+    contiguous rows.
+    """
+    n, phi = x.shape
+    w = _loo_fold_weights(x)
+    terms = np.empty((phi, n, n), dtype=np.float64)
+    for f in range(phi):
+        col = x[:, f]
+        terms[f] = w[:, f] * (col[:, None] - col[None, :]) ** 2
+    low = min(phi, max(0, (block_cells // (n * n)).bit_length() - 1))
+    blocks = np.zeros((phi - low + 1, 2**low, n, n), dtype=np.float64)
+    for mask in range(1, 2**low):
+        top = mask.bit_length() - 1
+        blocks[0, mask] = blocks[0, mask ^ 1 << top] + terms[top]
+
+    kk = min(k, n - 1)
+    diag = np.arange(n)
+    # [label-1 voters, all voters] per row; float32 sums of 0/1 are exact
+    # below 2^24 rows
+    tally = np.stack([y01 == 1, np.ones(n, dtype=bool)]).astype(np.float32)
+    voters = np.empty(blocks.shape[1:], dtype=np.float32)
+    accuracies = np.empty(2**phi, dtype=np.float64)
+
+    def vote(high: int, block: np.ndarray) -> None:
+        block[:, diag, diag] = np.inf
+        if kk == 1:  # the smallest value, as partition finds it (NaN last)
+            kth = np.fmin.reduce(block, axis=1)
+        else:
+            kth = np.partition(block, kk - 1, axis=1)[:, kk - 1]
+        np.less_equal(block, kth[:, None, :], out=voters)
+        ones, total = (tally @ voters).transpose(1, 0, 2)
+        preds = ones > total - ones  # tie -> smaller (index 0) label
+        accuracies[high << low:(high + 1) << low] = (preds == y01).mean(axis=1)
+
+    def descend(high: int, depth: int) -> None:
+        vote(high, blocks[depth])
+        for f in range(high.bit_length(), phi - low):
+            np.add(blocks[depth], terms[low + f], out=blocks[depth + 1])
+            descend(high | 1 << f, depth + 1)
+
+    descend(0, 0)
+    return accuracies[1:]
+
+
 def relevance_index(fm: FeatureMatrix, spec: ClassifierSpec | None = None) -> RelevanceReport:
     """LOO accuracy for every nonempty feature subset, then the relevance index.
 
@@ -307,56 +377,23 @@ def relevance_index(fm: FeatureMatrix, spec: ClassifierSpec | None = None) -> Re
             f"relevance sweep over {phi} features needs 2^{phi} evaluations; "
             f"the guard allows at most {RELEVANCE_MAX_FEATURES}"
         )
-    n = fm.n_documents
     labels_sorted = sorted(set(fm.labels))
     y01 = np.array([labels_sorted.index(lab) for lab in fm.labels])
     x = fm.values
 
-    accuracies = np.zeros(2**phi - 1, dtype=np.float64)
     if spec.name == "knn":
-        # deltas[f] and per-fold weights are subset-independent; each subset
-        # evaluation reduces to one weighted sum over its features
-        deltas = np.empty((phi, n, n), dtype=np.float64)
-        for f in range(phi):
-            col = x[:, f]
-            deltas[f] = (col[:, None] - col[None, :]) ** 2
-        s = x.sum(axis=0)
-        ss = (x * x).sum(axis=0)
-        mean_i = (s - x) / (n - 1)
-        var_i = (ss - x * x) / (n - 1) - mean_i**2
-        w = np.ones_like(var_i)
-        np.divide(1.0, var_i, out=w, where=var_i > 1e-300)
-        kk = min(spec.knn_k, n - 1)
-        diag = np.arange(n)
-        for mask in range(1, 2**phi):
-            feats = [f for f in range(phi) if mask >> f & 1]
-            d2 = np.einsum("if,fij->ij", w[:, feats], deltas[feats])
-            d2[diag, diag] = np.inf
-            kth = np.partition(d2, kk - 1, axis=1)[:, kk - 1]
-            voters = d2 <= kth[:, None]
-            ones = voters @ y01
-            zeros = voters.sum(axis=1) - ones
-            preds = (ones > zeros).astype(np.int64)
-            accuracies[mask - 1] = float((preds == y01).mean())
+        accuracies = _knn_subset_accuracies(x, y01, spec.knn_k)
     else:
+        accuracies = np.zeros(2**phi - 1, dtype=np.float64)
         for mask in range(1, 2**phi):
             names = [fm.feature_names[f] for f in range(phi) if mask >> f & 1]
             accuracies[mask - 1] = loo_evaluate(fm.subset(names), spec).accuracy
 
-    order = sorted(
-        range(1, 2**phi),
-        key=lambda m: (-accuracies[m - 1], bin(m).count("1"), m),
-    )
-    ledger = [(m, float(accuracies[m - 1])) for m in order]
-
-    top = 2 ** (phi - 1)
-    omega = np.zeros((phi, top), dtype=np.int64)
-    running = np.zeros(phi, dtype=np.int64)
-    for rank, (m, _) in enumerate(ledger[:top], start=1):
-        for f in range(phi):
-            if m >> f & 1:
-                running[f] += 1
-        omega[:, rank - 1] = running
+    masks = np.arange(1, 2**phi)
+    bits = masks[:, None] >> np.arange(phi) & 1
+    order = np.lexsort((masks, bits.sum(axis=1), -accuracies))
+    ledger = [(int(m), float(a)) for m, a in zip(masks[order], accuracies[order])]
+    omega = bits[order[: 2 ** (phi - 1)]].cumsum(axis=0).T
     r_index = {
         fm.feature_names[f]: int(omega[f].sum()) for f in range(phi)
     }

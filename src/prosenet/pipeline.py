@@ -452,6 +452,8 @@ def compute_corpus_measures(
         key = _measure_cache_key(raw, cfg, dictionary_digest, keep_stopwords, entry.doc_id)
         path = cache_dir / f"{key}.json" if cache_dir else None
         known = _cache_load(path, key) if path else None
+        if known is not None:  # the key holds no label: the manifest's wins
+            known = dataclasses.replace(known, label=entry.label)
         if known is not None and _covers(known, cfg, walk_sources):
             results[entry.doc_id] = _restrict_walks(known, cfg, walk_sources)
         else:

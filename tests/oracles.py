@@ -4,7 +4,10 @@ Everything here is written against plain adjacency dictionaries and exact
 rational arithmetic where possible, deliberately sharing no algorithmic code
 with the package: path-based quantities enumerate simple paths outright, walk
 distributions recurse over walk prefixes with Fractions, and the matrix
-exponential is a truncated Taylor sum.
+exponential is a truncated Taylor sum. The learners are the plain forms of
+what ``prosenet.learn`` vectorises: a single-row KNN vote, a CART that masks
+the rows once per threshold, and a relevance sweep that sums one subset's
+distances at a time.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from prosenet.graph import WordNetwork, _csr_from_edges
+from prosenet.learn import _CartNode
 
 
 def net_from_edges(n: int, edges: set[tuple[int, int]], doc_id: str = "t") -> WordNetwork:
@@ -338,3 +342,107 @@ def oracle_mutual_information(x_bins: np.ndarray, y: np.ndarray) -> float:
             ny = int((y == yv).sum())
             total += (nxy / n) * np.log2(n * nxy / (nx * ny))
     return total
+
+
+# ---------------------------------------------------------------------------
+# learners: the per-row, per-threshold and per-subset forms of prosenet.learn
+# ---------------------------------------------------------------------------
+
+def knn_classify(
+    train_x: np.ndarray, train_y: list[str], row: np.ndarray, k: int = 1
+) -> str:
+    """Majority label among the K nearest training rows (Euclidean).
+
+    Rows tied with the K-th distance all vote; label ties go to the
+    lexicographically smaller label. Inputs are assumed already normalized.
+    """
+    if len(train_x) == 0:
+        raise ValueError("empty training set")
+    d2 = ((train_x - row) ** 2).sum(axis=1)
+    kth = np.partition(d2, min(k, len(d2)) - 1)[min(k, len(d2)) - 1]
+    voters = d2 <= kth
+    labels = sorted(set(train_y))
+    counts = {lab: 0 for lab in labels}
+    for lab, v in zip(train_y, voters):
+        if v:
+            counts[lab] += 1
+    return sorted(labels, key=lambda lab: (-counts[lab], lab))[0]
+
+
+def oracle_gini(y: np.ndarray) -> float:
+    _, counts = np.unique(y, return_counts=True)
+    p = counts / counts.sum()
+    return 1.0 - float((p * p).sum())
+
+
+def oracle_cart_train(train_x: np.ndarray, train_y: list[str], min_split: int = 2) -> _CartNode:
+    """Binary Gini tree that tries every threshold with a mask over the rows.
+
+    A midpoint that rounds onto a column's largest value sends every row left
+    and makes the recursion endless (RecursionError); ``cart_train`` treats it
+    as no split.
+    """
+    y = np.asarray(train_y, dtype=object)
+
+    def majority(labels: np.ndarray) -> str:
+        vals, counts = np.unique(labels, return_counts=True)
+        order = sorted(range(len(vals)), key=lambda i: (-counts[i], vals[i]))
+        return str(vals[order[0]])
+
+    def build(x: np.ndarray, labels: np.ndarray) -> _CartNode:
+        if len(set(labels)) == 1 or len(labels) < min_split:
+            return _CartNode(label=majority(labels))
+        best = None  # (weighted_gini, feature, threshold)
+        for f in range(x.shape[1]):
+            col = x[:, f]
+            uniq = np.unique(col)
+            for a, b in zip(uniq[:-1], uniq[1:]):
+                thr = (a + b) / 2.0
+                mask = col <= thr
+                n_l = int(mask.sum())
+                impurity = (
+                    n_l * oracle_gini(labels[mask])
+                    + (len(labels) - n_l) * oracle_gini(labels[~mask])
+                ) / len(labels)
+                cand = (impurity, f, float(thr))
+                if best is None or cand < best:
+                    best = cand
+        if best is None:
+            return _CartNode(label=majority(labels))
+        _, f, thr = best
+        mask = x[:, f] <= thr
+        node = _CartNode(feature=f, threshold=thr)
+        node.left = build(x[mask], labels[mask])
+        node.right = build(x[~mask], labels[~mask])
+        return node
+
+    return build(np.asarray(train_x, dtype=np.float64), y)
+
+
+def oracle_knn_subset_accuracies(x: np.ndarray, y01: np.ndarray, k: int) -> np.ndarray:
+    """LOO KNN accuracy of every nonempty column subset, one subset at a time."""
+    n, phi = x.shape
+    deltas = np.empty((phi, n, n), dtype=np.float64)
+    for f in range(phi):
+        col = x[:, f]
+        deltas[f] = (col[:, None] - col[None, :]) ** 2
+    s = x.sum(axis=0)
+    ss = (x * x).sum(axis=0)
+    mean_i = (s - x) / (n - 1)
+    var_i = (ss - x * x) / (n - 1) - mean_i**2
+    w = np.ones_like(var_i)
+    np.divide(1.0, var_i, out=w, where=var_i > 1e-300)
+    kk = min(k, n - 1)
+    diag = np.arange(n)
+    accuracies = np.zeros(2**phi - 1, dtype=np.float64)
+    for mask in range(1, 2**phi):
+        feats = [f for f in range(phi) if mask >> f & 1]
+        d2 = np.einsum("if,fij->ij", w[:, feats], deltas[feats])
+        d2[diag, diag] = np.inf
+        kth = np.partition(d2, kk - 1, axis=1)[:, kk - 1]
+        voters = d2 <= kth[:, None]
+        ones = voters @ y01
+        zeros = voters.sum(axis=1) - ones
+        preds = (ones > zeros).astype(np.int64)
+        accuracies[mask - 1] = float((preds == y01).mean())
+    return accuracies

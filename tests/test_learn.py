@@ -4,17 +4,18 @@ import numpy as np
 import pytest
 
 from conftest import make_doc
+from oracles import knn_classify
 from prosenet import CostGuardError
 from prosenet.features import FeatureMatrix
 from prosenet.learn import (
     ClassifierSpec,
+    _loo_knn_predictions,
     baseline_char_bigrams,
     baseline_stopword_frequency,
     baseline_word_lsa,
     cart_classify,
     cart_train,
     char_bigram_counts,
-    knn_classify,
     loo_evaluate,
     nb_classify,
     nb_train,
@@ -178,6 +179,30 @@ class TestLoo:
         r1 = loo_evaluate(fm_of(values, labels), ClassifierSpec("knn"))
         r2 = loo_evaluate(fm_of(scaled, labels), ClassifierSpec("knn"))
         assert r1.accuracy == r2.accuracy
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "LOO-KNN fold variances (ss - x^2)/(n-1) - mean_i^2 cancel on a column "
+        "with a large offset; centring the columns fixes it but also changes the "
+        "anchor's report_GS_knn.json through the near-constant mean(Pr) column, "
+        "so the fix waits for the change that drops mean(Pr) and re-records the "
+        "reference"))
+    def test_fold_variances_survive_a_large_offset(self):
+        rng = np.random.default_rng(7)
+        n = 40
+        values = rng.normal(size=(n, 2))
+        values[:, 0] = 1e6 + 1e-2 * values[:, 0]
+        y01 = (values[:, 0] - 1e6 + 3e-3 * rng.normal(size=n) > 0).astype(np.int64)
+        labels = ["a", "b"]
+        expected = []
+        for i in range(n):
+            mask = np.ones(n, dtype=bool)
+            mask[i] = False
+            mean = values[mask].mean(axis=0)
+            std = values[mask].std(axis=0)
+            train = (values[mask] - mean) / std
+            pred = knn_classify(train, [labels[v] for v in y01[mask]], (values[i] - mean) / std)
+            expected.append(labels.index(pred))
+        assert np.array_equal(_loo_knn_predictions(values, y01, 1), expected)
 
     def test_nb_and_cart_run_through_loo(self):
         # three rows per class so every fold keeps two per class (NB precondition)

@@ -1,0 +1,121 @@
+"""Property tests of the vectorised learners against their references.
+
+CART: the sorted-prefix split search builds the same tree, node for node, as
+the per-threshold reference on columns with repeated values, constant
+columns and adjacent floats, whose midpoints can round onto the upper value.
+Relevance sweep: the blocked subset sweep gives every subset exactly the
+accuracy of the one-subset-at-a-time reference, across block sizes, K and
+duplicate rows (distance ties).
+"""
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from oracles import oracle_cart_train, oracle_knn_subset_accuracies
+from prosenet.features import FeatureMatrix
+from prosenet.learn import ClassifierSpec, _knn_subset_accuracies, cart_train, relevance_index
+
+PROPERTY = settings(max_examples=80, deadline=None)
+
+# 1 + 2^-52, 1 + 2^-51: their midpoint rounds up onto the upper value
+ODD = np.nextafter(1.0, 2.0)
+EVEN = np.nextafter(ODD, 2.0)
+ATOMS = [-1.0, 0.0, 0.5, 1.0, ODD, EVEN, np.nextafter(EVEN, 2.0), 2.0]
+
+
+@st.composite
+def cart_cases(draw):
+    n = draw(st.integers(2, 24))
+    n_features = draw(st.integers(1, 4))
+    columns = []
+    for _ in range(n_features):
+        pool = draw(st.lists(
+            st.one_of(st.sampled_from(ATOMS), st.floats(-1e3, 1e3, allow_nan=False)),
+            min_size=1, max_size=6,
+        ))
+        columns.append(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    n_classes = draw(st.integers(2, 4))
+    labels = draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n))
+    min_split = draw(st.integers(2, 4))
+    return np.array(columns, dtype=np.float64).T, [f"c{v}" for v in labels], min_split
+
+
+def splits_every_node(node, x) -> bool:
+    """Each internal node sends rows to both sides."""
+    if node.label is not None:
+        return True
+    mask = x[:, node.feature] <= node.threshold
+    return (0 < mask.sum() < len(x)
+            and splits_every_node(node.left, x[mask])
+            and splits_every_node(node.right, x[~mask]))
+
+
+@PROPERTY
+@given(cart_cases())
+def test_cart_matches_per_threshold_reference(case):
+    x, y, min_split = case
+    tree = cart_train(x, y, min_split)
+    try:
+        expected = oracle_cart_train(x, y, min_split)
+    except RecursionError:
+        # the reference chose a split that keeps every row on one side
+        assert splits_every_node(tree, x)
+        return
+    assert tree == expected
+
+
+@st.composite
+def sweep_cases(draw):
+    n = draw(st.integers(3, 20))
+    phi = draw(st.integers(1, 10))
+    distinct = draw(st.integers(1, n))
+    # small integers a few ulps apart: near-ties that only an exact
+    # summation order keeps or breaks as the reference does
+    near_integers = st.builds(lambda v, m: v * (1.0 + m * 2.0**-52),
+                              st.integers(-3, 3), st.integers(0, 3))
+    grid = st.one_of(near_integers, st.floats(-10, 10, allow_nan=False))
+    rows = [draw(st.lists(grid, min_size=phi, max_size=phi)) for _ in range(distinct)]
+    picks = draw(st.lists(st.integers(0, distinct - 1), min_size=n, max_size=n))
+    x = np.array([rows[p] for p in picks], dtype=np.float64)
+    y01 = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    k = draw(st.integers(1, 3))
+    block_cells = draw(st.sampled_from([1, n * n, 8 * n * n, 1 << 16]))
+    return x, y01, k, block_cells
+
+
+# feature 0's term plus the sum of the others' differs here from the sum in
+# ascending order; a block of 2n^2 cells puts feature 0 alone in the prefix
+ORDER_SENSITIVE = (
+    np.array([[1, -2, 0], [1, -3, -1], [-3, 1, 1], [1, 0, 0]])
+    * (1.0 + np.array([[2, 1, 3], [1, 0, 0], [0, 0, 2], [2, 0, 0]]) * 2.0**-52),
+    np.array([0, 1, 0, 1]), 1, 2 * 4 * 4,
+)
+
+
+@PROPERTY
+@given(sweep_cases())
+@example(ORDER_SENSITIVE)
+def test_sweep_matches_per_subset_reference(case):
+    x, y01, k, block_cells = case
+    got = _knn_subset_accuracies(x, y01, k, block_cells)
+    assert np.array_equal(got, oracle_knn_subset_accuracies(x, y01, k))
+
+
+@settings(max_examples=15, deadline=None)
+@given(sweep_cases())
+def test_relevance_ledger_ranks_reference_accuracies(case):
+    x, y01, k, _ = case
+    n, phi = x.shape
+    fm = FeatureMatrix([f"d{i}" for i in range(n)], ["ab"[v] for v in y01],
+                       [f"f{f}" for f in range(phi)], x)
+    report = relevance_index(fm, ClassifierSpec("knn", knn_k=k))
+    present = sorted(set(fm.labels))  # a lone class is index 0 in the sweep
+    y_index = np.array([present.index(lab) for lab in fm.labels])
+    expected = oracle_knn_subset_accuracies(x, y_index, k)
+    order = sorted(range(1, 2**phi), key=lambda m: (-expected[m - 1], bin(m).count("1"), m))
+    assert report.ledger == [(m, float(expected[m - 1])) for m in order]
+    running = np.zeros(phi, dtype=np.int64)
+    for rank, (m, _) in enumerate(report.ledger[: 2 ** (phi - 1)]):
+        running += [m >> f & 1 for f in range(phi)]
+        assert np.array_equal(report.omega[:, rank], running)

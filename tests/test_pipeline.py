@@ -180,6 +180,26 @@ class TestSharedMeasureCache:
         assert not any(b",A2," in body for body in reused)
 
 
+class TestCachedLabels:
+    def test_relabelled_document_keeps_its_manifest_label(self, tmp_path):
+        manifest = write_toy_corpus(tmp_path / "corpus", n_per_class=1, tokens=120)
+        cfg = RunConfig(manifest=str(manifest))
+        cache = tmp_path / "out" / "cache"
+
+        def labels(walk_sources):
+            measured = pipeline.compute_corpus_measures(
+                load_manifest(manifest), cfg, False, walk_sources, cache)
+            return [(dm.doc_id, dm.label) for dm in measured]
+
+        assert labels([]) == [("ima00", "imaginative"), ("inf00", "informative")]
+        swapped = manifest.read_text(encoding="utf-8").replace("\timaginative\t", "\tX\t")
+        swapped = swapped.replace("\tinformative\t", "\timaginative\t").replace("\tX\t", "\tinformative\t")
+        manifest.write_text(swapped, encoding="utf-8")
+        relabelled = [("ima00", "informative"), ("inf00", "imaginative")]
+        assert labels([]) == relabelled  # every entry covers the request
+        assert labels(None) == relabelled  # every entry is walked further
+
+
 class TestResumableRuns:
     def test_interrupted_run_keeps_finished_documents(self, tmp_path, monkeypatch):
         manifest = write_toy_corpus(tmp_path / "corpus", n_per_class=2, tokens=200)
