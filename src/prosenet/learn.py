@@ -344,10 +344,7 @@ def _knn_subset_accuracies(
 
     def vote(high: int, block: np.ndarray) -> None:
         block[:, diag, diag] = np.inf
-        if kk == 1:  # the smallest value, as partition finds it (NaN last)
-            kth = np.fmin.reduce(block, axis=1)
-        else:
-            kth = np.partition(block, kk - 1, axis=1)[:, kk - 1]
+        kth = np.partition(block, kk - 1, axis=1)[:, kk - 1]
         np.less_equal(block, kth[:, None, :], out=voters)
         ones, total = (tally @ voters).transpose(1, 0, 2)
         preds = ones > total - ones  # tie -> smaller (index 0) label
