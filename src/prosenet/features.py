@@ -227,45 +227,49 @@ def frequency_decorrelation_filter(
 
 
 def _equal_frequency_bins(x: np.ndarray, bins: int = 10) -> np.ndarray:
-    """Discretize into equal-frequency bins; tied values share a bin.
+    """Discretize each column of x (or a 1-D x) into equal-frequency bins;
+    tied values share a bin.
 
     Cut points are order statistics (inverted-CDF quantiles), so the binning
-    is invariant under strictly monotone transformations of x.
+    is invariant under strictly monotone transformations of x. A value's bin
+    is the number of cut points at or below it, with NaN above every number
+    (the order ``np.sort`` uses).
     """
-    qs = np.quantile(x, [i / bins for i in range(1, bins)], method="inverted_cdf")
-    return np.searchsorted(qs, x, side="right")
-
-
-def information_gain(fm: FeatureMatrix, feature: str | int, bins: int = 10) -> float:
-    """Mutual information (bits) between the discretized feature and the label."""
-    j = fm.feature_names.index(feature) if isinstance(feature, str) else feature
-    x = _equal_frequency_bins(fm.values[:, j], bins)
-    label_names = sorted(set(fm.labels))
-    y = np.array([label_names.index(l) for l in fm.labels])
-    return mutual_information_bits(x, y)
-
-
-def mutual_information_bits(x: np.ndarray, y: np.ndarray) -> float:
-    """Plug-in mutual information of two discrete sequences, in bits."""
-    n = len(x)
-    xs = np.unique(x)
-    ys = np.unique(y)
-    total = 0.0
-    for xv in xs:
-        px = (x == xv).mean()
-        for yv in ys:
-            pxy = ((x == xv) & (y == yv)).mean()
-            if pxy > 0:
-                py = (y == yv).mean()
-                total += pxy * math.log2(pxy / (px * py))
-    return max(total, 0.0)
+    qs = [i / bins for i in range(1, bins)]
+    cuts = np.quantile(x, qs, axis=0, method="inverted_cdf")
+    return np.count_nonzero((x[None] >= cuts[:, None]) | np.isnan(x)[None], axis=0)
 
 
 def rank_features(fm: FeatureMatrix, bins: int = 10) -> FeatureRanking:
-    """All columns ranked by information gain, descending; ties by name."""
-    gains = [(name, information_gain(fm, j, bins)) for j, name in enumerate(fm.feature_names)]
-    gains.sort(key=lambda t: (-t[1], t[0]))
-    return FeatureRanking(gains)
+    """All columns ranked by information gain, descending; ties by name.
+
+    A column's gain is the plug-in mutual information (bits) between its
+    equal-frequency bins and the label. Every column is binned and counted at
+    once; the (bin, label) terms are added in bin-then-label order, the same
+    for every column, with each log taken by ``math.log2``.
+    """
+    n, f = fm.values.shape
+    label_names = sorted(set(fm.labels))
+    y = np.array([label_names.index(l) for l in fm.labels])
+    x = _equal_frequency_bins(fm.values, bins)
+    n_labels = len(label_names)
+    counts = np.zeros((f, bins, n_labels), dtype=np.int64)
+    np.add.at(counts, (np.arange(f)[None, :], x, y[:, None]), 1)
+
+    p_xy = counts / n
+    p_x = counts.sum(axis=2, keepdims=True) / n
+    p_y = np.bincount(y, minlength=n_labels) / n
+    present = counts > 0
+    ratio = p_xy[present] / (p_x * p_y)[present]
+    terms = np.zeros(counts.shape)
+    terms[present] = p_xy[present] * np.array([math.log2(r) for r in ratio.tolist()])
+
+    total = np.zeros(f)
+    for cell in terms.reshape(f, bins * n_labels).T:  # absent cells add +0.0: no change
+        total += cell
+    gains = np.maximum(total, 0.0).tolist()
+    ranked = sorted(zip(fm.feature_names, gains), key=lambda t: (-t[1], t[0]))
+    return FeatureRanking(ranked)
 
 
 def select_top_k(fm: FeatureMatrix, k: int, bins: int = 10) -> FeatureMatrix:

@@ -9,12 +9,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from . import ProsenetError
 from .corpus import Document
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 
 @dataclass
@@ -56,6 +59,10 @@ class WordNetwork:
         return {label: i for i, label in enumerate(self.node_labels)}
 
     def adjacency(self) -> sparse.csr_matrix:
+        # scipy is imported here, not at module level: commands served from
+        # the cache never build a matrix and never pay for the import
+        from scipy import sparse
+
         data = np.ones(len(self.indices), dtype=np.float64)
         n = self.node_count
         return sparse.csr_matrix((data, self.indices, self.indptr), shape=(n, n))

@@ -17,12 +17,7 @@ import numpy as np
 
 from . import CostGuardError
 from .corpus import Document, tokenize
-from .features import (
-    FeatureMatrix,
-    mutual_information_bits,
-    rank_features,
-    select_top_k,
-)
+from .features import FeatureMatrix, select_top_k
 from .linalg import top_eigenpairs_sym
 
 RELEVANCE_MAX_FEATURES = 15

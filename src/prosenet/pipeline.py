@@ -356,14 +356,26 @@ def _measures_from_payload(data: dict) -> DocumentMeasures:
 
 
 def _cache_load(path: Path, key: str) -> DocumentMeasures | None:
+    """The entry ``_cache_store`` wrote for ``key``, or None.
+
+    The checksum is checked against the payload bytes as stored; an entry
+    without the exact ``{"checksum": ..., "key": ..., "payload": ...}``
+    layout is a miss."""
     try:
-        entry = json.loads(path.read_text(encoding="utf-8"))
-        payload = entry["payload"]
-        blob = json.dumps(payload, sort_keys=True).encode("utf-8")
-        if entry["key"] != key or entry["checksum"] != hashlib.sha256(blob).hexdigest():
-            return None
-        return _measures_from_payload(payload)
-    except (OSError, ValueError, KeyError):
+        data = path.read_bytes()
+    except OSError:
+        return None
+    head = b'{"checksum": "'
+    tail = f'", "key": "{key}", "payload": '.encode("utf-8")
+    checksum, rest = data[len(head) : len(head) + 64], data[len(head) + 64 :]
+    if not (data.startswith(head) and rest.startswith(tail) and rest.endswith(b"}")):
+        return None
+    blob = rest[len(tail) : -1]
+    if hashlib.sha256(blob).hexdigest().encode("ascii") != checksum:
+        return None
+    try:
+        return _measures_from_payload(json.loads(blob))
+    except (ValueError, KeyError):
         return None
 
 
@@ -471,6 +483,11 @@ def compute_corpus_measures(
         results[doc_id] = _restrict_walks(dm, cfg, walk_sources)
 
     if pending and cfg.jobs > 1:
+        # the workers measure with scipy: import it before they fork, so they
+        # share the parent's copy instead of each loading their own
+        import scipy.linalg  # noqa: F401
+        import scipy.sparse.csgraph  # noqa: F401
+
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             futures = {pool.submit(_measure_task, task): (key, path)
                        for task, key, path in pending}
@@ -607,7 +624,7 @@ def cmd_classify(cfg: RunConfig) -> dict[str, ClassificationReport]:
         "feature,information_gain\n"
         + "".join(f"{n},{float(g)!r}\n" for n, g in ranking.ranked),
     )
-    top = select_top_k(fm, min(cfg.top_k, len(fm.feature_names)))
+    top = fm.subset([name for name, _ in ranking.ranked[: cfg.top_k]])
     atomic_write(out / f"features_{cfg.strategy}.csv", top.to_csv())
 
     proj = pca_project(top)
@@ -627,12 +644,16 @@ def cmd_classify(cfg: RunConfig) -> dict[str, ClassificationReport]:
 
 
 def relevance_csvs(report: RelevanceReport) -> tuple[str, str, str]:
+    # each mask's ';'-joined feature names, in feature order: the name of its
+    # lowest bit, then the string of the mask without that bit
+    feats = [""]
+    for mask in range(1, 2**report.phi):
+        low = mask & -mask
+        name = report.feature_names[low.bit_length() - 1]
+        feats.append(name if mask == low else f"{name};{feats[mask ^ low]}")
     ledger_lines = ["rank,bitmask,features,accuracy"]
     for rank, (mask, acc) in enumerate(report.ledger, start=1):
-        feats = ";".join(
-            report.feature_names[f] for f in range(report.phi) if mask >> f & 1
-        )
-        ledger_lines.append(f"{rank},{mask},{feats},{acc!r}")
+        ledger_lines.append(f"{rank},{mask},{feats[mask]},{acc!r}")
     index_lines = ["feature,r_index"]
     order = sorted(report.r_index, key=lambda f: (-report.r_index[f], f))
     for feat in order:

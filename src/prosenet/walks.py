@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.sparse import csgraph, csr_matrix
 
 from .graph import WordNetwork, bfs_distances
 
@@ -239,6 +237,13 @@ def accessibility_batch(
     return out
 
 
+def expm(a: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.expm``; scipy loads on the first call, not with this module."""
+    from scipy.linalg import expm as scipy_expm
+
+    return scipy_expm(a)
+
+
 def transition_matrix(net: WordNetwork) -> TransitionMatrix:
     """P_ij = a_ij / k_i and its normalized exponential exp(P)/e.
 
@@ -298,6 +303,8 @@ def _pattern_from_layers(
         pat_of = {int(v): i for i, v in enumerate(nodes)}
         ring_of = {int(v): int(dist[v]) for v in nodes}
     elif variant == "merged":
+        from scipy.sparse import csgraph, csr_matrix
+
         # connected components of each ring under intra-ring edges
         rows, cols = [], []
         for u in nodes:
@@ -466,6 +473,8 @@ def merged_symmetry_batch(
     and each concentric-walk step is one ``np.bincount`` over those edges.
     Matches the per-pattern ``symmetry`` exactly.
     """
+    from scipy.sparse import csgraph, csr_matrix
+
     h_max = max(h_values)
     sources = np.asarray(sources)
     if dist is None:

@@ -4,18 +4,21 @@ Everything here is written against plain adjacency dictionaries and exact
 rational arithmetic where possible, deliberately sharing no algorithmic code
 with the package: path-based quantities enumerate simple paths outright, walk
 distributions recurse over walk prefixes with Fractions, and the matrix
-exponential is a truncated Taylor sum. The learners are the plain forms of
-what ``prosenet.learn`` vectorises: a single-row KNN vote, a CART that masks
-the rows once per threshold, and a relevance sweep that sums one subset's
-distances at a time.
+exponential is a truncated Taylor sum. Information gain is counted one
+column and one (bin, label) cell at a time. The learners are the plain forms
+of what ``prosenet.learn`` vectorises: a single-row KNN vote, a CART that
+masks the rows once per threshold, and a relevance sweep that sums one
+subset's distances at a time.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
+from prosenet.features import FeatureMatrix
 from prosenet.graph import WordNetwork, _csr_from_edges
 from prosenet.learn import _CartNode
 
@@ -342,6 +345,47 @@ def oracle_mutual_information(x_bins: np.ndarray, y: np.ndarray) -> float:
             ny = int((y == yv).sum())
             total += (nxy / n) * np.log2(n * nxy / (nx * ny))
     return total
+
+
+# ---------------------------------------------------------------------------
+# information gain: the per-column form of prosenet.features.rank_features
+# ---------------------------------------------------------------------------
+
+def equal_frequency_bins(x: np.ndarray, bins: int = 10) -> np.ndarray:
+    """One column's equal-frequency bins: inverted-CDF cut points, ties share a bin."""
+    qs = np.quantile(x, [i / bins for i in range(1, bins)], method="inverted_cdf")
+    return np.searchsorted(qs, x, side="right")
+
+
+def information_gain(fm: FeatureMatrix, feature: str | int, bins: int = 10) -> float:
+    """Mutual information (bits) between the discretized feature and the label."""
+    j = fm.feature_names.index(feature) if isinstance(feature, str) else feature
+    x = equal_frequency_bins(fm.values[:, j], bins)
+    label_names = sorted(set(fm.labels))
+    y = np.array([label_names.index(l) for l in fm.labels])
+    return mutual_information_bits(x, y)
+
+
+def mutual_information_bits(x: np.ndarray, y: np.ndarray) -> float:
+    """Plug-in mutual information of two discrete sequences, in bits."""
+    xs = np.unique(x)
+    ys = np.unique(y)
+    total = 0.0
+    for xv in xs:
+        px = (x == xv).mean()
+        for yv in ys:
+            pxy = ((x == xv) & (y == yv)).mean()
+            if pxy > 0:
+                py = (y == yv).mean()
+                total += pxy * math.log2(pxy / (px * py))
+    return max(total, 0.0)
+
+
+def oracle_rank_features(fm: FeatureMatrix, bins: int = 10) -> list[tuple[str, float]]:
+    """Every column's ``information_gain``, best first; ties by name."""
+    gains = [(name, information_gain(fm, j, bins)) for j, name in enumerate(fm.feature_names)]
+    gains.sort(key=lambda t: (-t[1], t[0]))
+    return gains
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_doc
-from oracles import oracle_mutual_information
+from oracles import (
+    information_gain,
+    mutual_information_bits,
+    oracle_mutual_information,
+    oracle_rank_features,
+)
 from prosenet.features import (
     DocumentMeasures,
     FeatureMatrix,
     frequency_decorrelation_filter,
     global_features,
-    information_gain,
     local_features,
-    mutual_information_bits,
     rank_features,
     select_top_k,
     select_word_list,
@@ -254,3 +259,46 @@ class TestCsv:
         fm = balanced_fm([0.25, 0.5, 0.75, 1.0])
         assert fm.to_csv() == fm.to_csv()
         assert fm.to_csv().startswith("doc_id,label,f\nd0,imaginative,0.25\n")
+
+
+@st.composite
+def ranking_cases(draw):
+    """Columns drawn from small pools (ties; a pool of one is a constant
+    column; NaN), rows repeated (duplicate rows), up to 3 labels, often fewer
+    rows than bins."""
+    n_base = draw(st.integers(1, 12))
+    n_features = draw(st.integers(1, 6))
+    columns = []
+    for _ in range(n_features):
+        pool = draw(st.lists(st.one_of(st.floats(-1e3, 1e3), st.just(np.nan)),
+                             min_size=1, max_size=5))
+        columns.append(draw(st.lists(st.sampled_from(pool), min_size=n_base, max_size=n_base)))
+    base = np.array(columns, dtype=np.float64).T
+    rows = draw(st.lists(st.integers(0, n_base - 1), min_size=1, max_size=30))
+    labels = draw(st.lists(st.sampled_from(["imaginative", "informative", "other"]),
+                           min_size=len(rows), max_size=len(rows)))
+    names = draw(st.permutations([f"f{j}" for j in range(n_features)]))
+    bins = draw(st.sampled_from([2, 3, 10]))
+    fm = FeatureMatrix([f"d{i}" for i in range(len(rows))], labels, names, base[rows])
+    return fm, bins
+
+
+@settings(max_examples=150, deadline=None)
+@given(ranking_cases())
+@example((FeatureMatrix(
+    ["d0", "d1", "d2", "d3"], ["other", "informative", "imaginative", "informative"],
+    ["b", "a", "c"], np.array([[1.0, 0.5, 2.0], [1.0, 0.5, 2.0], [1.0, 0.25, 3.0], [1.0, 0.0, 3.0]]),
+), 10))
+# the (bin 0, informative) cell's ratio (2/10) / (3/10 * 7/10): np.log2 and
+# math.log2 differ on it by one ulp, and so does the gain
+@example((FeatureMatrix(
+    [f"d{i}" for i in range(10)],
+    ["informative"] * 2 + ["imaginative"] + ["informative"] * 5 + ["imaginative"] * 2,
+    ["f"], np.array([[0.0]] * 3 + [[1.0]] * 7),
+), 2))
+def test_ranking_matches_per_column_reference(case):
+    fm, bins = case
+    ranked = rank_features(fm, bins).ranked
+    expected = oracle_rank_features(fm, bins)
+    assert [name for name, _ in ranked] == [name for name, _ in expected]
+    assert [repr(float(g)) for _, g in ranked] == [repr(float(g)) for _, g in expected]

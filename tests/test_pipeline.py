@@ -9,6 +9,7 @@ from conftest import make_doc, write_toy_corpus
 from prosenet import CostGuardError, ProsenetError, pipeline
 from prosenet.cli import main
 from prosenet.corpus import load_lemma_dictionary, load_manifest
+from prosenet.learn import RelevanceReport
 from prosenet.pipeline import (
     RunConfig,
     cmd_baselines,
@@ -19,6 +20,7 @@ from prosenet.pipeline import (
     measure_document,
     parse_config_file,
     prepare_manifest,
+    relevance_csvs,
 )
 
 
@@ -180,6 +182,44 @@ class TestSharedMeasureCache:
         assert not any(b",A2," in body for body in reused)
 
 
+class TestCacheEntryLayout:
+    """An entry is read by its stored bytes: the checksum covers the payload
+    as written, and only the layout ``_cache_store`` writes is a hit."""
+
+    @pytest.fixture
+    def filled(self, tmp_path):
+        manifest = write_toy_corpus(tmp_path / "corpus", n_per_class=1, tokens=200)
+        cfg = RunConfig(manifest=str(manifest), strategy="GS", gs_walks=False,
+                        out=str(tmp_path / "out"))
+        written = [p.read_bytes() for p in cmd_measure(cfg)]
+        return cfg, sorted((tmp_path / "out" / "cache").glob("*.json")), written
+
+    def test_flipped_payload_byte_is_a_miss_and_remeasured(self, filled, monkeypatch):
+        cfg, entries, written = filled
+        victim = entries[0]
+        doc_id = json.loads(victim.read_text())["payload"]["doc_id"]
+        data = bytearray(victim.read_bytes())
+        at = data.index(b'"values": ["') + len(b'"values": ["')
+        assert chr(data[at]).isdigit()
+        data[at] = ord("1") if data[at] != ord("1") else ord("2")  # still valid JSON
+        victim.write_bytes(bytes(data))
+        calls = TestSharedMeasureCache.count_calls(monkeypatch)
+        assert [p.read_bytes() for p in cmd_measure(cfg)] == written
+        assert calls == [(doc_id, False)]
+        assert [p.read_bytes() for p in cmd_measure(cfg)] == written
+        assert calls == [(doc_id, False)]  # the rewritten entry is a hit
+
+    def test_sorted_json_entries_are_hits_and_other_layouts_misses(self, filled, monkeypatch):
+        cfg, entries, written = filled
+        for path in entries:  # the text earlier versions wrote
+            path.write_text(json.dumps(json.loads(path.read_text()), sort_keys=True))
+        reindented = json.loads(entries[1].read_text())
+        entries[1].write_text(json.dumps(reindented, sort_keys=True, indent=1))
+        calls = TestSharedMeasureCache.count_calls(monkeypatch)
+        assert [p.read_bytes() for p in cmd_measure(cfg)] == written
+        assert calls == [(reindented["payload"]["doc_id"], False)]
+
+
 class TestCachedLabels:
     def test_relabelled_document_keeps_its_manifest_label(self, tmp_path):
         manifest = write_toy_corpus(tmp_path / "corpus", n_per_class=1, tokens=120)
@@ -316,6 +356,21 @@ class TestRelevanceCommand:
         assert len(ledger) == 8  # header + 7 subsets
         omega = (tmp_path / "relevance_omega_LSS.csv").read_text().splitlines()
         assert len(omega) == 1 + 2 ** (3 - 1)
+
+
+class TestRelevanceCsv:
+    @pytest.mark.parametrize("phi", range(1, 7))
+    def test_ledger_names_equal_the_per_mask_join(self, phi):
+        rng = np.random.default_rng(phi)
+        names = [f"m{j}@w{j}" for j in range(phi)]
+        masks = rng.permutation(np.arange(1, 2**phi)).tolist()
+        ledger = list(zip(masks, rng.random(len(masks)).tolist()))
+        report = RelevanceReport(phi, names, ledger, np.zeros((phi, 1), dtype=np.int64), {})
+        expected = ["rank,bitmask,features,accuracy"] + [
+            f"{rank},{mask},{';'.join(names[f] for f in range(phi) if mask >> f & 1)},{acc!r}"
+            for rank, (mask, acc) in enumerate(ledger, start=1)
+        ]
+        assert relevance_csvs(report)[0] == "\n".join(expected) + "\n"
 
 
 class TestBaselinesCommand:
