@@ -3,21 +3,24 @@
 Networks are undirected, unweighted, simple graphs stored in CSR form
 (numpy ``indptr``/``indices`` arrays) so that per-source traversals and the
 heavier measurements can run vectorized.
+
+Shortest-path structure comes from one frontier-expanding BFS over the CSR
+arrays. Besides the hop distances it yields every level's geodesic edges:
+the (source s, v -> w) steps with dist[s, w] == dist[s, v] + 1, as flat ids
+s * n + v and s * n + w in (s, v, w) order. Brandes betweenness and the
+backbone symmetry walk run over those edges with ``np.bincount``, whose
+sequential accumulation sums each target's terms in ascending (s, v) order.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import ProsenetError
 from .corpus import Document
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 
 @dataclass
@@ -58,14 +61,15 @@ class WordNetwork:
     def node_index(self) -> dict[str, int]:
         return {label: i for i, label in enumerate(self.node_labels)}
 
-    def adjacency(self) -> sparse.csr_matrix:
-        # scipy is imported here, not at module level: commands served from
-        # the cache never build a matrix and never pay for the import
-        from scipy import sparse
+    def heads(self) -> np.ndarray:
+        """The head node of each CSR entry: edge e runs heads()[e] -> indices[e]."""
+        return np.repeat(np.arange(self.node_count, dtype=np.int64), self.degrees)
 
-        data = np.ones(len(self.indices), dtype=np.float64)
-        n = self.node_count
-        return sparse.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
+    def adjacency(self) -> np.ndarray:
+        """Dense boolean adjacency matrix."""
+        adj = np.zeros((self.node_count, self.node_count), dtype=bool)
+        adj[self.heads(), self.indices] = True
+        return adj
 
 
 def _csr_from_edges(n: int, pairs: set[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -117,15 +121,30 @@ def build_network(doc: Document, window: int = 1) -> WordNetwork:
     return WordNetwork(labels, indptr, indices, freq, stop, doc.id)
 
 
+def min_labels(size: int, heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
+    """Per node, the smallest node id of its connected component.
+
+    ``heads``/``tails`` list every edge in both directions. Min-label
+    propagation with pointer jumping: while an edge joins two labels, the
+    larger label's root is hooked onto the smaller, then every label is
+    followed to its root.
+    """
+    label = np.arange(size, dtype=np.int64)
+    while True:
+        lh, lt = label[heads], label[tails]
+        if np.array_equal(lh, lt):
+            return label
+        np.minimum.at(label, lh, lt)
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+
+
 def component_labels(net: WordNetwork) -> np.ndarray:
     """Connected-component id per node; ids are the smallest node id inside."""
-    from scipy.sparse import csgraph
-
-    _, raw = csgraph.connected_components(net.adjacency(), directed=False)
-    # csgraph numbers components by first occurrence, so the first index seen
-    # for each raw label is that component's smallest node id
-    _, first = np.unique(raw, return_index=True)
-    return first[raw].astype(np.int64)
+    return min_labels(net.node_count, net.heads(), net.indices)
 
 
 def largest_component_nodes(net: WordNetwork) -> np.ndarray:
@@ -136,51 +155,87 @@ def largest_component_nodes(net: WordNetwork) -> np.ndarray:
     return np.flatnonzero(comp == best)
 
 
-def largest_component(net: WordNetwork) -> WordNetwork:
-    """Induced subgraph on the largest connected node set."""
-    keep = largest_component_nodes(net)
-    if len(keep) == net.node_count:
-        return net
-    remap = np.full(net.node_count, -1, dtype=np.int64)
-    remap[keep] = np.arange(len(keep))
-    pairs = {
-        (int(remap[u]), int(remap[v]))
-        for u, v in net.edges()
-        if remap[u] >= 0 and remap[v] >= 0
-    }
-    indptr, indices = _csr_from_edges(len(keep), pairs)
-    return WordNetwork(
-        [net.node_labels[i] for i in keep],
-        indptr,
-        indices,
-        net.node_frequency[keep].copy(),
-        net.stopword_flag[keep].copy(),
-        net.doc_id,
-    )
+EXPAND_BLOCK = 1 << 20  # neighbour entries expanded per BFS slice
 
 
-def bfs_distances(net: WordNetwork, sources: np.ndarray) -> np.ndarray:
+@dataclass
+class GeodesicLevel:
+    """The geodesic edges (s, v -> w) into the nodes at one hop distance,
+    as flat ids ``tails`` = s * n + v and ``heads`` = s * n + w, in (s, v, w)
+    order."""
+
+    tails: np.ndarray
+    heads: np.ndarray
+
+
+def bfs_distances(net: WordNetwork, sources: np.ndarray,
+                  levels: list[GeodesicLevel] | None = None) -> np.ndarray:
     """Hop distances from each source row to every node; -1 when unreachable.
 
-    Level-synchronous BFS over all sources at once: the frontier is a dense
-    boolean (S, V) matrix advanced by one sparse product per level.
+    Frontier-expanding BFS over all sources at once: the frontier is a sorted
+    array of flat ids s * n + v, and each level expands it over the CSR
+    neighbour lists, in slices of at most ``EXPAND_BLOCK`` neighbour entries
+    so that a wide level does not take memory in proportion to its width.
+    When ``levels`` is given, the geodesic edges into distance 1, 2, ... are
+    appended to it, one ``GeodesicLevel`` per level. Flat ids are int32
+    unless s * n overflows it.
     """
     n = net.node_count
-    adj = net.adjacency()
-    dist = np.full((len(sources), n), -1, dtype=np.int32)
-    dist[np.arange(len(sources)), sources] = 0
-    frontier = np.zeros((len(sources), n), dtype=np.float64)
-    frontier[np.arange(len(sources)), sources] = 1.0
+    sources = np.asarray(sources, dtype=np.int64)
+    ids = np.int32 if len(sources) * n < 2**31 else np.int64
+    indptr, indices, degrees = net.indptr, net.indices, net.degrees
+    dist = np.full(len(sources) * n, -1, dtype=np.int32)
+    frontier = (np.arange(len(sources), dtype=np.int64) * n + sources).astype(ids)
+    dist[frontier] = 0
     level = 0
-    while True:
+    while len(frontier):
         level += 1
-        reached = (frontier @ adj) > 0
-        new = reached & (dist < 0)
-        if not new.any():
-            break
-        dist[new] = level
-        frontier = new.astype(np.float64)
-    return dist
+        tails, heads = [], []
+        deg = degrees[frontier % n]
+        cum = np.cumsum(deg)
+        cuts = np.searchsorted(cum, np.arange(EXPAND_BLOCK, cum[-1], EXPAND_BLOCK), "right")
+        for part in np.split(np.arange(len(frontier)), np.unique(cuts)):
+            step_tails, step_heads = _expand(frontier[part], deg[part], n, indptr, indices)
+            hit = dist[step_heads]
+            # a node first reached by an earlier slice of this level still counts
+            fresh = (hit < 0) | (hit == level)
+            tails.append(step_tails[fresh])
+            heads.append(step_heads[fresh])
+            dist[heads[-1]] = level
+        frontier = np.flatnonzero(dist == level).astype(ids)
+        if levels is not None and len(frontier):
+            levels.append(GeodesicLevel(np.concatenate(tails), np.concatenate(heads)))
+    return dist.reshape(len(sources), n)
+
+
+def _expand(frontier: np.ndarray, deg: np.ndarray, n: int, indptr: np.ndarray,
+            indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every step (s, v -> w) out of the flat ids s * n + v in ``frontier``,
+    as flat (tails, heads) in (s, v, w) order."""
+    node = frontier % n
+    tails = np.repeat(frontier, deg)
+    first = np.cumsum(deg) - deg
+    pos = np.arange(len(tails), dtype=np.int64) + np.repeat(indptr[node] - first, deg)
+    heads = np.repeat(frontier - node, deg) + indices[pos].astype(frontier.dtype)
+    return tails, heads
+
+
+def geodesic_rows(levels: list[GeodesicLevel], n: int, rows: np.ndarray) -> list[GeodesicLevel]:
+    """The geodesic edges of the sorted source rows ``rows`` of a pass from
+    every node (row s is source s), renumbered so that rows[i] becomes row i."""
+    if len(rows) == n:
+        return levels
+    keep = np.zeros(n, dtype=bool)
+    keep[rows] = True
+    rank = np.cumsum(keep) - 1
+    out = []
+    for lev in levels:
+        row = lev.tails // n
+        mask = keep[row]
+        if mask.any():
+            shift = ((rank[row] - row) * n)[mask].astype(lev.tails.dtype)
+            out.append(GeodesicLevel(lev.tails[mask] + shift, lev.heads[mask] + shift))
+    return out
 
 
 def network_to_json(net: WordNetwork) -> str:

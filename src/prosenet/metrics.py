@@ -7,6 +7,12 @@ from any later aggregation. All other measurements cover every node.
 
 Betweenness sums over ordered source/target pairs (i, j) with i != u != j,
 so a middle node of a 3-path scores 2, not 1.
+
+Every kernel is plain numpy over the CSR arrays: Brandes betweenness walks
+the geodesic edges of one BFS pass, the iterative centralities multiply by
+the adjacency with ``np.bincount`` (each row summed in ascending neighbour
+order, as a CSR product sums it), and clustering counts common neighbours
+by intersecting boolean adjacency rows.
 """
 
 from __future__ import annotations
@@ -18,7 +24,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ConvergenceError, ProsenetError
-from .graph import WordNetwork, bfs_distances, largest_component_nodes
+from .graph import (
+    GeodesicLevel,
+    WordNetwork,
+    bfs_distances,
+    geodesic_rows,
+    largest_component_nodes,
+)
 
 
 @dataclass
@@ -73,18 +85,32 @@ def neighborhood_connectivity(net: WordNetwork, h: int, cumulative: bool = False
 
 def clustering(net: WordNetwork) -> NodeMeasures:
     """Fraction of connected neighbor pairs; 0 for nodes of degree < 2."""
+    n = net.node_count
     adj = net.adjacency()
-    a2 = adj @ adj
-    triangles = np.asarray(adj.multiply(a2).sum(axis=1)).ravel() / 2.0
+    heads = net.heads()
+    common = np.zeros(len(heads), dtype=np.int64)
+    block = max(1, (1 << 22) // max(n, 1))  # about 4 MB of rows per step
+    for start in range(0, len(heads), block):
+        stop = start + block
+        common[start:stop] = (adj[heads[start:stop]] & adj[net.indices[start:stop]]).sum(axis=1)
+    triangles = np.bincount(heads, weights=common, minlength=n) / 2.0
     k = net.degrees.astype(np.float64)
     pairs = k * (k - 1.0) / 2.0
     cc = np.divide(triangles, pairs, out=np.zeros_like(triangles), where=pairs > 0)
     return _full(net, "cc", cc)
 
 
-def _component_subgraph(net: WordNetwork):
+def _component_edges(net: WordNetwork) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The largest component's nodes and its edges (heads, tails), numbered
+    within the component, in CSR order."""
     comp = largest_component_nodes(net)
-    return comp, net.adjacency()[comp][:, comp]
+    heads, tails = net.heads(), net.indices.astype(np.int64)
+    if len(comp) == net.node_count:
+        return comp, heads, tails
+    rank = np.full(net.node_count, -1, dtype=np.int64)
+    rank[comp] = np.arange(len(comp))
+    keep = rank[heads] >= 0
+    return comp, rank[heads[keep]], rank[tails[keep]]
 
 
 def _component_distances(net: WordNetwork, comp: np.ndarray,
@@ -95,35 +121,39 @@ def _component_distances(net: WordNetwork, comp: np.ndarray,
     return dist[np.ix_(comp, comp)]
 
 
-def betweenness(net: WordNetwork, dist: np.ndarray | None = None) -> NodeMeasures:
+def betweenness(net: WordNetwork, levels: list[GeodesicLevel] | None = None) -> NodeMeasures:
     """Shortest-path betweenness over ordered pairs, on the largest component.
 
-    Brandes accumulation over the component's hop distances, run
-    level-synchronously for all sources at once: sigma (geodesic counts) and
-    the dependency sweep advance one distance level per sparse product.
+    Brandes accumulation over the geodesic edges of a BFS from every
+    component node: geodesic counts sigma flow forward level by level, the
+    dependencies delta flow back, each step one ``np.bincount`` over a
+    level's edges. ``levels`` may come from the all-node pass
+    ``bfs_distances(net, np.arange(n), levels)`` shared with the other
+    measures; without them the component is searched afresh.
     """
-    comp, adj = _component_subgraph(net)
-    n = len(comp)
-    if n <= 2:
-        return _on_component(net, "B", comp, np.zeros(n))
+    comp = largest_component_nodes(net)
+    k, n = len(comp), net.node_count
+    if k <= 2:
+        return _on_component(net, "B", comp, np.zeros(k))
+    if levels is None:
+        levels = []
+        bfs_distances(net, comp, levels)
+    else:
+        levels = geodesic_rows(levels, n, comp)
 
-    dist = _component_distances(net, comp, dist)
-    max_level = int(dist.max())
-    sigma = np.eye(n, dtype=np.float64)
-    for lev in range(1, max_level + 1):
-        counts = np.where(dist == lev - 1, sigma, 0.0) @ adj
-        ring = dist == lev
-        sigma[ring] = counts[ring]
+    size = k * n
+    sigma = np.zeros(size, dtype=np.float64)
+    sigma[np.arange(k) * n + comp] = 1.0
+    for lev in levels:
+        sigma += np.bincount(lev.heads, weights=sigma[lev.tails], minlength=size)
 
-    delta = np.zeros((n, n), dtype=np.float64)
-    for lev in range(max_level, 0, -1):
-        mask = dist == lev
-        coeff = np.where(mask, (1.0 + delta) / np.where(sigma > 0, sigma, 1.0), 0.0)
-        spread = coeff @ adj
-        lower = dist == lev - 1
-        delta[lower] += (spread * sigma)[lower]
-    np.fill_diagonal(delta, 0.0)
-    return _on_component(net, "B", comp, delta.sum(axis=0))
+    delta = np.zeros(size, dtype=np.float64)
+    for lev in reversed(levels[1:]):  # the first level only feeds the sources
+        coeff = (1.0 + delta[lev.heads]) / sigma[lev.heads]
+        spread = np.bincount(lev.tails, weights=coeff, minlength=size)
+        delta[lev.tails] = spread[lev.tails] * sigma[lev.tails]
+    # a column sum of the C-ordered (k, n) block adds the sources in row order
+    return _on_component(net, "B", comp, delta.reshape(k, n).sum(axis=0)[comp])
 
 
 def closeness(net: WordNetwork, reciprocal: bool = False,
@@ -148,11 +178,13 @@ def eigenvector_centrality(net: WordNetwork, tol: float = 1e-10,
     """Leading adjacency eigenvector, nonnegative and normalized to sum 1."""
     from .linalg import leading_eigenvector
 
-    comp, adj = _component_subgraph(net)
+    comp, heads, tails = _component_edges(net)
     n = len(comp)
     if n == 1:
         return _on_component(net, "Ec", comp, np.ones(1))
-    vec, _ = leading_eigenvector(lambda x: adj @ x, n, tol=tol, max_iter=max_iter)
+    vec, _ = leading_eigenvector(
+        lambda x: np.bincount(heads, weights=x[tails], minlength=n), n, tol=tol, max_iter=max_iter
+    )
     return _on_component(net, "Ec", comp, vec)
 
 
@@ -165,14 +197,18 @@ def pagerank(net: WordNetwork, alpha: float = 0.85, tol: float = 1e-12,
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0, 1)")
-    comp, adj = _component_subgraph(net)
+    comp, heads, tails = _component_edges(net)
     n = len(comp)
-    kguard = np.maximum(np.asarray(adj.sum(axis=1)).ravel(), 1.0)
+    kguard = np.maximum(net.degrees[comp].astype(np.float64), 1.0)
+
+    def step(x: np.ndarray) -> np.ndarray:
+        return alpha * np.bincount(heads, weights=(x / kguard)[tails], minlength=n) + 1.0
+
     pr = np.ones(n, dtype=np.float64)
     prev_delta = np.inf
     stall = 0
     for _ in range(max_iter):
-        nxt = alpha * (adj @ (pr / kguard)) + 1.0
+        nxt = step(pr)
         delta = float(np.abs(nxt - pr).max())
         pr = nxt
         if delta == 0.0:
@@ -184,7 +220,7 @@ def pagerank(net: WordNetwork, alpha: float = 0.85, tol: float = 1e-12,
         else:
             stall = 0
         prev_delta = delta
-    residual = float(np.abs(alpha * (adj @ (pr / kguard)) + 1.0 - pr).max())
+    residual = float(np.abs(step(pr) - pr).max())
     if residual >= tol:
         raise ConvergenceError("pagerank iteration did not converge", residual)
     return _on_component(net, "Pr", comp, pr)
@@ -258,9 +294,7 @@ def detect_communities(net: WordNetwork) -> CommunityAssignment:
         if a not in members or b not in members:
             continue
         if epoch[a] != ea or epoch[b] != eb:
-            dq = gain(a, b)
-            if dq > 0:
-                heapq.heappush(heap, (-dq, a, b, epoch[a], epoch[b]))
+            # stale: the merge that bumped an epoch pushed this pair afresh
             continue
         if -neg_dq <= 0:
             break

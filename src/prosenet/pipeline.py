@@ -40,7 +40,7 @@ from .features import (
     select_top_k,
     select_word_list,
 )
-from .graph import WordNetwork, build_network, network_to_json
+from .graph import GeodesicLevel, WordNetwork, build_network, geodesic_rows, network_to_json
 from .learn import (
     ClassificationReport,
     ClassifierSpec,
@@ -186,14 +186,17 @@ def measure_document(
     net = build_network(doc, cfg.window)
     from .graph import bfs_distances
 
+    n = net.node_count
     dist_all = None
     if known is None:
-        dist_all = bfs_distances(net, np.arange(net.node_count))
+        # one BFS pass from every node feeds every distance-based measure
+        levels: list[GeodesicLevel] = []
+        dist_all = bfs_distances(net, np.arange(n), levels)
         known = DocumentMeasures(
             doc_id=doc.id,
             label=doc.label,
             node_labels=list(net.node_labels),
-            measures=_classic_measures(net, cfg, dist_all),
+            measures=_classic_measures(net, cfg, dist_all, levels),
             vocabulary_size=net.node_count,
             modularity_q=detect_communities(net).q,
             word_frequencies=word_frequencies(doc),
@@ -203,18 +206,24 @@ def measure_document(
 
     walked = _walked(known, cfg)
     sources = np.flatnonzero(_source_mask(known.node_labels, walk_sources) & ~walked)
-    dist_sources = bfs_distances(net, sources) if dist_all is None else dist_all[sources]
+    if dist_all is None:
+        walk_levels: list[GeodesicLevel] = []
+        dist_sources = bfs_distances(net, sources, walk_levels)
+    else:
+        dist_sources = dist_all[sources]
+        walk_levels = geodesic_rows(levels, n, sources)
     walked[sources] = True
     measures = dict(known.measures)
 
     def walk_measure(name: str, per_source: np.ndarray) -> None:
         values = known.measures[name].values.copy() if name in known.measures \
-            else np.zeros(net.node_count, dtype=np.float64)
+            else np.zeros(n, dtype=np.float64)
         values[sources] = per_source
         measures[name] = NodeMeasures(name, values, ~walked, doc.id)
 
     acc = accessibility_batch(net, sources, cfg.h_access, dist_block=dist_sources)
-    sb = backbone_symmetry_batch(net, sources, cfg.h_symmetry, dist=dist_sources)
+    sb = backbone_symmetry_batch(net, sources, cfg.h_symmetry, dist=dist_sources,
+                                 levels=walk_levels)
     sm = merged_symmetry_batch(net, sources, cfg.h_symmetry, dist=dist_sources)
     for col, h in enumerate(cfg.h_access):
         walk_measure(f"A{h}", acc[:, col])
@@ -224,14 +233,16 @@ def measure_document(
     return dataclasses.replace(known, measures=measures)
 
 
-def _classic_measures(net: WordNetwork, cfg: RunConfig, dist_all: np.ndarray) -> dict:
-    """Every all-node measure that needs no walk sources."""
+def _classic_measures(net: WordNetwork, cfg: RunConfig, dist_all: np.ndarray,
+                      levels: list[GeodesicLevel]) -> dict:
+    """Every all-node measure that needs no walk sources; ``dist_all`` and
+    ``levels`` are the BFS pass from every node."""
     measures = {}
     measures["k"] = degree(net)
     for h in cfg.h_access:
         measures[f"N{h}"] = neighborhood_connectivity(net, h, cfg.cumulative, dist=dist_all)
     measures["cc"] = clustering(net)
-    measures["B"] = betweenness(net, dist=dist_all)
+    measures["B"] = betweenness(net, levels=levels)
     measures["C"] = closeness(net, reciprocal=cfg.closeness == "reciprocal", dist=dist_all)
     measures["E"] = eccentricity(net, dist=dist_all)
     measures["Ec"] = eigenvector_centrality(net)
@@ -483,11 +494,6 @@ def compute_corpus_measures(
         results[doc_id] = _restrict_walks(dm, cfg, walk_sources)
 
     if pending and cfg.jobs > 1:
-        # the workers measure with scipy: import it before they fork, so they
-        # share the parent's copy instead of each loading their own
-        import scipy.linalg  # noqa: F401
-        import scipy.sparse.csgraph  # noqa: F401
-
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             futures = {pool.submit(_measure_task, task): (key, path)
                        for task, key, path in pending}

@@ -3,10 +3,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from prosenet.corpus import Document
+from oracles import net_from_edges  # noqa: E402
+from prosenet.corpus import Document  # noqa: E402
+from prosenet.graph import build_network  # noqa: E402
 
 
 @pytest.fixture
@@ -58,3 +61,29 @@ def write_toy_corpus(base: Path, n_per_class: int = 8, tokens: int = 500, seed: 
 def toy_manifest(tmp_path_factory):
     base = tmp_path_factory.mktemp("toy_corpus")
     return write_toy_corpus(base)
+
+
+# hypothesis strategies for the property tests: edge-list graphs with
+# disconnected parts, isolated nodes and hubs, and token networks
+
+@st.composite
+def edge_list_networks(draw):
+    n = draw(st.integers(1, 12))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=24))
+    edges = {(min(u, v), max(u, v)) for u, v in pairs if u != v}
+    if draw(st.booleans()):
+        hub = draw(st.integers(0, n - 1))
+        spokes = draw(st.sets(st.integers(0, n - 1), max_size=n))
+        edges |= {(min(hub, v), max(hub, v)) for v in spokes if v != hub}
+    isolated = draw(st.integers(0, 3))
+    return net_from_edges(n + isolated, edges)
+
+
+@st.composite
+def text_networks(draw):
+    tokens = draw(st.lists(st.integers(0, 10), min_size=2, max_size=40))
+    window = draw(st.integers(1, 3))
+    return build_network(make_doc([f"w{t}" for t in tokens]), window)
+
+
+networks = st.one_of(edge_list_networks(), text_networks())

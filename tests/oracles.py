@@ -9,18 +9,41 @@ column and one (bin, label) cell at a time. The learners are the plain forms
 of what ``prosenet.learn`` vectorises: a single-row KNN vote, a CART that
 masks the rows once per threshold, and a relevance sweep that sums one
 subset's distances at a time.
+
+Two later sections hold earlier forms of package code. The per-source
+reference walks (SAW distributions, accessibility, the backbone and merged
+patterns, concentric symmetry) were the package's own slow paths, built on
+its SAW enumerator and BFS; they now serve as references for the batch
+kernels. The scipy kernels (sparse-product BFS, Brandes betweenness,
+clustering, eigenvector, PageRank, component labels, ``scipy.linalg.expm``)
+and the greedy community search that re-pushes stale heap entries are what
+the numpy kernels replaced, kept to show the replacements give identical
+results.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from scipy import sparse
+from scipy.linalg import expm as scipy_expm
+from scipy.sparse import csgraph
 
+from prosenet import ConvergenceError
 from prosenet.features import FeatureMatrix
-from prosenet.graph import WordNetwork, _csr_from_edges
+from prosenet.graph import WordNetwork, _csr_from_edges, bfs_distances, largest_component_nodes
 from prosenet.learn import _CartNode
+from prosenet.metrics import CommunityAssignment, NodeMeasures, _full, _on_component
+from prosenet.walks import (
+    DEFAULT_DEPTH_CAP,
+    TransitionMatrix,
+    _ring_entropy_exp,
+    _saw_levels,
+)
 
 
 def net_from_edges(n: int, edges: set[tuple[int, int]], doc_id: str = "t") -> WordNetwork:
@@ -490,3 +513,464 @@ def oracle_knn_subset_accuracies(x: np.ndarray, y01: np.ndarray, k: int) -> np.n
         preds = (ones > zeros).astype(np.int64)
         accuracies[mask - 1] = float((preds == y01).mean())
     return accuracies
+
+
+# ---------------------------------------------------------------------------
+# per-source reference walks, formerly prosenet.walks
+# ---------------------------------------------------------------------------
+
+def largest_component(net: WordNetwork) -> WordNetwork:
+    """Induced subgraph on the largest connected node set."""
+    keep = largest_component_nodes(net)
+    if len(keep) == net.node_count:
+        return net
+    remap = np.full(net.node_count, -1, dtype=np.int64)
+    remap[keep] = np.arange(len(keep))
+    pairs = {
+        (int(remap[u]), int(remap[v]))
+        for u, v in net.edges()
+        if remap[u] >= 0 and remap[v] >= 0
+    }
+    indptr, indices = _csr_from_edges(len(keep), pairs)
+    return WordNetwork(
+        [net.node_labels[i] for i in keep],
+        indptr,
+        indices,
+        net.node_frequency[keep].copy(),
+        net.stopword_flag[keep].copy(),
+        net.doc_id,
+    )
+
+
+@dataclass
+class WalkDistribution:
+    """Endpoint distribution of exact h-step self-avoiding walks from one node.
+
+    ``probs`` maps each endpoint reached after completing all h steps to its
+    probability; walks stranded earlier contribute to ``dead_end_mass``.
+    """
+
+    source: int
+    h: int
+    probs: dict[int, float]
+    dead_end_mass: float
+
+    def total(self) -> float:
+        return math.fsum(self.probs.values()) + self.dead_end_mass
+
+
+@dataclass
+class ConcentricLevels:
+    """BFS rings around a source plus per-ring dead-end counts."""
+
+    source: int
+    rings: list[np.ndarray]
+    dead_end_counts: list[int]
+
+
+@dataclass
+class ConcentricPattern:
+    """Backbone or merged local pattern around a source, up to depth h.
+
+    Pattern nodes are numbered 0..P-1; ``members[p]`` lists the original node
+    ids collapsed into pattern node p (a single id for backbone patterns).
+    Edges only join consecutive rings.
+    """
+
+    source: int
+    variant: str
+    rings: list[np.ndarray]
+    members: list[np.ndarray]
+    indptr: np.ndarray
+    indices: np.ndarray
+    dead_end_counts: list[int]
+
+    @property
+    def node_count(self) -> int:
+        return len(self.members)
+
+    def neighbors(self, p: int) -> np.ndarray:
+        return self.indices[self.indptr[p] : self.indptr[p + 1]]
+
+
+def concentric_levels(net: WordNetwork, source: int, h_max: int) -> ConcentricLevels:
+    """Rings of nodes at distance 0..h_max and dead-end counts per ring."""
+    dist = bfs_distances(net, np.array([source]))[0]
+    rings = []
+    for r in range(h_max + 1):
+        ring = np.flatnonzero(dist == r)
+        if len(ring) == 0 and r > 0:
+            break
+        rings.append(ring)
+    eta = []
+    for r, ring in enumerate(rings):
+        count = 0
+        for v in ring:
+            if not (dist[net.neighbors(int(v))] == r + 1).any():
+                count += 1
+        eta.append(count)
+    return ConcentricLevels(source, rings, eta)
+
+
+def saw_distribution(
+    net: WordNetwork,
+    source: int,
+    h: int,
+    cap: int = DEFAULT_DEPTH_CAP,
+) -> WalkDistribution:
+    """Exact endpoint distribution of h-step self-avoiding walks from source."""
+    if not 1 <= h <= cap:
+        raise ValueError(f"h must lie in 1..{cap}")
+    levels, dead = _saw_levels(net, np.array([source]), h)
+    row = levels[h - 1][0]
+    probs = {int(v): float(row[v]) for v in np.flatnonzero(row > 0)}
+    return WalkDistribution(source, h, probs, float(dead[0, h]))
+
+
+def accessibility(
+    net: WordNetwork,
+    source: int,
+    h: int,
+    cap: int = DEFAULT_DEPTH_CAP,
+) -> float:
+    """Effective number of nodes reached at concentric level h.
+
+    exp of the entropy of the level-h access probabilities: the h-step walk
+    endpoint mass restricted to nodes at hop distance exactly h. Zero when no
+    walk reaches that level.
+    """
+    dist = bfs_distances(net, np.array([source]))[0]
+    walk = saw_distribution(net, source, h, cap=cap)
+    ring_probs = np.array(
+        [p for node, p in sorted(walk.probs.items()) if dist[node] == h], dtype=np.float64
+    )
+    return _ring_entropy_exp(ring_probs)
+
+
+def _pattern_from_layers(
+    source: int,
+    variant: str,
+    dist: np.ndarray,
+    net: WordNetwork,
+    h: int,
+) -> ConcentricPattern:
+    """Build the backbone or merged pattern on rings 0..h."""
+    in_ball = (dist >= 0) & (dist <= h)
+    nodes = np.flatnonzero(in_ball)
+
+    if variant == "backbone":
+        members = [np.array([v]) for v in nodes]
+        pat_of = {int(v): i for i, v in enumerate(nodes)}
+        ring_of = {int(v): int(dist[v]) for v in nodes}
+    elif variant == "merged":
+        from scipy.sparse import csgraph, csr_matrix
+
+        # connected components of each ring under intra-ring edges
+        rows, cols = [], []
+        for u in nodes:
+            for v in net.neighbors(int(u)):
+                if in_ball[v] and dist[v] == dist[u]:
+                    rows.append(int(u))
+                    cols.append(int(v))
+        sub = csr_matrix(
+            (np.ones(len(rows)), (rows, cols)), shape=(net.node_count, net.node_count)
+        )
+        _, raw = csgraph.connected_components(sub, directed=False)
+        groups: dict[int, list[int]] = {}
+        for v in nodes:
+            groups.setdefault(int(raw[v]), []).append(int(v))
+        ordered = sorted(groups.values(), key=min)
+        members = [np.array(g) for g in ordered]
+        pat_of = {v: i for i, g in enumerate(ordered) for v in g}
+        ring_of = {i: int(dist[g[0]]) for i, g in enumerate(ordered)}
+        ring_of = {v: ring_of[pat_of[v]] for v in pat_of}
+    else:
+        raise ValueError(f"unknown symmetry variant {variant!r}")
+
+    edges: set[tuple[int, int]] = set()
+    for u in nodes:
+        for v in net.neighbors(int(u)):
+            if in_ball[v] and abs(int(dist[v]) - int(dist[u])) == 1:
+                a, b = pat_of[int(u)], pat_of[int(v)]
+                edges.add((min(a, b), max(a, b)))
+
+    n_pat = len(members)
+    indptr, indices = _csr_from_edges(n_pat, edges)
+    rings = []
+    for r in range(h + 1):
+        ring = np.array(
+            sorted(p for p in range(n_pat) if int(dist[members[p][0]]) == r), dtype=np.int64
+        )
+        if len(ring) == 0 and r > 0:
+            break
+        rings.append(ring)
+
+    eta = []
+    for r, ring in enumerate(rings):
+        count = 0
+        nxt = set(rings[r + 1].tolist()) if r + 1 < len(rings) else set()
+        for p in ring:
+            nbrs = indices[indptr[p] : indptr[p + 1]]
+            if not any(int(q) in nxt for q in nbrs):
+                count += 1
+        eta.append(count)
+    return ConcentricPattern(pat_of[source], variant, rings, members, indptr, indices, eta)
+
+
+def backbone_transform(net: WordNetwork, source: int, h: int) -> ConcentricPattern:
+    """Induced subgraph on rings 0..h with intra-ring edges deleted."""
+    dist = bfs_distances(net, np.array([source]))[0]
+    return _pattern_from_layers(source, "backbone", dist, net, h)
+
+
+def merged_transform(net: WordNetwork, source: int, h: int) -> ConcentricPattern:
+    """Rings 0..h with each intra-ring connected group collapsed to one node."""
+    dist = bfs_distances(net, np.array([source]))[0]
+    return _pattern_from_layers(source, "merged", dist, net, h)
+
+
+def pattern_level_distribution(pattern: ConcentricPattern, h: int) -> np.ndarray:
+    """Concentric-walk access probabilities over the pattern's level-h nodes.
+
+    Mass starts at the source and moves outward one ring per step, split
+    uniformly over the outward pattern neighbors; nodes without outward edges
+    absorb their mass. Returns the mass per level-h pattern node (aligned with
+    pattern.rings[h]), an empty array when the pattern has no level h.
+    """
+    if h >= len(pattern.rings):
+        return np.zeros(0, dtype=np.float64)
+    mass = np.zeros(pattern.node_count, dtype=np.float64)
+    mass[pattern.source] = 1.0
+    ring_index = np.full(pattern.node_count, -1, dtype=np.int64)
+    for r, ring in enumerate(pattern.rings):
+        ring_index[ring] = r
+    for r in range(h):
+        nxt = np.zeros(pattern.node_count, dtype=np.float64)
+        for p in pattern.rings[r]:
+            out = [int(q) for q in pattern.neighbors(int(p)) if ring_index[q] == r + 1]
+            if out and mass[p] > 0:
+                share = mass[p] / len(out)
+                for q in out:
+                    nxt[q] += share
+        mass = nxt
+    return mass[pattern.rings[h]]
+
+
+def symmetry(net: WordNetwork, source: int, h: int, variant: str) -> float:
+    """Concentric symmetry at level h: exp-entropy of the pattern access
+    distribution over level h, normalized by the level size plus the dead
+    ends accumulated on the way out. Zero when the pattern has no level h."""
+    if h < 1:
+        raise ValueError("h must be >= 1")
+    if variant not in ("backbone", "merged"):
+        raise ValueError(f"unknown symmetry variant {variant!r}")
+    pattern = (backbone_transform if variant == "backbone" else merged_transform)(
+        net, source, h
+    )
+    probs = pattern_level_distribution(pattern, h)
+    if len(probs) == 0:
+        return 0.0
+    numerator = _ring_entropy_exp(probs)
+    denominator = len(pattern.rings[h]) + sum(pattern.dead_end_counts[:h])
+    return numerator / denominator
+
+
+# ---------------------------------------------------------------------------
+# the scipy kernels and the re-pushing community search the package replaced
+# ---------------------------------------------------------------------------
+
+def sparse_adjacency(net: WordNetwork) -> sparse.csr_matrix:
+    data = np.ones(len(net.indices), dtype=np.float64)
+    n = net.node_count
+    return sparse.csr_matrix((data, net.indices, net.indptr), shape=(n, n))
+
+
+def scipy_component_labels(net: WordNetwork) -> np.ndarray:
+    """Component id per node (its smallest node id) from ``csgraph``."""
+    _, raw = csgraph.connected_components(sparse_adjacency(net), directed=False)
+    _, first = np.unique(raw, return_index=True)
+    return first[raw].astype(np.int64)
+
+
+def scipy_bfs_distances(net: WordNetwork, sources: np.ndarray) -> np.ndarray:
+    """Level-synchronous BFS: a dense frontier advanced by one sparse product per level."""
+    n = net.node_count
+    adj = sparse_adjacency(net)
+    dist = np.full((len(sources), n), -1, dtype=np.int32)
+    dist[np.arange(len(sources)), sources] = 0
+    frontier = np.zeros((len(sources), n), dtype=np.float64)
+    frontier[np.arange(len(sources)), sources] = 1.0
+    level = 0
+    while True:
+        level += 1
+        reached = (frontier @ adj) > 0
+        new = reached & (dist < 0)
+        if not new.any():
+            break
+        dist[new] = level
+        frontier = new.astype(np.float64)
+    return dist
+
+
+def _sparse_component(net: WordNetwork):
+    comp = largest_component_nodes(net)
+    return comp, sparse_adjacency(net)[comp][:, comp]
+
+
+def scipy_betweenness(net: WordNetwork) -> NodeMeasures:
+    """Level-synchronous Brandes: sigma and delta advance one distance level
+    per sparse product, for all sources at once."""
+    comp, adj = _sparse_component(net)
+    n = len(comp)
+    if n <= 2:
+        return _on_component(net, "B", comp, np.zeros(n))
+
+    dist = scipy_bfs_distances(net, np.arange(net.node_count))[np.ix_(comp, comp)]
+    max_level = int(dist.max())
+    sigma = np.eye(n, dtype=np.float64)
+    for lev in range(1, max_level + 1):
+        counts = np.where(dist == lev - 1, sigma, 0.0) @ adj
+        ring = dist == lev
+        sigma[ring] = counts[ring]
+
+    delta = np.zeros((n, n), dtype=np.float64)
+    for lev in range(max_level, 0, -1):
+        mask = dist == lev
+        coeff = np.where(mask, (1.0 + delta) / np.where(sigma > 0, sigma, 1.0), 0.0)
+        spread = coeff @ adj
+        lower = dist == lev - 1
+        delta[lower] += (spread * sigma)[lower]
+    np.fill_diagonal(delta, 0.0)
+    return _on_component(net, "B", comp, delta.sum(axis=0))
+
+
+def scipy_clustering(net: WordNetwork) -> NodeMeasures:
+    adj = sparse_adjacency(net)
+    a2 = adj @ adj
+    triangles = np.asarray(adj.multiply(a2).sum(axis=1)).ravel() / 2.0
+    k = net.degrees.astype(np.float64)
+    pairs = k * (k - 1.0) / 2.0
+    cc = np.divide(triangles, pairs, out=np.zeros_like(triangles), where=pairs > 0)
+    return _full(net, "cc", cc)
+
+
+def scipy_eigenvector_centrality(net: WordNetwork, tol: float = 1e-10,
+                                 max_iter: int = 10_000) -> NodeMeasures:
+    from prosenet.linalg import leading_eigenvector
+
+    comp, adj = _sparse_component(net)
+    n = len(comp)
+    if n == 1:
+        return _on_component(net, "Ec", comp, np.ones(1))
+    vec, _ = leading_eigenvector(lambda x: adj @ x, n, tol=tol, max_iter=max_iter)
+    return _on_component(net, "Ec", comp, vec)
+
+
+def scipy_pagerank(net: WordNetwork, alpha: float = 0.85, tol: float = 1e-12,
+                   max_iter: int = 200_000) -> NodeMeasures:
+    comp, adj = _sparse_component(net)
+    n = len(comp)
+    kguard = np.maximum(np.asarray(adj.sum(axis=1)).ravel(), 1.0)
+    pr = np.ones(n, dtype=np.float64)
+    prev_delta = np.inf
+    stall = 0
+    for _ in range(max_iter):
+        nxt = alpha * (adj @ (pr / kguard)) + 1.0
+        delta = float(np.abs(nxt - pr).max())
+        pr = nxt
+        if delta == 0.0:
+            break
+        if delta >= prev_delta:
+            stall += 1
+            if stall > 20:
+                break
+        else:
+            stall = 0
+        prev_delta = delta
+    residual = float(np.abs(alpha * (adj @ (pr / kguard)) + 1.0 - pr).max())
+    if residual >= tol:
+        raise ConvergenceError("pagerank iteration did not converge", residual)
+    return _on_component(net, "Pr", comp, pr)
+
+
+def scipy_transition_matrix(net: WordNetwork) -> TransitionMatrix:
+    """P = D^-1 A and exp(P)/row-sum with ``scipy.linalg.expm`` on P itself."""
+    k = net.degrees.astype(np.float64)
+    isolated = k == 0
+    p = sparse_adjacency(net).toarray()
+    p[~isolated] /= k[~isolated, None]
+    w = scipy_expm(p)
+    sums = w.sum(axis=1)
+    err = float(np.abs(sums[~isolated] - math.e).max()) if (~isolated).any() else 0.0
+    return TransitionMatrix(p, w / sums[:, None], isolated, err)
+
+
+def repush_detect_communities(net: WordNetwork) -> CommunityAssignment:
+    """Greedy modularity merging that re-pushes each stale heap entry it pops
+    with a recomputed gain."""
+    n = net.node_count
+    m = net.edge_count
+    if m == 0:
+        return CommunityAssignment(np.arange(n, dtype=np.int64), 0.0)
+
+    k = net.degrees.astype(np.float64)
+    two_m = 2.0 * m
+    members: dict[int, list[int]] = {i: [i] for i in range(n)}
+    ksum: dict[int, float] = {i: float(k[i]) for i in range(n)}
+    between: dict[int, dict[int, int]] = {i: {} for i in range(n)}
+    for u, v in net.edges():
+        between[u][v] = between[u].get(v, 0) + 1
+        between[v][u] = between[v].get(u, 0) + 1
+    epoch = {i: 0 for i in range(n)}
+
+    def gain(a: int, b: int) -> float:
+        return between[a][b] / m - 2.0 * ksum[a] * ksum[b] / (two_m * two_m)
+
+    heap: list[tuple[float, int, int, int, int]] = []
+    for a, nbrs in between.items():
+        for b in nbrs:
+            if a < b:
+                heapq.heappush(heap, (-gain(a, b), a, b, 0, 0))
+
+    deltas: list[float] = []
+    while heap:
+        neg_dq, a, b, ea, eb = heapq.heappop(heap)
+        if a not in members or b not in members:
+            continue
+        if epoch[a] != ea or epoch[b] != eb:
+            dq = gain(a, b)
+            if dq > 0:
+                heapq.heappush(heap, (-dq, a, b, epoch[a], epoch[b]))
+            continue
+        if -neg_dq <= 0:
+            break
+        deltas.append(-neg_dq)
+
+        keep, drop = a, b
+        members[keep].extend(members.pop(drop))
+        ksum[keep] += ksum.pop(drop)
+        merged = between.pop(drop)
+        bk = between[keep]
+        bk.pop(drop, None)
+        merged.pop(keep, None)
+        for nbr, w in merged.items():
+            bk[nbr] = bk.get(nbr, 0) + w
+            bn = between[nbr]
+            bn.pop(drop, None)
+            bn[keep] = bk[nbr]
+        epoch[keep] += 1
+        epoch.pop(drop)
+        for nbr in sorted(bk):
+            lo, hi = min(keep, nbr), max(keep, nbr)
+            heapq.heappush(heap, (-gain(lo, hi), lo, hi, epoch[lo], epoch[hi]))
+
+    singleton_q = -math.fsum((float(ki) / two_m) ** 2 for ki in k)
+    q = singleton_q + math.fsum(deltas)
+    if q < 0.0:
+        return CommunityAssignment(np.zeros(n, dtype=np.int64), 0.0)
+
+    labels = np.zeros(n, dtype=np.int64)
+    for new_id, cid in enumerate(sorted(members, key=lambda c: min(members[c]))):
+        for node in members[cid]:
+            labels[node] = new_id
+    return CommunityAssignment(labels, q)

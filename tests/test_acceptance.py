@@ -16,7 +16,10 @@ import pytest
 
 from conftest import write_toy_corpus
 from oracles import (
+    accessibility,
     adjacency,
+    backbone_transform,
+    merged_transform,
     net_from_edges,
     oracle_betweenness,
     oracle_clustering,
@@ -26,6 +29,8 @@ from oracles import (
     oracle_saw,
     oracle_taylor_expm,
     random_connected_graph,
+    saw_distribution,
+    symmetry,
 )
 from prosenet.features import FeatureMatrix
 from prosenet.graph import build_network
@@ -47,14 +52,7 @@ from prosenet.metrics import (
     neighborhood_connectivity,
 )
 from prosenet.pipeline import RunConfig, cmd_baselines, cmd_classify
-from prosenet.walks import (
-    accessibility,
-    backbone_transform,
-    merged_transform,
-    saw_distribution,
-    symmetry,
-    transition_matrix,
-)
+from prosenet.walks import transition_matrix
 
 
 def star(leaves):

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from conftest import make_doc
-from oracles import adjacency, net_from_edges, oracle_distances, random_connected_graph
-from prosenet import ProsenetError
-from prosenet.graph import (
-    bfs_distances,
-    build_network,
-    component_labels,
+from oracles import (
+    adjacency,
     largest_component,
-    network_to_json,
+    net_from_edges,
+    oracle_distances,
+    random_connected_graph,
 )
+from prosenet import ProsenetError
+from prosenet.graph import bfs_distances, build_network, component_labels, network_to_json
 
 
 class TestBuildNetwork:

@@ -1,5 +1,6 @@
-"""Start-up cost: a command served from the cache never imports scipy, and
-every name the benchmark's tracer wraps still resolves."""
+"""Start-up cost: no command imports scipy, neither one served from the
+cache nor one that measures networks, and every name the benchmark's tracer
+wraps still resolves."""
 
 import importlib
 import json
@@ -40,6 +41,17 @@ def test_classify_served_from_the_cache_leaves_scipy_out(tmp_path):
     code = f"from prosenet.cli import main\nassert main({args!r}) == 0"
     assert scipy_modules_after(code) == []
     assert sorted(p.stat().st_mtime_ns for p in (tmp_path / "out" / "cache").iterdir()) == stamps
+
+
+def test_cold_measure_leaves_scipy_out(tmp_path):
+    manifest = write_toy_corpus(tmp_path / "corpus", n_per_class=2, tokens=240)
+    for strategy in ("GS", "LSS"):
+        out = tmp_path / strategy
+        args = ["measure", "--manifest", str(manifest), "--strategy", strategy,
+                "--word-list-size", "10", "--out", str(out)]
+        code = f"from prosenet.cli import main\nassert main({args!r}) == 0"
+        assert scipy_modules_after(code) == []
+        assert len(list((out / "cache").iterdir())) == 4  # every document measured
 
 
 def test_every_traced_name_resolves():

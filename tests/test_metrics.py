@@ -179,9 +179,12 @@ class TestSharedDistances:
             edges = {(u, v) for u, v in e1} | {(u + n1, v + n1) for u, v in e2}
             edges = {(min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in edges}
             net = net_from_edges(n, edges)
-            dist = bfs_distances(net, np.arange(n))
-            for fn in (betweenness, closeness, eccentricity):
-                plain, shared = fn(net), fn(net, dist=dist)
+            levels = []
+            dist = bfs_distances(net, np.arange(n), levels)
+            shared_pass = {betweenness: {"levels": levels},
+                           closeness: {"dist": dist}, eccentricity: {"dist": dist}}
+            for fn, pass_args in shared_pass.items():
+                plain, shared = fn(net), fn(net, **pass_args)
                 assert np.array_equal(plain.values, shared.values), fn.__name__
                 assert np.array_equal(plain.missing, shared.missing), fn.__name__
                 assert plain.missing.sum() == n - max(n1, n2)

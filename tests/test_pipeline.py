@@ -511,7 +511,7 @@ class TestFeatureCellIntegrity:
         from prosenet.features import select_word_list
         from prosenet.graph import build_network
         from prosenet.pipeline import build_feature_matrix
-        from prosenet.walks import accessibility, symmetry
+        from oracles import accessibility, symmetry
 
         manifest_path = write_toy_corpus(tmp_path / "corpus", n_per_class=2, tokens=260)
         manifest = load_manifest(manifest_path)

@@ -1,11 +1,11 @@
 """Property tests of the batch walk kernels on adversarial graphs.
 
-Graphs come either from an edge list (disconnected parts, isolated nodes and
-a hub joined to many nodes) or from a token sequence read with a window of
-1 to 3. Two properties: every batch kernel matches its per-source reference,
-and a kernel's rows for any subset of sources are exactly the rows of an
-all-node call, which is what lets a cache entry gather walk values node by
-node.
+Graphs come from ``conftest.networks``: an edge list (disconnected parts,
+isolated nodes and a hub joined to many nodes) or a token sequence read with
+a window of 1 to 3. Two properties: every batch kernel matches its
+per-source reference, and a kernel's rows for any subset of sources are
+exactly the rows of an all-node call, which is what lets a cache entry
+gather walk values node by node.
 """
 
 import numpy as np
@@ -13,43 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_doc
-from oracles import net_from_edges
-from prosenet.graph import bfs_distances, build_network
-from prosenet.walks import (
-    accessibility,
-    accessibility_batch,
-    backbone_symmetry_batch,
-    merged_symmetry_batch,
-    symmetry,
-)
+from conftest import networks
+from oracles import accessibility, symmetry
+from prosenet.graph import bfs_distances
+from prosenet.walks import accessibility_batch, backbone_symmetry_batch, merged_symmetry_batch
 
 H_ACCESS = (1, 2, 3, 4)
 H_SYMMETRY = (1, 2, 3, 5)
 PROPERTY = settings(max_examples=60, deadline=None)
-
-
-@st.composite
-def edge_list_networks(draw):
-    n = draw(st.integers(1, 12))
-    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=24))
-    edges = {(min(u, v), max(u, v)) for u, v in pairs if u != v}
-    if draw(st.booleans()):
-        hub = draw(st.integers(0, n - 1))
-        spokes = draw(st.sets(st.integers(0, n - 1), max_size=n))
-        edges |= {(min(hub, v), max(hub, v)) for v in spokes if v != hub}
-    isolated = draw(st.integers(0, 3))
-    return net_from_edges(n + isolated, edges)
-
-
-@st.composite
-def text_networks(draw):
-    tokens = draw(st.lists(st.integers(0, 10), min_size=2, max_size=40))
-    window = draw(st.integers(1, 3))
-    return build_network(make_doc([f"w{t}" for t in tokens]), window)
-
-
-networks = st.one_of(edge_list_networks(), text_networks())
 
 
 @PROPERTY

@@ -5,7 +5,11 @@ import pytest
 
 from conftest import make_doc
 from oracles import (
+    accessibility,
     adjacency,
+    backbone_transform,
+    concentric_levels,
+    merged_transform,
     net_from_edges,
     oracle_accessibility,
     oracle_monte_carlo_saw,
@@ -14,19 +18,15 @@ from oracles import (
     oracle_symmetry,
     oracle_taylor_expm,
     random_connected_graph,
+    saw_distribution,
+    symmetry,
 )
 from prosenet.graph import build_network
 from prosenet.walks import (
-    accessibility,
     accessibility_batch,
     backbone_symmetry_batch,
-    backbone_transform,
-    concentric_levels,
     generalized_accessibility,
     merged_symmetry_batch,
-    merged_transform,
-    saw_distribution,
-    symmetry,
     transition_matrix,
 )
 
