@@ -167,15 +167,26 @@ def preprocess(
     """
     surfaces = tokenize(raw_text)
     lemmas = [dictionary.lemma(s) for s in surfaces]
-    if keep_stopwords:
-        tokens = lemmas
-        mask = [dictionary.is_stopword(t) for t in tokens]
-    else:
-        tokens = [t for t in lemmas if not dictionary.is_stopword(t)]
-        mask = [False] * len(tokens)
-    if not tokens:
-        raise EmptyDocumentError(f"document {doc_id!r} is empty after preprocessing")
-    return Document(doc_id, label, tokens, len(surfaces), mask)
+    mask = [dictionary.is_stopword(t) for t in lemmas]
+    doc = Document(doc_id, label, lemmas, len(surfaces), mask)
+    return _nonempty(doc) if keep_stopwords else content_words(doc)
+
+
+def content_words(doc: Document) -> Document:
+    """``doc`` without the tokens its stopword mask flags: for a document
+    preprocessed with stopwords kept, what ``keep_stopwords=False`` gives.
+
+    Raises EmptyDocumentError when nothing survives.
+    """
+    tokens = [t for t, stop in zip(doc.tokens, doc.stopword_mask) if not stop]
+    mask = [False] * len(tokens)
+    return _nonempty(Document(doc.id, doc.label, tokens, doc.raw_token_count, mask))
+
+
+def _nonempty(doc: Document) -> Document:
+    if not doc.tokens:
+        raise EmptyDocumentError(f"document {doc.id!r} is empty after preprocessing")
+    return doc
 
 
 def word_frequencies(doc: Document) -> dict[str, int]:

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Document
 from .metrics import NodeMeasures
 
 # canonical column ordering for reproducible feature matrices
@@ -136,21 +135,19 @@ def global_features(doc_measures: list[DocumentMeasures]) -> FeatureMatrix:
 
 
 def select_word_list(
-    docs: list[Document],
+    frequencies: list[dict[str, int]],
     size: int = 50,
     min_doc_fraction: float = 0.9,
 ) -> list[str]:
-    """The most frequent lemmas appearing in at least min_doc_fraction of docs."""
+    """The most frequent lemmas appearing in at least min_doc_fraction of the
+    documents, from each document's lemma counts (``word_frequencies``)."""
     totals: dict[str, int] = {}
     coverage: dict[str, int] = {}
-    for doc in docs:
-        seen = set()
-        for tok in doc.tokens:
-            totals[tok] = totals.get(tok, 0) + 1
-            seen.add(tok)
-        for tok in seen:
+    for counts in frequencies:
+        for tok, count in counts.items():
+            totals[tok] = totals.get(tok, 0) + count
             coverage[tok] = coverage.get(tok, 0) + 1
-    threshold = min_doc_fraction * len(docs)
+    threshold = min_doc_fraction * len(frequencies)
     eligible = [w for w, c in coverage.items() if c >= threshold]
     eligible.sort(key=lambda w: (-totals[w], w))
     return eligible[:size]

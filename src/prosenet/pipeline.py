@@ -19,11 +19,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import ProsenetError, __version__
+from . import EmptyDocumentError, ProsenetError, __version__
 from .corpus import (
     CorpusManifest,
     Document,
     LemmaDictionary,
+    content_words,
     load_lemma_dictionary,
     load_manifest,
     preprocess,
@@ -181,17 +182,16 @@ def measure_document(
     named words; None measures every node and an empty list omits them.
     ``known`` holds measures already taken on this network with these
     settings (a cache entry): its classic measures and walk values are kept,
-    and the network is walked only from the requested nodes it lacks.
+    and the network is walked only from the requested nodes it lacks. One
+    BFS pass from every node feeds every distance-based measure either way.
     """
     net = build_network(doc, cfg.window)
     from .graph import bfs_distances
 
     n = net.node_count
-    dist_all = None
+    levels: list[GeodesicLevel] = []
+    dist_all = bfs_distances(net, np.arange(n), levels)
     if known is None:
-        # one BFS pass from every node feeds every distance-based measure
-        levels: list[GeodesicLevel] = []
-        dist_all = bfs_distances(net, np.arange(n), levels)
         known = DocumentMeasures(
             doc_id=doc.id,
             label=doc.label,
@@ -206,12 +206,8 @@ def measure_document(
 
     walked = _walked(known, cfg)
     sources = np.flatnonzero(_source_mask(known.node_labels, walk_sources) & ~walked)
-    if dist_all is None:
-        walk_levels: list[GeodesicLevel] = []
-        dist_sources = bfs_distances(net, sources, walk_levels)
-    else:
-        dist_sources = dist_all[sources]
-        walk_levels = geodesic_rows(levels, n, sources)
+    dist_sources = dist_all[sources]
+    walk_levels = geodesic_rows(levels, n, sources)
     walked[sources] = True
     measures = dict(known.measures)
 
@@ -390,11 +386,12 @@ def _cache_load(path: Path, key: str) -> DocumentMeasures | None:
         return None
 
 
-def _cache_store(path: Path, key: str, blob: str) -> None:
-    """Write the entry {key, checksum, payload} around ``blob``, the payload
-    as ``json.dumps(payload, sort_keys=True)`` gives it, so the bytes under
-    the checksum are the bytes stored. The text is what
+def _cache_store(path: Path, key: str, dm: DocumentMeasures) -> None:
+    """Write the entry {key, checksum, payload} for ``dm``, the payload as
+    ``json.dumps(payload, sort_keys=True)`` gives it, so the bytes under the
+    checksum are the bytes stored. The text is what
     ``json.dumps(entry, sort_keys=True)`` would write."""
+    blob = json.dumps(_measures_to_payload(dm), sort_keys=True)
     checksum = hashlib.sha256(blob.encode("utf-8")).hexdigest()
     atomic_write(path, f'{{"checksum": "{checksum}", "key": "{key}", "payload": {blob}}}')
 
@@ -416,60 +413,62 @@ def atomic_write(path: Path, text: str) -> None:
 # corpus-level measurement with parallelism
 # ---------------------------------------------------------------------------
 
-_WORKER_DICT: dict[tuple[str, str], LemmaDictionary] = {}
+_DICTIONARIES: dict[tuple[str, str], LemmaDictionary] = {}
 
 
 def _dictionary_for(cfg: RunConfig) -> LemmaDictionary:
     key = (cfg.lemmas, cfg.stoplist)
-    if key not in _WORKER_DICT:
-        _WORKER_DICT[key] = load_lemma_dictionary(cfg.lemmas or None, cfg.stoplist or None)
-    return _WORKER_DICT[key]
+    if key not in _DICTIONARIES:
+        _DICTIONARIES[key] = load_lemma_dictionary(cfg.lemmas or None, cfg.stoplist or None)
+    return _DICTIONARIES[key]
 
 
-def _measure_task(args) -> tuple[str, DocumentMeasures | None, str | None, str | None]:
-    """(doc_id, measures, serialised payload or None, error or None)."""
-    doc_id, label, path, keep_stopwords, sources, cfg_dict, known, serialise = args
+def _measure_task(args) -> tuple[str, DocumentMeasures | None, str | None]:
+    """(doc_id, measures, error or None); a measured document's entry is
+    stored at once, so an interrupted run resumes from it."""
+    doc, sources, cfg, known, key, path = args
     try:
-        cfg = RunConfig(**cfg_dict)
-        raw = Path(path).read_text(encoding="utf-8", errors="replace")
-        doc = preprocess(raw, _dictionary_for(cfg), keep_stopwords, doc_id, label)
         dm = measure_document(doc, cfg, sources, known)
-        blob = json.dumps(_measures_to_payload(dm), sort_keys=True) if serialise else None
-        return doc_id, dm, blob, None
     except Exception as exc:  # noqa: BLE001 - reported per document by the caller
-        return doc_id, None, None, f"{type(exc).__name__}: {exc}"
+        return doc.id, None, f"{type(exc).__name__}: {exc}"
+    if path is not None:
+        _cache_store(path, key, dm)
+    return doc.id, dm, None
 
 
-def _plain_cfg_dict(cfg: RunConfig) -> dict:
-    return {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
+def compute_corpus_measures(manifest: CorpusManifest, cfg: RunConfig,
+                            cache_dir: Path | None = None):
+    """Measure every document for ``cfg.strategy``, using the cache and
+    optional process pool.
 
+    Each document is read and hashed once, then its cache entry is loaded. A
+    cache entry belongs to one document's network and measure settings. It
+    holds the classic measures, the word frequencies and the walk values of
+    every node walked so far, so an entry that covers the requested sources
+    is served without preprocessing or measuring; otherwise the document is
+    preprocessed, only the missing sources are walked, and the merged entry
+    is stored as soon as its document completes, which lets an interrupted
+    run resume from the documents it finished. LS and LSS walk from the word
+    list, taken from each document's word frequencies.
 
-def compute_corpus_measures(
-    manifest: CorpusManifest,
-    cfg: RunConfig,
-    keep_stopwords: bool,
-    walk_sources: list[str] | None,
-    cache_dir: Path | None = None,
-    collect_errors: bool = False,
-):
-    """Measure every document, using the cache and optional process pool.
-
-    A cache entry belongs to one document's network and measure settings. It
-    holds the classic measures and the walk values of every node walked so
-    far, so an entry that covers the requested sources is served without
-    measuring; otherwise only the missing sources are walked and the merged
-    entry is stored as soon as its document completes, which lets an
-    interrupted run resume from the documents it finished.
-
-    Returns the DocumentMeasures in manifest order, with walk values at the
-    requested sources only; with ``collect_errors`` the return value is
-    (measures, failures) where failures pairs document ids with error strings
-    and the measures list skips the failed ones.
+    Returns (measures, failures, walk_sources): the DocumentMeasures in
+    manifest order, with walk values at the requested sources only and
+    without the failed documents; (doc_id, error) pairs in manifest order;
+    and the sources walked (None for every node, [] for none).
     """
-    results: dict[str, DocumentMeasures] = {}
+    keep_stopwords = cfg.strategy == "LSS"
+    dictionary = _dictionary_for(cfg)
+    dictionary_digest = _dictionary_digest(dictionary)
     errors: dict[str, str] = {}
-    pending = []
-    dictionary_digest = _dictionary_digest(_dictionary_for(cfg))
+
+    def prepared(entry, raw: str) -> Document | None:
+        try:
+            return preprocess(raw, dictionary, keep_stopwords, entry.doc_id, entry.label)
+        except EmptyDocumentError as exc:
+            errors[entry.doc_id] = f"{type(exc).__name__}: {exc}"
+            return None
+
+    read = []
     for entry in manifest.entries:
         raw = entry.path.read_text(encoding="utf-8", errors="replace")
         key = _measure_cache_key(raw, cfg, dictionary_digest, keep_stopwords, entry.doc_id)
@@ -477,40 +476,54 @@ def compute_corpus_measures(
         known = _cache_load(path, key) if path else None
         if known is not None:  # the key holds no label: the manifest's wins
             known = dataclasses.replace(known, label=entry.label)
+            read.append((entry, raw, key, path, known, None))
+        elif (doc := prepared(entry, raw)) is not None:
+            read.append((entry, None, key, path, None, doc))
+
+    if cfg.strategy == "GS":
+        walk_sources = None if cfg.gs_walks else []
+    else:
+        frequencies = [word_frequencies(doc) if known is None else known.word_frequencies
+                       for *_, known, doc in read]
+        walk_sources = select_word_list(frequencies, cfg.word_list_size, cfg.min_doc_fraction)
+        if not walk_sources:
+            _raise_failures(list(errors.items()))  # e.g. every document was empty
+            raise ProsenetError(
+                "no words satisfy the document-coverage threshold; lower min_doc_fraction"
+            )
+
+    results: dict[str, DocumentMeasures] = {}
+    pending = []
+    for entry, raw, key, path, known, doc in read:
         if known is not None and _covers(known, cfg, walk_sources):
             results[entry.doc_id] = _restrict_walks(known, cfg, walk_sources)
-        else:
-            task = (entry.doc_id, entry.label, str(entry.path), keep_stopwords,
-                    walk_sources, _plain_cfg_dict(cfg), known, path is not None)
-            pending.append((task, key, path))
+        elif (doc := doc or prepared(entry, raw)) is not None:
+            pending.append((doc, walk_sources, cfg, known, key, path))
 
-    def finish(outcome, key: str, path: Path | None) -> None:
-        doc_id, dm, blob, error = outcome
+    def finish(outcome) -> None:
+        doc_id, dm, error = outcome
         if error is not None:
             errors[doc_id] = error
-            return
-        if path is not None:
-            _cache_store(path, key, blob)
-        results[doc_id] = _restrict_walks(dm, cfg, walk_sources)
+        else:
+            results[doc_id] = _restrict_walks(dm, cfg, walk_sources)
 
     if pending and cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            futures = {pool.submit(_measure_task, task): (key, path)
-                       for task, key, path in pending}
-            for future in as_completed(futures):
-                finish(future.result(), *futures[future])
+            for future in as_completed([pool.submit(_measure_task, task) for task in pending]):
+                finish(future.result())
     else:
-        for task, key, path in pending:
-            finish(_measure_task(task), key, path)
+        for task in pending:
+            finish(_measure_task(task))
 
     ordered = [results[e.doc_id] for e in manifest.entries if e.doc_id in results]
     failures = [(e.doc_id, errors[e.doc_id]) for e in manifest.entries if e.doc_id in errors]
-    if collect_errors:
-        return ordered, failures
+    return ordered, failures, walk_sources
+
+
+def _raise_failures(failures: list[tuple[str, str]]) -> None:
     if failures:
         summary = "; ".join(f"{doc_id}: {msg}" for doc_id, msg in failures)
         raise ProsenetError(f"{len(failures)} document(s) failed: {summary}")
-    return ordered
 
 
 # ---------------------------------------------------------------------------
@@ -530,35 +543,12 @@ def measures_to_csv(dm: DocumentMeasures) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _load_documents(manifest: CorpusManifest, cfg: RunConfig, keep_stopwords: bool) -> list[Document]:
-    dictionary = _dictionary_for(cfg)
-    docs = []
-    for entry in manifest.entries:
-        raw = entry.path.read_text(encoding="utf-8", errors="replace")
-        docs.append(preprocess(raw, dictionary, keep_stopwords, entry.doc_id, entry.label))
-    return docs
-
-
-def _strategy_inputs(cfg: RunConfig, manifest: CorpusManifest):
-    """(keep_stopwords, walk_sources) for the configured strategy."""
-    keep_stopwords = cfg.strategy == "LSS"
-    if cfg.strategy == "GS":
-        return keep_stopwords, None if cfg.gs_walks else []
-    docs = _load_documents(manifest, cfg, keep_stopwords)
-    words = select_word_list(docs, cfg.word_list_size, cfg.min_doc_fraction)
-    if not words:
-        raise ProsenetError(
-            "no words satisfy the document-coverage threshold; lower min_doc_fraction"
-        )
-    return keep_stopwords, words
-
-
 def build_feature_matrix(
     cfg: RunConfig, manifest: CorpusManifest, cache_dir: Path | None
 ) -> tuple[FeatureMatrix, list[DocumentMeasures]]:
     """Measure the corpus and assemble the configured strategy's features."""
-    keep_stopwords, sources = _strategy_inputs(cfg, manifest)
-    doc_measures = compute_corpus_measures(manifest, cfg, keep_stopwords, sources, cache_dir)
+    doc_measures, failures, sources = compute_corpus_measures(manifest, cfg, cache_dir)
+    _raise_failures(failures)
     if cfg.strategy == "GS":
         fm = global_features(doc_measures)
     else:
@@ -582,19 +572,13 @@ def cmd_measure(cfg: RunConfig) -> list[Path]:
     """
     manifest = load_manifest(cfg.manifest)
     out = Path(cfg.out)
-    cache = out / "cache"
-    keep_stopwords, sources = _strategy_inputs(cfg, manifest)
-    doc_measures, failures = compute_corpus_measures(
-        manifest, cfg, keep_stopwords, sources, cache, collect_errors=True
-    )
+    doc_measures, failures, _ = compute_corpus_measures(manifest, cfg, out / "cache")
     written = []
     for dm in doc_measures:
         path = out / "measures" / f"{dm.doc_id}.csv"
         atomic_write(path, measures_to_csv(dm))
         written.append(path)
-    if failures:
-        summary = "; ".join(f"{doc_id}: {msg}" for doc_id, msg in failures)
-        raise ProsenetError(f"{len(failures)} document(s) failed: {summary}")
+    _raise_failures(failures)
     return written
 
 
@@ -695,12 +679,13 @@ def cmd_baselines(cfg: RunConfig) -> dict[str, ClassificationReport]:
     out = Path(cfg.out)
     dictionary = _dictionary_for(cfg)
 
-    docs_with_stops = _load_documents(manifest, cfg, keep_stopwords=True)
-    docs_content = _load_documents(manifest, cfg, keep_stopwords=False)
     raw_docs = [
         (e.doc_id, e.label, e.path.read_text(encoding="utf-8", errors="replace"))
         for e in manifest.entries
     ]
+    docs_with_stops = [preprocess(raw, dictionary, True, doc_id, label)
+                       for doc_id, label, raw in raw_docs]
+    docs_content = [content_words(doc) for doc in docs_with_stops]
 
     spec = ClassifierSpec("knn", knn_k=cfg.knn_k)
     stop_report = baseline_stopword_frequency(

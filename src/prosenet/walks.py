@@ -105,6 +105,13 @@ def _ring_entropy_exp(probs: np.ndarray) -> float:
     return float(np.exp(-np.sum(pos * np.log(pos))))
 
 
+def _exp_entropy_rows(rows: np.ndarray) -> np.ndarray:
+    """exp of the Shannon entropy of each nonnegative mass row; 0 for a row
+    with no mass."""
+    ent = -np.sum(np.where(rows > 0, rows * np.log(np.where(rows > 0, rows, 1.0)), 0.0), axis=1)
+    return np.where(rows.sum(axis=1) > 0, np.exp(ent), 0.0)
+
+
 def accessibility_batch(
     net: WordNetwork,
     sources: np.ndarray,
@@ -128,9 +135,7 @@ def accessibility_batch(
             dist = dist_block[start : start + len(batch)]
         for col, h in enumerate(h_values):
             p = np.where(dist == h, levels[h - 1], 0.0)
-            ent = -np.sum(np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0), axis=1)
-            has_mass = p.sum(axis=1) > 0
-            out[start : start + len(batch), col] = np.where(has_mass, np.exp(ent), 0.0)
+            out[start : start + len(batch), col] = _exp_entropy_rows(p)
     return out
 
 
@@ -196,10 +201,7 @@ def generalized_accessibility(
         good = sums > 0
         rows[good] /= sums[good, None]
         rows[~good] = 0.0
-    ent = -np.sum(np.where(rows > 0, rows * np.log(np.where(rows > 0, rows, 1.0)), 0.0), axis=1)
-    values = np.exp(ent)
-    values[rows.sum(axis=1) == 0] = 0.0
-    return NodeMeasures("Ag", values, np.zeros(net.node_count, dtype=bool), net.doc_id)
+    return NodeMeasures("Ag", _exp_entropy_rows(rows), np.zeros(len(rows), dtype=bool), net.doc_id)
 
 
 def backbone_symmetry_batch(
@@ -240,9 +242,7 @@ def backbone_symmetry_batch(
         level = r + 1
         if level in h_values:
             col = h_values.index(level)
-            rows = mass.reshape(n_src, n)
-            ent = -np.sum(np.where(rows > 0, rows * np.log(np.where(rows > 0, rows, 1.0)), 0.0), axis=1)
-            numer = np.where(rows.sum(axis=1) > 0, np.exp(ent), 0.0)
+            numer = _exp_entropy_rows(mass.reshape(n_src, n))
             ring_count = (dist == level).sum(axis=1)
             denom = ring_count + eta_cum
             out[:, col] = np.where(ring_count > 0, numer / np.where(denom > 0, denom, 1.0), 0.0)

@@ -20,6 +20,7 @@ from prosenet.features import (
     select_top_k,
     select_word_list,
 )
+from prosenet.corpus import word_frequencies
 from prosenet.metrics import NodeMeasures
 
 
@@ -79,14 +80,15 @@ class TestWordList:
             make_doc(["the", "dog", "sat"], "d2"),
             make_doc(["the", "cat", "ran"], "d3"),
         ]
+        counts = [word_frequencies(d) for d in docs]
         # 'the' covers 3/3 docs; 'sat' and 'cat' only 2/3, below the 0.9 bar
-        assert select_word_list(docs, size=5, min_doc_fraction=0.9) == ["the"]
+        assert select_word_list(counts, size=5, min_doc_fraction=0.9) == ["the"]
         # at 2/3 coverage the frequency order kicks in, names break the tie
-        assert select_word_list(docs, size=3, min_doc_fraction=0.6) == ["the", "cat", "sat"]
+        assert select_word_list(counts, size=3, min_doc_fraction=0.6) == ["the", "cat", "sat"]
 
     def test_tie_break_alphabetical(self):
         docs = [make_doc(["b", "a"], "d1"), make_doc(["a", "b"], "d2")]
-        assert select_word_list(docs, 2, 1.0) == ["a", "b"]
+        assert select_word_list([word_frequencies(d) for d in docs], 2, 1.0) == ["a", "b"]
 
 
 class TestLocalFeatures:

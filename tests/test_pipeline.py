@@ -182,6 +182,40 @@ class TestSharedMeasureCache:
         assert not any(b",A2," in body for body in reused)
 
 
+class TestOneReadPerDocument:
+    """A command preprocesses each document at most once, and a document
+    served wholly from the cache not at all."""
+
+    @staticmethod
+    def count_preprocess(monkeypatch):
+        calls = []
+        real = pipeline.preprocess
+
+        def counted(raw, dictionary, keep_stopwords, doc_id="", label=""):
+            calls.append(doc_id)
+            return real(raw, dictionary, keep_stopwords, doc_id, label)
+
+        monkeypatch.setattr(pipeline, "preprocess", counted)
+        return calls
+
+    def test_cache_hit_classify_preprocesses_nothing(self, tmp_path, monkeypatch):
+        manifest = write_toy_corpus(tmp_path / "corpus", n_per_class=2, tokens=200)
+        cfg = RunConfig(manifest=str(manifest), strategy="LSS", out=str(tmp_path / "out"),
+                        word_list_size=10)
+        calls = self.count_preprocess(monkeypatch)
+        cmd_classify(cfg)
+        assert sorted(calls) == ["ima00", "ima01", "inf00", "inf01"]
+        calls.clear()
+        cmd_classify(cfg)
+        assert calls == []
+
+    def test_baselines_preprocess_each_document_once(self, tmp_path, monkeypatch):
+        manifest = write_toy_corpus(tmp_path / "corpus", n_per_class=2, tokens=200)
+        calls = self.count_preprocess(monkeypatch)
+        cmd_baselines(RunConfig(manifest=str(manifest), out=str(tmp_path), baseline_top_k=5))
+        assert calls == ["ima00", "ima01", "inf00", "inf01"]
+
+
 class TestCacheEntryLayout:
     """An entry is read by its stored bytes: the checksum covers the payload
     as written, and only the layout ``_cache_store`` writes is a hit."""
@@ -223,21 +257,21 @@ class TestCacheEntryLayout:
 class TestCachedLabels:
     def test_relabelled_document_keeps_its_manifest_label(self, tmp_path):
         manifest = write_toy_corpus(tmp_path / "corpus", n_per_class=1, tokens=120)
-        cfg = RunConfig(manifest=str(manifest))
         cache = tmp_path / "out" / "cache"
 
-        def labels(walk_sources):
-            measured = pipeline.compute_corpus_measures(
-                load_manifest(manifest), cfg, False, walk_sources, cache)
+        def labels(gs_walks):
+            cfg = RunConfig(manifest=str(manifest), strategy="GS", gs_walks=gs_walks)
+            measured, _, _ = pipeline.compute_corpus_measures(
+                load_manifest(manifest), cfg, cache)
             return [(dm.doc_id, dm.label) for dm in measured]
 
-        assert labels([]) == [("ima00", "imaginative"), ("inf00", "informative")]
+        assert labels(False) == [("ima00", "imaginative"), ("inf00", "informative")]
         swapped = manifest.read_text(encoding="utf-8").replace("\timaginative\t", "\tX\t")
         swapped = swapped.replace("\tinformative\t", "\timaginative\t").replace("\tX\t", "\tinformative\t")
         manifest.write_text(swapped, encoding="utf-8")
         relabelled = [("ima00", "informative"), ("inf00", "imaginative")]
-        assert labels([]) == relabelled  # every entry covers the request
-        assert labels(None) == relabelled  # every entry is walked further
+        assert labels(False) == relabelled  # every entry covers the request
+        assert labels(True) == relabelled  # every entry is walked further
 
 
 class TestResumableRuns:
@@ -310,6 +344,27 @@ class TestMeasureErrorCollection:
             cmd_measure(cfg)
         # the healthy document was still written before the failure surfaced
         assert (tmp_path / "out" / "measures" / "good.csv").exists()
+
+    def test_stopword_only_document_fails_alone_under_ls(self, tmp_path):
+        manifest = write_toy_corpus(tmp_path / "corpus", n_per_class=2, tokens=200)
+        (tmp_path / "corpus" / "stops.txt").write_text("The of and, to THE in that.")
+        with_stops = tmp_path / "corpus" / "with_stops.tsv"
+        with_stops.write_text(manifest.read_text() + "stops\timaginative\tstops.txt\n")
+
+        def measure(path, out):
+            cfg = RunConfig(manifest=str(path), strategy="LS", out=str(out), word_list_size=10)
+            return cmd_measure(cfg)
+
+        with pytest.raises(ProsenetError, match="1 document.*stops: EmptyDocumentError"):
+            measure(with_stops, tmp_path / "with")
+        written = sorted((tmp_path / "with" / "measures").glob("*.csv"))
+        alone = measure(manifest, tmp_path / "without")
+        assert [p.name for p in written] == [p.name for p in alone]
+        assert [p.read_bytes() for p in written] == [p.read_bytes() for p in alone]
+        only_stops = tmp_path / "corpus" / "only_stops.tsv"
+        only_stops.write_text("a\timaginative\tstops.txt\nb\tinformative\tstops.txt\n")
+        with pytest.raises(ProsenetError, match="2 document"):  # not "no words satisfy"
+            measure(only_stops, tmp_path / "none")
 
 
 class TestClassifyCommand:
@@ -507,7 +562,7 @@ class TestPrepareManifest:
 class TestFeatureCellIntegrity:
     def test_batched_cells_match_per_source_recomputation(self, tmp_path):
         """Every local feature cell equals a from-scratch single-source call."""
-        from prosenet.corpus import load_lemma_dictionary, preprocess
+        from prosenet.corpus import load_lemma_dictionary, preprocess, word_frequencies
         from prosenet.features import select_word_list
         from prosenet.graph import build_network
         from prosenet.pipeline import build_feature_matrix
@@ -525,7 +580,7 @@ class TestFeatureCellIntegrity:
             e.doc_id: preprocess(e.path.read_text(), dictionary, True, e.doc_id, e.label)
             for e in manifest.entries
         }
-        words = select_word_list(list(docs.values()), 8, 0.9)
+        words = select_word_list([word_frequencies(d) for d in docs.values()], 8, 0.9)
 
         checked = 0
         for row, doc_id in enumerate(fm.doc_ids):
