@@ -195,32 +195,30 @@ def local_features(
     )
 
 
-def _pearson(x: np.ndarray, y: np.ndarray) -> float:
-    sx, sy = x.std(), y.std()
-    if sx == 0.0 or sy == 0.0:
-        return 0.0
-    return float(((x - x.mean()) * (y - y.mean())).mean() / (sx * sy))
-
-
 def frequency_decorrelation_filter(
     fm: FeatureMatrix,
     frequencies: dict[str, dict[str, int]],
     rho_max: float = 0.5,
 ) -> FeatureMatrix:
     """Drop local columns whose |Pearson r| with the word's per-document
-    frequency exceeds rho_max. Non-local columns pass through."""
-    keep = []
-    for j, name in enumerate(fm.feature_names):
-        if "@" not in name:
-            keep.append(name)
-            continue
-        word = name.split("@", 1)[1]
-        freq = np.array(
-            [frequencies.get(d, {}).get(word, 0) for d in fm.doc_ids], dtype=np.float64
-        )
-        if abs(_pearson(fm.values[:, j], freq)) <= rho_max:
-            keep.append(name)
-    return fm.subset(keep)
+    frequency exceeds rho_max. Non-local columns pass through.
+
+    Every local column is correlated at once. Each column and its frequency
+    row are made contiguous rows, so every mean is summed in the order a
+    single column's ``np.mean`` would sum it."""
+    local = [j for j, name in enumerate(fm.feature_names) if "@" in name]
+    words = [fm.feature_names[j].split("@", 1)[1] for j in local]
+    index = {word: i for i, word in enumerate(dict.fromkeys(words))}
+    counts = np.array([[frequencies.get(d, {}).get(word, 0) for d in fm.doc_ids]
+                       for word in index], dtype=np.float64).reshape(len(index), len(fm.doc_ids))
+    x = np.ascontiguousarray(fm.values[:, local].T)
+    y = counts[[index[word] for word in words]]
+    sx, sy = x.std(axis=1), y.std(axis=1)
+    cov = ((x - x.mean(axis=1, keepdims=True)) * (y - y.mean(axis=1, keepdims=True))).mean(axis=1)
+    r = np.divide(cov, sx * sy, out=np.zeros_like(cov), where=(sx != 0.0) & (sy != 0.0))
+    rho = dict(zip(local, np.abs(r)))
+    return fm.subset([name for j, name in enumerate(fm.feature_names)
+                      if j not in rho or rho[j] <= rho_max])
 
 
 def _equal_frequency_bins(x: np.ndarray, bins: int = 10) -> np.ndarray:

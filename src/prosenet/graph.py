@@ -10,6 +10,9 @@ the (source s, v -> w) steps with dist[s, w] == dist[s, v] + 1, as flat ids
 s * n + v and s * n + w in (s, v, w) order. Brandes betweenness and the
 backbone symmetry walk run over those edges with ``np.bincount``, whose
 sequential accumulation sums each target's terms in ascending (s, v) order.
+A pass from every node runs over blocks of source rows, as many as fit in
+``GEODESIC_BLOCK_BYTES``, and each block's edges are used and dropped before
+the next block is searched.
 """
 
 from __future__ import annotations
@@ -155,7 +158,7 @@ def largest_component_nodes(net: WordNetwork) -> np.ndarray:
     return np.flatnonzero(comp == best)
 
 
-EXPAND_BLOCK = 1 << 20  # neighbour entries expanded per BFS slice
+GEODESIC_BLOCK_BYTES = 8 << 20  # transient bytes of one block of a geodesic pass
 
 
 @dataclass
@@ -168,51 +171,63 @@ class GeodesicLevel:
     heads: np.ndarray
 
 
+def geodesic_row_bytes(net: WordNetwork) -> int:
+    """An upper bound on the bytes one source row adds to a block of a
+    geodesic pass. Per CSR entry: the row's held geodesic edges (at most one
+    per undirected edge, two int32 ids) and the expansion of a level (at most
+    every entry, about 28 bytes each while its positions are gathered). Per
+    node: the float64 rows of Brandes' sigma, delta and sums, and of the
+    backbone walk's mass and entropy terms."""
+    return 32 * len(net.indices) + 64 * net.node_count
+
+
+def geodesic_block_rows(net: WordNetwork) -> int:
+    """Source rows per block so that a block stays within ``GEODESIC_BLOCK_BYTES``."""
+    return max(1, GEODESIC_BLOCK_BYTES // geodesic_row_bytes(net))
+
+
 def bfs_distances(net: WordNetwork, sources: np.ndarray,
-                  levels: list[GeodesicLevel] | None = None) -> np.ndarray:
+                  levels: list[GeodesicLevel] | None = None,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Hop distances from each source row to every node; -1 when unreachable.
 
     Frontier-expanding BFS over all sources at once: the frontier is a sorted
     array of flat ids s * n + v, and each level expands it over the CSR
-    neighbour lists, in slices of at most ``EXPAND_BLOCK`` neighbour entries
-    so that a wide level does not take memory in proportion to its width.
+    neighbour lists. The number of source rows bounds the memory a level
+    takes, so a caller that needs a bound searches from blocks of sources.
     When ``levels`` is given, the geodesic edges into distance 1, 2, ... are
-    appended to it, one ``GeodesicLevel`` per level. Flat ids are int32
-    unless s * n overflows it.
+    appended to it, one ``GeodesicLevel`` per level. The distances are
+    written into ``out`` when given (a C-ordered int32 (sources, n) array).
+    Flat ids are int32 unless s * n overflows it.
     """
     n = net.node_count
     sources = np.asarray(sources, dtype=np.int64)
     ids = np.int32 if len(sources) * n < 2**31 else np.int64
-    indptr, indices, degrees = net.indptr, net.indices, net.degrees
-    dist = np.full(len(sources) * n, -1, dtype=np.int32)
+    if out is None:
+        out = np.empty((len(sources), n), dtype=np.int32)
+    dist = out.reshape(-1)
+    dist.fill(-1)
     frontier = (np.arange(len(sources), dtype=np.int64) * n + sources).astype(ids)
     dist[frontier] = 0
     level = 0
     while len(frontier):
         level += 1
-        tails, heads = [], []
-        deg = degrees[frontier % n]
-        cum = np.cumsum(deg)
-        cuts = np.searchsorted(cum, np.arange(EXPAND_BLOCK, cum[-1], EXPAND_BLOCK), "right")
-        for part in np.split(np.arange(len(frontier)), np.unique(cuts)):
-            step_tails, step_heads = _expand(frontier[part], deg[part], n, indptr, indices)
-            hit = dist[step_heads]
-            # a node first reached by an earlier slice of this level still counts
-            fresh = (hit < 0) | (hit == level)
-            tails.append(step_tails[fresh])
-            heads.append(step_heads[fresh])
-            dist[heads[-1]] = level
+        tails, heads = _expand(frontier, n, net.indptr, net.indices, net.degrees)
+        fresh = dist[heads] < 0
+        tails, heads = tails[fresh], heads[fresh]
+        dist[heads] = level
         frontier = np.flatnonzero(dist == level).astype(ids)
         if levels is not None and len(frontier):
-            levels.append(GeodesicLevel(np.concatenate(tails), np.concatenate(heads)))
-    return dist.reshape(len(sources), n)
+            levels.append(GeodesicLevel(tails, heads))
+    return out
 
 
-def _expand(frontier: np.ndarray, deg: np.ndarray, n: int, indptr: np.ndarray,
-            indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _expand(frontier: np.ndarray, n: int, indptr: np.ndarray, indices: np.ndarray,
+            degrees: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every step (s, v -> w) out of the flat ids s * n + v in ``frontier``,
     as flat (tails, heads) in (s, v, w) order."""
     node = frontier % n
+    deg = degrees[node]
     tails = np.repeat(frontier, deg)
     first = np.cumsum(deg) - deg
     pos = np.arange(len(tails), dtype=np.int64) + np.repeat(indptr[node] - first, deg)
@@ -220,12 +235,14 @@ def _expand(frontier: np.ndarray, deg: np.ndarray, n: int, indptr: np.ndarray,
     return tails, heads
 
 
-def geodesic_rows(levels: list[GeodesicLevel], n: int, rows: np.ndarray) -> list[GeodesicLevel]:
-    """The geodesic edges of the sorted source rows ``rows`` of a pass from
-    every node (row s is source s), renumbered so that rows[i] becomes row i."""
-    if len(rows) == n:
+def geodesic_rows(levels: list[GeodesicLevel], n: int, rows: np.ndarray,
+                  width: int) -> list[GeodesicLevel]:
+    """The geodesic edges of the sorted rows ``rows`` of a pass (or a block
+    of one) with ``width`` source rows, renumbered so that rows[i] becomes
+    row i."""
+    if len(rows) == width:
         return levels
-    keep = np.zeros(n, dtype=bool)
+    keep = np.zeros(width, dtype=bool)
     keep[rows] = True
     rank = np.cumsum(keep) - 1
     out = []

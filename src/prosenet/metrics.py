@@ -28,7 +28,7 @@ from .graph import (
     GeodesicLevel,
     WordNetwork,
     bfs_distances,
-    geodesic_rows,
+    geodesic_block_rows,
     largest_component_nodes,
 )
 
@@ -118,32 +118,47 @@ def _component_distances(net: WordNetwork, comp: np.ndarray,
     """The component's block of the all-pairs hop distances ``dist``."""
     if dist is None:
         dist = bfs_distances(net, np.arange(net.node_count))
-    return dist[np.ix_(comp, comp)]
+    return dist if len(comp) == net.node_count else dist[np.ix_(comp, comp)]
 
 
-def betweenness(net: WordNetwork, levels: list[GeodesicLevel] | None = None) -> NodeMeasures:
+def betweenness(net: WordNetwork, sources: np.ndarray | None = None,
+                levels: list[GeodesicLevel] | None = None,
+                running: NodeMeasures | None = None) -> NodeMeasures:
     """Shortest-path betweenness over ordered pairs, on the largest component.
 
-    Brandes accumulation over the geodesic edges of a BFS from every
-    component node: geodesic counts sigma flow forward level by level, the
-    dependencies delta flow back, each step one ``np.bincount`` over a
-    level's edges. ``levels`` may come from the all-node pass
-    ``bfs_distances(net, np.arange(n), levels)`` shared with the other
-    measures; without them the component is searched afresh.
+    Brandes accumulation over the geodesic edges of a BFS: geodesic counts
+    sigma flow forward level by level, the dependencies delta flow back,
+    each step one ``np.bincount`` over a level's edges. Each source row's
+    sigma and delta depend on that row's edges alone, so the sources may be
+    searched block by block: ``levels`` are the geodesic levels of one block
+    ``bfs_distances(net, sources, levels)`` (by default one pass from
+    every node), and the block's dependencies are added to ``running``, the
+    betweenness of the blocks before it, in source order. Sources outside
+    the component add exactly 0 to its nodes. Without ``levels`` the
+    component is searched afresh, in blocks of ``geodesic_block_rows``.
     """
     comp = largest_component_nodes(net)
     k, n = len(comp), net.node_count
-    if k <= 2:
-        return _on_component(net, "B", comp, np.zeros(k))
-    if levels is None:
-        levels = []
-        bfs_distances(net, comp, levels)
-    else:
-        levels = geodesic_rows(levels, n, comp)
+    total = np.zeros(n, dtype=np.float64) if running is None else running.values
+    if k > 2 and levels is not None:
+        sources = np.arange(n) if sources is None else np.asarray(sources)
+        total = _brandes(sources, levels, n, total)
+    elif k > 2:
+        step = geodesic_block_rows(net)
+        for start in range(0, k, step):
+            block = comp[start : start + step]
+            block_levels: list[GeodesicLevel] = []
+            bfs_distances(net, block, block_levels)
+            total = _brandes(block, block_levels, n, total)
+    return _on_component(net, "B", comp, total[comp])
 
-    size = k * n
+
+def _brandes(sources: np.ndarray, levels: list[GeodesicLevel], n: int,
+             total: np.ndarray) -> np.ndarray:
+    """``total`` plus the dependencies of each source row, added in row order."""
+    size = len(sources) * n
     sigma = np.zeros(size, dtype=np.float64)
-    sigma[np.arange(k) * n + comp] = 1.0
+    sigma[np.arange(len(sources)) * n + sources] = 1.0
     for lev in levels:
         sigma += np.bincount(lev.heads, weights=sigma[lev.tails], minlength=size)
 
@@ -152,8 +167,11 @@ def betweenness(net: WordNetwork, levels: list[GeodesicLevel] | None = None) -> 
         coeff = (1.0 + delta[lev.heads]) / sigma[lev.heads]
         spread = np.bincount(lev.tails, weights=coeff, minlength=size)
         delta[lev.tails] = spread[lev.tails] * sigma[lev.tails]
-    # a column sum of the C-ordered (k, n) block adds the sources in row order
-    return _on_component(net, "B", comp, delta.reshape(k, n).sum(axis=0)[comp])
+    # a column sum of the C-ordered (rows, n) block adds the rows in order,
+    # so carrying the total in as part of the first row keeps that order
+    rows = delta.reshape(len(sources), n)
+    rows[0] += total
+    return rows.sum(axis=0)
 
 
 def closeness(net: WordNetwork, reciprocal: bool = False,

@@ -8,6 +8,7 @@ per-document work is pure and results are reduced in manifest order.
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import hashlib
 import json
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import EmptyDocumentError, ProsenetError, __version__
+from . import CostGuardError, EmptyDocumentError, ProsenetError, __version__
 from .corpus import (
     CorpusManifest,
     Document,
@@ -41,7 +42,15 @@ from .features import (
     select_top_k,
     select_word_list,
 )
-from .graph import GeodesicLevel, WordNetwork, build_network, geodesic_rows, network_to_json
+from .graph import (
+    GeodesicLevel,
+    WordNetwork,
+    build_network,
+    geodesic_block_rows,
+    geodesic_row_bytes,
+    geodesic_rows,
+    network_to_json,
+)
 from .learn import (
     ClassificationReport,
     ClassifierSpec,
@@ -170,6 +179,17 @@ def config_from_sources(file_values: dict, overrides: dict) -> RunConfig:
 # measurement of one document
 # ---------------------------------------------------------------------------
 
+MEASURE_BUDGET = 1 << 30  # bytes one document's measurement may take at its peak
+
+
+def measurement_bytes(net: WordNetwork) -> int:
+    """Estimated peak bytes of measuring ``net``: the int32 distances from
+    every node, the eigendecomposition behind ``Ag`` (about five float64
+    n x n arrays) and a one-row block of the geodesic pass."""
+    n = net.node_count
+    return 4 * n * n + 5 * 8 * n * n + geodesic_row_bytes(net)
+
+
 def measure_document(
     doc: Document,
     cfg: RunConfig,
@@ -183,20 +203,27 @@ def measure_document(
     ``known`` holds measures already taken on this network with these
     settings (a cache entry): its classic measures and walk values are kept,
     and the network is walked only from the requested nodes it lacks. One
-    BFS pass from every node feeds every distance-based measure either way.
+    geodesic pass from every node feeds every distance-based measure either
+    way. A network whose estimated peak exceeds ``MEASURE_BUDGET`` is
+    refused with ``CostGuardError`` before anything n x n is allocated.
     """
     net = build_network(doc, cfg.window)
-    from .graph import bfs_distances
-
     n = net.node_count
-    levels: list[GeodesicLevel] = []
-    dist_all = bfs_distances(net, np.arange(n), levels)
+    need = measurement_bytes(net)
+    if need > MEASURE_BUDGET:
+        raise CostGuardError(
+            f"document {doc.id!r}: measuring its {n}-node network needs about "
+            f"{need / 2**20:.1f} MiB, over the {MEASURE_BUDGET / 2**20:.1f} MiB budget"
+        )
+    walked = np.zeros(n, dtype=bool) if known is None else _walked(known, cfg)
+    sources = np.flatnonzero(_source_mask(net.node_labels, walk_sources) & ~walked)
+    dist_all, b, sb = _geodesic_pass(net, sources, cfg.h_symmetry, known is None)
     if known is None:
         known = DocumentMeasures(
             doc_id=doc.id,
             label=doc.label,
             node_labels=list(net.node_labels),
-            measures=_classic_measures(net, cfg, dist_all, levels),
+            measures=_classic_measures(net, cfg, dist_all, b),
             vocabulary_size=net.node_count,
             modularity_q=detect_communities(net).q,
             word_frequencies=word_frequencies(doc),
@@ -204,10 +231,6 @@ def measure_document(
     if walk_sources == []:
         return known
 
-    walked = _walked(known, cfg)
-    sources = np.flatnonzero(_source_mask(known.node_labels, walk_sources) & ~walked)
-    dist_sources = dist_all[sources]
-    walk_levels = geodesic_rows(levels, n, sources)
     walked[sources] = True
     measures = dict(known.measures)
 
@@ -217,9 +240,8 @@ def measure_document(
         values[sources] = per_source
         measures[name] = NodeMeasures(name, values, ~walked, doc.id)
 
+    dist_sources = dist_all if len(sources) == n else dist_all[sources]
     acc = accessibility_batch(net, sources, cfg.h_access, dist_block=dist_sources)
-    sb = backbone_symmetry_batch(net, sources, cfg.h_symmetry, dist=dist_sources,
-                                 levels=walk_levels)
     sm = merged_symmetry_batch(net, sources, cfg.h_symmetry, dist=dist_sources)
     for col, h in enumerate(cfg.h_access):
         walk_measure(f"A{h}", acc[:, col])
@@ -229,16 +251,44 @@ def measure_document(
     return dataclasses.replace(known, measures=measures)
 
 
+def _geodesic_pass(net: WordNetwork, sources: np.ndarray, h_symmetry: tuple[int, ...],
+                   with_betweenness: bool) -> tuple[np.ndarray, NodeMeasures | None, np.ndarray]:
+    """The BFS from every node, in blocks of ``geodesic_block_rows`` source
+    rows. Each block's geodesic edges serve at once and are dropped: its
+    Brandes dependencies are added to B, and the backbone walks start from
+    the walk ``sources`` (sorted) among its rows. Returns (dist_all, B or
+    None, Sb at ``sources``)."""
+    from .graph import bfs_distances
+
+    n = net.node_count
+    dist_all = np.empty((n, n), dtype=np.int32)
+    b = None
+    sb = np.zeros((len(sources), len(h_symmetry)), dtype=np.float64)
+    step = geodesic_block_rows(net)
+    for start in range(0, n, step):
+        rows = np.arange(start, min(start + step, n))
+        levels: list[GeodesicLevel] = []  # drops the last block's edges first
+        bfs_distances(net, rows, levels, out=dist_all[start : start + len(rows)])
+        if with_betweenness:
+            b = betweenness(net, rows, levels, b)
+        lo, hi = np.searchsorted(sources, [start, start + len(rows)])
+        if hi > lo:
+            sb[lo:hi] = backbone_symmetry_batch(
+                net, sources[lo:hi], h_symmetry, dist=dist_all[sources[lo:hi]],
+                levels=geodesic_rows(levels, n, sources[lo:hi] - start, len(rows)))
+    return dist_all, b, sb
+
+
 def _classic_measures(net: WordNetwork, cfg: RunConfig, dist_all: np.ndarray,
-                      levels: list[GeodesicLevel]) -> dict:
+                      b: NodeMeasures) -> dict:
     """Every all-node measure that needs no walk sources; ``dist_all`` and
-    ``levels`` are the BFS pass from every node."""
+    the betweenness ``b`` come from the geodesic pass."""
     measures = {}
     measures["k"] = degree(net)
     for h in cfg.h_access:
         measures[f"N{h}"] = neighborhood_connectivity(net, h, cfg.cumulative, dist=dist_all)
     measures["cc"] = clustering(net)
-    measures["B"] = betweenness(net, levels=levels)
+    measures["B"] = b
     measures["C"] = closeness(net, reciprocal=cfg.closeness == "reciprocal", dist=dist_all)
     measures["E"] = eccentricity(net, dist=dist_all)
     measures["Ec"] = eigenvector_centrality(net)
@@ -299,6 +349,11 @@ def _dictionary_digest(dictionary: LemmaDictionary) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+# measure values as base64 of little-endian float64, missing masks as
+# base64 of one byte per node; part of the key, so other layouts miss
+CACHE_LAYOUT = "b64-f8le"
+
+
 def _measure_cache_key(raw_text: str, cfg: RunConfig, dictionary_digest: str,
                        keep_stopwords: bool, doc_id: str = "") -> str:
     """Names one document's network and its measure settings, not the walk
@@ -317,6 +372,7 @@ def _measure_cache_key(raw_text: str, cfg: RunConfig, dictionary_digest: str,
             "closeness": cfg.closeness,
             "cumulative": cfg.cumulative,
             "ag_exclude_self": cfg.ag_exclude_self,
+            "layout": CACHE_LAYOUT,
         },
         sort_keys=True,
     )
@@ -333,20 +389,28 @@ def _measures_to_payload(dm: DocumentMeasures) -> dict:
         "word_frequencies": dm.word_frequencies,
         "measures": {
             name: {
-                "values": [repr(float(v)) for v in nm.values],
-                "missing": [int(m) for m in nm.missing],
+                "values": _b64(nm.values.astype("<f8")),
+                "missing": _b64(nm.missing.astype(np.uint8)),
             }
             for name, nm in sorted(dm.measures.items())
         },
     }
 
 
+def _b64(values: np.ndarray) -> str:
+    return base64.b64encode(values.tobytes()).decode("ascii")
+
+
+def _from_b64(text: str, dtype: str) -> np.ndarray:
+    return np.frombuffer(base64.b64decode(text, validate=True), dtype=dtype)
+
+
 def _measures_from_payload(data: dict) -> DocumentMeasures:
     measures = {
         name: NodeMeasures(
             name,
-            np.array([float(v) for v in block["values"]], dtype=np.float64),
-            np.array(block["missing"], dtype=bool),
+            _from_b64(block["values"], "<f8").astype(np.float64),
+            _from_b64(block["missing"], "u1").astype(bool),
             data["doc_id"],
         )
         for name, block in data["measures"].items()

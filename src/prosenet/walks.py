@@ -105,11 +105,21 @@ def _ring_entropy_exp(probs: np.ndarray) -> float:
     return float(np.exp(-np.sum(pos * np.log(pos))))
 
 
+ENTROPY_BLOCK_CELLS = 1 << 16  # cells per step of ``_exp_entropy_rows``
+
+
 def _exp_entropy_rows(rows: np.ndarray) -> np.ndarray:
     """exp of the Shannon entropy of each nonnegative mass row; 0 for a row
-    with no mass."""
-    ent = -np.sum(np.where(rows > 0, rows * np.log(np.where(rows > 0, rows, 1.0)), 0.0), axis=1)
-    return np.where(rows.sum(axis=1) > 0, np.exp(ent), 0.0)
+    with no mass. Rows go in blocks, so the temporaries stay small; each
+    row is summed whole either way."""
+    out = np.empty(len(rows), dtype=np.float64)
+    step = max(1, ENTROPY_BLOCK_CELLS // max(rows.shape[1], 1))
+    for start in range(0, len(rows), step):
+        part = rows[start : start + step]
+        positive = part > 0
+        ent = -np.sum(np.where(positive, part * np.log(np.where(positive, part, 1.0)), 0.0), axis=1)
+        out[start : start + step] = np.where(part.sum(axis=1) > 0, np.exp(ent), 0.0)
+    return out
 
 
 def accessibility_batch(
@@ -162,22 +172,26 @@ def transition_matrix(net: WordNetwork) -> TransitionMatrix:
     isolated = k == 0
     kguard = np.where(isolated, 1.0, k)
     root = np.sqrt(kguard)
-    p = net.adjacency().astype(np.float64)
-    w = np.zeros((n, n), dtype=np.float64)
+    adj = net.adjacency()
     labels = component_labels(net)
     order = np.argsort(labels, kind="stable")
-    cuts = np.flatnonzero(np.diff(labels[order])) + 1
-    for comp in np.split(order, cuts):
+    comps = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+    # a connected network's exponential is the whole of exp(P): no copy
+    w = None if len(comps) == 1 else np.zeros((n, n), dtype=np.float64)
+    for comp in comps:
         block = np.ix_(comp, comp)
         r = root[comp]
-        sym = p[block]
+        sym = adj[block].astype(np.float64)
         sym /= r[:, None]
         sym /= r[None, :]
         sym = expm(sym)
         sym /= r[:, None]
         sym *= r[None, :]
-        w[block] = sym
-    p /= kguard[:, None]
+        if w is None:
+            w = sym
+        else:
+            w[block] = sym
+    p = adj / kguard[:, None]
     sums = w.sum(axis=1)
     err = float(np.abs(sums[~isolated] - math.e).max()) if (~isolated).any() else 0.0
     w /= sums[:, None]
@@ -194,8 +208,9 @@ def generalized_accessibility(
 
     if tm is None:
         tm = transition_matrix(net)
-    rows = tm.walk_mixture.copy()
+    rows = tm.walk_mixture
     if exclude_self:
+        rows = rows.copy()
         np.fill_diagonal(rows, 0.0)
         sums = rows.sum(axis=1)
         good = sums > 0

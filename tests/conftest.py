@@ -26,6 +26,14 @@ def make_doc(tokens, doc_id="t", label="informative", stop_mask=None):
     )
 
 
+def zipf_doc(tokens: int, words: int = 3000, seed: int = 3):
+    """A document of Zipf-distributed pseudo-words, as prose spreads them."""
+    rng = np.random.default_rng(seed)
+    weights = 1.0 / (np.arange(words) + 2.7)
+    draws = rng.choice(words, tokens, p=weights / weights.sum())
+    return make_doc([f"w{t}" for t in draws])
+
+
 def write_toy_corpus(base: Path, n_per_class: int = 8, tokens: int = 500, seed: int = 7):
     """Two synthetic styles that differ in function-word usage patterns."""
     rng = np.random.default_rng(seed)

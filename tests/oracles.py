@@ -5,7 +5,8 @@ rational arithmetic where possible, deliberately sharing no algorithmic code
 with the package: path-based quantities enumerate simple paths outright, walk
 distributions recurse over walk prefixes with Fractions, and the matrix
 exponential is a truncated Taylor sum. Information gain is counted one
-column and one (bin, label) cell at a time. The learners are the plain forms
+column and one (bin, label) cell at a time, and the frequency decorrelation
+filter correlates one column at a time. The learners are the plain forms
 of what ``prosenet.learn`` vectorises: a single-row KNN vote, a CART that
 masks the rows once per threshold, and a relevance sweep that sums one
 subset's distances at a time.
@@ -409,6 +410,37 @@ def oracle_rank_features(fm: FeatureMatrix, bins: int = 10) -> list[tuple[str, f
     gains = [(name, information_gain(fm, j, bins)) for j, name in enumerate(fm.feature_names)]
     gains.sort(key=lambda t: (-t[1], t[0]))
     return gains
+
+
+# ---------------------------------------------------------------------------
+# the per-column form of prosenet.features.frequency_decorrelation_filter
+# ---------------------------------------------------------------------------
+
+def pearson(x: np.ndarray, y: np.ndarray) -> float:
+    sx, sy = x.std(), y.std()
+    if sx == 0.0 or sy == 0.0:
+        return 0.0
+    return float(((x - x.mean()) * (y - y.mean())).mean() / (sx * sy))
+
+
+def oracle_decorrelation_filter(
+    fm: FeatureMatrix,
+    frequencies: dict[str, dict[str, int]],
+    rho_max: float = 0.5,
+) -> FeatureMatrix:
+    """Each local column's ``pearson`` with its word's frequency, one at a time."""
+    keep = []
+    for j, name in enumerate(fm.feature_names):
+        if "@" not in name:
+            keep.append(name)
+            continue
+        word = name.split("@", 1)[1]
+        freq = np.array(
+            [frequencies.get(d, {}).get(word, 0) for d in fm.doc_ids], dtype=np.float64
+        )
+        if abs(pearson(fm.values[:, j], freq)) <= rho_max:
+            keep.append(name)
+    return fm.subset(keep)
 
 
 # ---------------------------------------------------------------------------

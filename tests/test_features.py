@@ -7,8 +7,10 @@ from conftest import make_doc
 from oracles import (
     information_gain,
     mutual_information_bits,
+    oracle_decorrelation_filter,
     oracle_mutual_information,
     oracle_rank_features,
+    pearson,
 )
 from prosenet.features import (
     DocumentMeasures,
@@ -304,3 +306,45 @@ def test_ranking_matches_per_column_reference(case):
     expected = oracle_rank_features(fm, bins)
     assert [name for name, _ in ranked] == [name for name, _ in expected]
     assert [repr(float(g)) for _, g in ranked] == [repr(float(g)) for _, g in expected]
+
+
+@st.composite
+def decorrelation_cases(draw):
+    """Local columns (several measures per word, words absent from some
+    documents) beside global ones, with repeated and constant values, and a
+    threshold that may sit exactly at one column's reference |r|."""
+    n_docs = draw(st.integers(2, 200))
+    words = [f"w{i}" for i in range(draw(st.integers(1, 4)))]
+    names = draw(st.lists(st.sampled_from([f"{m}@{w}" for m in ("A2", "k", "Sb3") for w in words]
+                                          + ["V", "mean(k)"]), min_size=1, unique=True))
+    columns = []
+    for _ in names:
+        pool = draw(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=6))
+        columns.append(draw(st.lists(st.sampled_from(pool), min_size=n_docs, max_size=n_docs)))
+    doc_ids = [f"d{i}" for i in range(n_docs)]
+    frequencies = {
+        d: {w: draw(st.integers(0, 30)) for w in words if draw(st.booleans())}
+        for d in doc_ids if draw(st.integers(0, 9))
+    }
+    fm = FeatureMatrix(doc_ids, ["informative"] * n_docs, names, np.array(columns).T)
+    local = [j for j, name in enumerate(names) if "@" in name]
+    if local and draw(st.booleans()):
+        j = draw(st.sampled_from(local))
+        word = names[j].split("@", 1)[1]
+        freq = np.array([frequencies.get(d, {}).get(word, 0) for d in doc_ids], dtype=np.float64)
+        rho_max = abs(pearson(fm.values[:, j], freq))
+        if draw(st.booleans()):
+            rho_max = float(np.nextafter(rho_max, -np.inf))
+    else:
+        rho_max = draw(st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+    return fm, frequencies, rho_max
+
+
+@settings(max_examples=150, deadline=None)
+@given(decorrelation_cases())
+def test_decorrelation_filter_matches_per_column_reference(case):
+    fm, frequencies, rho_max = case
+    got = frequency_decorrelation_filter(fm, frequencies, rho_max)
+    want = oracle_decorrelation_filter(fm, frequencies, rho_max)
+    assert got.feature_names == want.feature_names
+    assert np.array_equal(got.values, want.values)

@@ -1,15 +1,19 @@
+import dataclasses
 import json
 import shutil
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import make_doc, write_toy_corpus
-from prosenet import CostGuardError, ProsenetError, pipeline
+from conftest import make_doc, write_toy_corpus, zipf_doc
+from prosenet import CostGuardError, ProsenetError, graph, pipeline
 from prosenet.cli import main
 from prosenet.corpus import load_lemma_dictionary, load_manifest
+from prosenet.graph import build_network, geodesic_row_bytes
 from prosenet.learn import RelevanceReport
+from prosenet.metrics import NodeMeasures
 from prosenet.pipeline import (
     RunConfig,
     cmd_baselines,
@@ -233,9 +237,9 @@ class TestCacheEntryLayout:
         victim = entries[0]
         doc_id = json.loads(victim.read_text())["payload"]["doc_id"]
         data = bytearray(victim.read_bytes())
-        at = data.index(b'"values": ["') + len(b'"values": ["')
-        assert chr(data[at]).isdigit()
-        data[at] = ord("1") if data[at] != ord("1") else ord("2")  # still valid JSON
+        at = data.index(b'"values": "') + len(b'"values": "')
+        assert chr(data[at]).isalnum()
+        data[at] = ord("A") if data[at] != ord("A") else ord("B")  # still valid base64 and JSON
         victim.write_bytes(bytes(data))
         calls = TestSharedMeasureCache.count_calls(monkeypatch)
         assert [p.read_bytes() for p in cmd_measure(cfg)] == written
@@ -252,6 +256,23 @@ class TestCacheEntryLayout:
         calls = TestSharedMeasureCache.count_calls(monkeypatch)
         assert [p.read_bytes() for p in cmd_measure(cfg)] == written
         assert calls == [(reindented["payload"]["doc_id"], False)]
+
+    def test_payload_round_trip_is_exact(self):
+        dm = measure_document(make_doc("a b c a d e b f c g a h d".split()), RunConfig(), ["b"])
+        odd = np.array([-0.0, 5e-324, np.finfo(float).max, 0.1, 1 / 3, -2.5e-300, 7.0, 1e16 + 2])
+        dm.measures["odd"] = NodeMeasures("odd", odd, odd < 0, dm.doc_id)
+        text = json.dumps(pipeline._measures_to_payload(dm), sort_keys=True)
+        back = pipeline._measures_from_payload(json.loads(text))
+        assert back.measures.keys() == dm.measures.keys()
+        for name, nm in dm.measures.items():
+            assert back.measures[name].values.tobytes() == nm.values.tobytes(), name
+            assert np.array_equal(back.measures[name].missing, nm.missing), name
+        assert dataclasses.replace(back, measures={}) == dataclasses.replace(dm, measures={})
+
+    def test_layout_is_part_of_the_key(self, monkeypatch):
+        key = pipeline._measure_cache_key("text", RunConfig(), "digest", False, "d")
+        monkeypatch.setattr(pipeline, "CACHE_LAYOUT", "repr-lists")
+        assert pipeline._measure_cache_key("text", RunConfig(), "digest", False, "d") != key
 
 
 class TestCachedLabels:
@@ -327,6 +348,68 @@ class TestMeasureDocument:
         for h in depths:
             assert dm.measures[f"Sb{h}"].missing.all()
             assert dm.measures[f"Sm{h}"].missing.all()
+
+
+def traced_peak(fn):
+    """(fn's result, the peak bytes that tracemalloc saw while it ran)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMeasurementMemory:
+    def test_blocked_pass_stays_within_its_budget(self):
+        net = build_network(zipf_doc(3000))
+        n = net.node_count
+        budget, dist_bytes = graph.GEODESIC_BLOCK_BYTES, 4 * n * n
+        assert n * geodesic_row_bytes(net) > budget  # one block would not fit
+
+        def geodesic_pass():
+            return pipeline._geodesic_pass(net, np.arange(n), (2, 3, 4), True)
+
+        blocked, peak = traced_peak(geodesic_pass)
+        assert peak <= budget + dist_bytes
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graph, "GEODESIC_BLOCK_BYTES", n * geodesic_row_bytes(net))
+            whole, whole_peak = traced_peak(geodesic_pass)
+        assert whole_peak > budget + dist_bytes
+        assert np.array_equal(blocked[0], whole[0])
+        assert np.array_equal(blocked[1].values, whole[1].values)
+        assert np.array_equal(blocked[2], whole[2])
+
+    def test_over_budget_document_is_refused_before_any_n_by_n_array(self, monkeypatch):
+        doc = zipf_doc(3000)
+        n = build_network(doc).node_count
+        monkeypatch.setattr(pipeline, "MEASURE_BUDGET", 1 << 20)
+
+        def refused():
+            with pytest.raises(CostGuardError, match=rf"{n}-node network.*1\.0 MiB budget"):
+                measure_document(doc, RunConfig(), None)
+
+        _, peak = traced_peak(refused)
+        assert peak < n * n  # less than the boolean adjacency alone
+
+    def test_refused_document_goes_on_the_failure_list(self, tmp_path, monkeypatch):
+        manifest = write_toy_corpus(tmp_path / "corpus", n_per_class=2, tokens=200)
+        letters = "abcdefghijklmnopqrstuvwxyz"
+        words = [f"q{a}{b}z" for a in letters for b in letters][:400]
+        (tmp_path / "corpus" / "long.txt").write_text(" ".join(words), encoding="utf-8")
+        with_long = tmp_path / "corpus" / "with_long.tsv"
+        with_long.write_text(manifest.read_text() + "long\tinformative\tlong.txt\n")
+        monkeypatch.setattr(pipeline, "MEASURE_BUDGET", 44 * 300**2)
+
+        def measure(path, out):
+            return cmd_measure(RunConfig(manifest=str(path), strategy="GS", out=str(out)))
+
+        with pytest.raises(ProsenetError, match="1 document.*long: CostGuardError.*400-node"):
+            measure(with_long, tmp_path / "with")
+        written = sorted((tmp_path / "with" / "measures").glob("*.csv"))
+        alone = measure(manifest, tmp_path / "without")
+        assert [p.name for p in written] == [p.name for p in alone]
+        assert [p.read_bytes() for p in written] == [p.read_bytes() for p in alone]
 
 
 class TestMeasureErrorCollection:
