@@ -10,14 +10,15 @@ the (source s, v -> w) steps with dist[s, w] == dist[s, v] + 1, as flat ids
 s * n + v and s * n + w in (s, v, w) order. Brandes betweenness and the
 backbone symmetry walk run over those edges with ``np.bincount``, whose
 sequential accumulation sums each target's terms in ascending (s, v) order.
-A pass from every node runs over blocks of source rows, as many as fit in
-``GEODESIC_BLOCK_BYTES``, and each block's edges are used and dropped before
-the next block is searched.
+Every batched kernel, this pass from every node among them, runs over
+``row_blocks`` sized from its own bound on one row's bytes; each block's
+work is used and dropped before the next block starts.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,7 +159,19 @@ def largest_component_nodes(net: WordNetwork) -> np.ndarray:
     return np.flatnonzero(comp == best)
 
 
-GEODESIC_BLOCK_BYTES = 8 << 20  # transient bytes of one block of a geodesic pass
+BLOCK_BYTES = 8 << 20  # transient bytes of one block of any batched kernel
+
+
+def row_blocks(row_bytes: np.ndarray) -> Iterator[slice]:
+    """Consecutive slices of rows, as many as fit in ``BLOCK_BYTES`` by their
+    byte bounds ``row_bytes``; a row over the budget forms a block alone."""
+    ends = np.cumsum(row_bytes)
+    start = 0
+    while start < len(ends):
+        limit = ends[start] - row_bytes[start] + BLOCK_BYTES
+        stop = max(start + 1, int(np.searchsorted(ends, limit, side="right")))
+        yield slice(start, stop)
+        start = stop
 
 
 @dataclass
@@ -172,18 +185,11 @@ class GeodesicLevel:
 
 
 def geodesic_row_bytes(net: WordNetwork) -> int:
-    """An upper bound on the bytes one source row adds to a block of a
-    geodesic pass. Per CSR entry: the row's held geodesic edges (at most one
-    per undirected edge, two int32 ids) and the expansion of a level (at most
-    every entry, about 28 bytes each while its positions are gathered). Per
-    node: the float64 rows of Brandes' sigma, delta and sums, and of the
-    backbone walk's mass and entropy terms."""
+    """An upper bound on one source row's bytes in a block of a geodesic pass:
+    per CSR entry, a held geodesic edge (two int32 ids) and a level's
+    expansion (about 28 bytes); per node, the float64 rows of Brandes' sigma,
+    delta and sums and of the backbone walk's mass and entropy terms."""
     return 32 * len(net.indices) + 64 * net.node_count
-
-
-def geodesic_block_rows(net: WordNetwork) -> int:
-    """Source rows per block so that a block stays within ``GEODESIC_BLOCK_BYTES``."""
-    return max(1, GEODESIC_BLOCK_BYTES // geodesic_row_bytes(net))
 
 
 def bfs_distances(net: WordNetwork, sources: np.ndarray,

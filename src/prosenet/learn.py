@@ -234,25 +234,45 @@ def _loo_fold_weights(x: np.ndarray) -> np.ndarray:
     return w
 
 
+def _knn_term(x: np.ndarray, w: np.ndarray, f: int) -> np.ndarray:
+    """Feature f's squared-distance terms w[i, f] * (x[i, f] - x[j, f])^2 of
+    leave-one-out fold i, laid out [j, i]."""
+    col = x[:, f]
+    return w[:, f] * (col[:, None] - col[None, :]) ** 2
+
+
+def _knn_vote(blocks: np.ndarray, y01: np.ndarray, k: int, voters: np.ndarray) -> np.ndarray:
+    """LOO KNN predictions (0 or 1) per [subset, i] from [subset, j, i]
+    blocks of squared distances, whose diagonals are overwritten. Every
+    neighbour within the K-th radius votes; ``voters`` is float32 scratch of
+    the blocks' shape (float32 sums of 0/1 are exact below 2^24 rows)."""
+    n = len(y01)
+    kk = min(k, n - 1)
+    diag = np.arange(n)
+    blocks[:, diag, diag] = np.inf
+    kth = np.partition(blocks, kk - 1, axis=1)[:, kk - 1]
+    np.less_equal(blocks, kth[:, None, :], out=voters)
+    # [label-1 voters, all voters] per row
+    tally = np.stack([y01 == 1, np.ones(n, dtype=bool)]).astype(np.float32)
+    ones, total = (tally @ voters).transpose(1, 0, 2)
+    return ones > total - ones  # tie -> smaller (index 0) label
+
+
 def _loo_knn_predictions(x: np.ndarray, y01: np.ndarray, k: int) -> np.ndarray:
     """Vectorized leave-one-out KNN with per-fold z-scoring.
 
     Mean-centering cancels in Euclidean distances, so each fold only needs
     its per-feature inverse variances, computed from leave-one-out sums.
+    The squared distances add the per-feature terms in ascending feature
+    order from zero, as the relevance sweep does, so a feature set gets the
+    accuracy its subset has in the sweep.
     """
-    n = len(x)
+    n, phi = x.shape
     w = _loo_fold_weights(x)
-    preds = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        d2 = ((x - x[i]) ** 2 * w[i]).sum(axis=1)
-        d2[i] = np.inf
-        kk = min(k, n - 1)
-        kth = np.partition(d2, kk - 1)[kk - 1]
-        voters = d2 <= kth
-        ones = int(y01[voters].sum())
-        zeros = int(voters.sum()) - ones
-        preds[i] = 1 if ones > zeros else 0  # tie -> smaller (index 0) label
-    return preds
+    d2 = np.zeros((1, n, n), dtype=np.float64)
+    for f in range(phi):
+        d2[0] += _knn_term(x, w, f)
+    return _knn_vote(d2, y01, k, np.empty(d2.shape, dtype=np.float32))[0].astype(np.int64)
 
 
 def loo_evaluate(fm: FeatureMatrix, spec: ClassifierSpec) -> ClassificationReport:
@@ -321,32 +341,19 @@ def _knn_subset_accuracies(
     w = _loo_fold_weights(x)
     terms = np.empty((phi, n, n), dtype=np.float64)
     for f in range(phi):
-        col = x[:, f]
-        terms[f] = w[:, f] * (col[:, None] - col[None, :]) ** 2
+        terms[f] = _knn_term(x, w, f)
     low = min(phi, max(0, (block_cells // (n * n)).bit_length() - 1))
     blocks = np.zeros((phi - low + 1, 2**low, n, n), dtype=np.float64)
     for mask in range(1, 2**low):
         top = mask.bit_length() - 1
         blocks[0, mask] = blocks[0, mask ^ 1 << top] + terms[top]
 
-    kk = min(k, n - 1)
-    diag = np.arange(n)
-    # [label-1 voters, all voters] per row; float32 sums of 0/1 are exact
-    # below 2^24 rows
-    tally = np.stack([y01 == 1, np.ones(n, dtype=bool)]).astype(np.float32)
     voters = np.empty(blocks.shape[1:], dtype=np.float32)
     accuracies = np.empty(2**phi, dtype=np.float64)
 
-    def vote(high: int, block: np.ndarray) -> None:
-        block[:, diag, diag] = np.inf
-        kth = np.partition(block, kk - 1, axis=1)[:, kk - 1]
-        np.less_equal(block, kth[:, None, :], out=voters)
-        ones, total = (tally @ voters).transpose(1, 0, 2)
-        preds = ones > total - ones  # tie -> smaller (index 0) label
-        accuracies[high << low:(high + 1) << low] = (preds == y01).mean(axis=1)
-
     def descend(high: int, depth: int) -> None:
-        vote(high, blocks[depth])
+        preds = _knn_vote(blocks[depth], y01, k, voters)
+        accuracies[high << low:(high + 1) << low] = (preds == y01).mean(axis=1)
         for f in range(high.bit_length(), phi - low):
             np.add(blocks[depth], terms[low + f], out=blocks[depth + 1])
             descend(high | 1 << f, depth + 1)

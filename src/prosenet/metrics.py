@@ -24,13 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ConvergenceError, ProsenetError
-from .graph import (
-    GeodesicLevel,
-    WordNetwork,
-    bfs_distances,
-    geodesic_block_rows,
-    largest_component_nodes,
-)
+from .graph import (GeodesicLevel, WordNetwork, bfs_distances, geodesic_row_bytes,
+                    largest_component_nodes, row_blocks)
 
 
 @dataclass
@@ -83,16 +78,19 @@ def neighborhood_connectivity(net: WordNetwork, h: int, cumulative: bool = False
     return _full(net, f"N{h}", counts.astype(np.float64))
 
 
+def clustering_row_bytes(net: WordNetwork) -> int:
+    """Bytes ``clustering`` takes per CSR entry: two adjacency rows and their AND."""
+    return 3 * net.node_count
+
+
 def clustering(net: WordNetwork) -> NodeMeasures:
     """Fraction of connected neighbor pairs; 0 for nodes of degree < 2."""
     n = net.node_count
     adj = net.adjacency()
     heads = net.heads()
     common = np.zeros(len(heads), dtype=np.int64)
-    block = max(1, (1 << 22) // max(n, 1))  # about 4 MB of rows per step
-    for start in range(0, len(heads), block):
-        stop = start + block
-        common[start:stop] = (adj[heads[start:stop]] & adj[net.indices[start:stop]]).sum(axis=1)
+    for part in row_blocks(np.full(len(heads), clustering_row_bytes(net))):
+        common[part] = (adj[heads[part]] & adj[net.indices[part]]).sum(axis=1)
     triangles = np.bincount(heads, weights=common, minlength=n) / 2.0
     k = net.degrees.astype(np.float64)
     pairs = k * (k - 1.0) / 2.0
@@ -135,7 +133,7 @@ def betweenness(net: WordNetwork, sources: np.ndarray | None = None,
     every node), and the block's dependencies are added to ``running``, the
     betweenness of the blocks before it, in source order. Sources outside
     the component add exactly 0 to its nodes. Without ``levels`` the
-    component is searched afresh, in blocks of ``geodesic_block_rows``.
+    component is searched afresh, in ``row_blocks`` of its nodes.
     """
     comp = largest_component_nodes(net)
     k, n = len(comp), net.node_count
@@ -144,12 +142,10 @@ def betweenness(net: WordNetwork, sources: np.ndarray | None = None,
         sources = np.arange(n) if sources is None else np.asarray(sources)
         total = _brandes(sources, levels, n, total)
     elif k > 2:
-        step = geodesic_block_rows(net)
-        for start in range(0, k, step):
-            block = comp[start : start + step]
+        for part in row_blocks(np.full(k, geodesic_row_bytes(net))):
             block_levels: list[GeodesicLevel] = []
-            bfs_distances(net, block, block_levels)
-            total = _brandes(block, block_levels, n, total)
+            bfs_distances(net, comp[part], block_levels)
+            total = _brandes(comp[part], block_levels, n, total)
     return _on_component(net, "B", comp, total[comp])
 
 

@@ -46,10 +46,10 @@ from .graph import (
     GeodesicLevel,
     WordNetwork,
     build_network,
-    geodesic_block_rows,
     geodesic_row_bytes,
     geodesic_rows,
     network_to_json,
+    row_blocks,
 )
 from .learn import (
     ClassificationReport,
@@ -65,6 +65,7 @@ from .learn import (
 from .metrics import (
     NodeMeasures,
     clustering,
+    clustering_row_bytes,
     betweenness,
     closeness,
     degree,
@@ -75,10 +76,13 @@ from .metrics import (
     pagerank,
 )
 from .walks import (
+    ENTROPY_CELL_BYTES,
     accessibility_batch,
     backbone_symmetry_batch,
     generalized_accessibility,
+    merged_row_bytes,
     merged_symmetry_batch,
+    saw_row_bytes,
 )
 
 STRATEGIES = ("GS", "LS", "LSS")
@@ -125,6 +129,20 @@ class RunConfig:
             raise ProsenetError("walk depths (--h) must lie in 1..4")
         if not self.h_symmetry or any(h < 1 for h in self.h_symmetry):
             raise ProsenetError("symmetry depths must be >= 1")
+        for name, ok, rule in (
+            ("knn_k", self.knn_k >= 1, ">= 1"),
+            ("top_k", self.top_k >= 2, ">= 2"),  # PCA projects onto two columns
+            ("word_list_size", self.word_list_size >= 1, ">= 1"),
+            ("min_doc_fraction", 0 < self.min_doc_fraction <= 1, "in (0, 1]"),
+            ("rho_max", self.rho_max >= 0, ">= 0"),
+            ("window", self.window >= 1, ">= 1"),
+            ("phi", self.phi >= 1, ">= 1"),
+            ("baseline_top_k", self.baseline_top_k >= 1, ">= 1"),
+            ("jobs", self.jobs >= 1, ">= 1"),
+        ):
+            if not ok:
+                flag = "--" + name.replace("_", "-")
+                raise ProsenetError(f"{flag} must be {rule}, got {getattr(self, name)!r}")
 
     def as_dict(self) -> dict:
         data = dataclasses.asdict(self)
@@ -182,12 +200,16 @@ def config_from_sources(file_values: dict, overrides: dict) -> RunConfig:
 MEASURE_BUDGET = 1 << 30  # bytes one document's measurement may take at its peak
 
 
-def measurement_bytes(net: WordNetwork) -> int:
-    """Estimated peak bytes of measuring ``net``: the int32 distances from
-    every node, the eigendecomposition behind ``Ag`` (about five float64
-    n x n arrays) and a one-row block of the geodesic pass."""
+def measurement_bytes(net: WordNetwork, sources: np.ndarray, h_access: tuple[int, ...]) -> int:
+    """Estimated peak bytes of measuring ``net`` and walking from
+    ``sources``: the int32 distances from every node, the eigendecomposition
+    behind ``Ag`` (about five float64 n x n arrays) and the largest single
+    row of any batched kernel, which a block exceeds only when that row is
+    a block alone."""
     n = net.node_count
-    return 4 * n * n + 5 * 8 * n * n + geodesic_row_bytes(net)
+    rows = [geodesic_row_bytes(net), clustering_row_bytes(net), ENTROPY_CELL_BYTES * n,
+            merged_row_bytes(net), saw_row_bytes(net, sources, max(h_access)).max(initial=0)]
+    return 4 * n * n + 5 * 8 * n * n + int(max(rows))
 
 
 def measure_document(
@@ -205,18 +227,19 @@ def measure_document(
     and the network is walked only from the requested nodes it lacks. One
     geodesic pass from every node feeds every distance-based measure either
     way. A network whose estimated peak exceeds ``MEASURE_BUDGET`` is
-    refused with ``CostGuardError`` before anything n x n is allocated.
+    refused with ``CostGuardError`` before anything n x n is allocated or
+    any walk enumerated.
     """
     net = build_network(doc, cfg.window)
     n = net.node_count
-    need = measurement_bytes(net)
+    walked = np.zeros(n, dtype=bool) if known is None else _walked(known, cfg)
+    sources = np.flatnonzero(_source_mask(net.node_labels, walk_sources) & ~walked)
+    need = measurement_bytes(net, sources, cfg.h_access)
     if need > MEASURE_BUDGET:
         raise CostGuardError(
             f"document {doc.id!r}: measuring its {n}-node network needs about "
             f"{need / 2**20:.1f} MiB, over the {MEASURE_BUDGET / 2**20:.1f} MiB budget"
         )
-    walked = np.zeros(n, dtype=bool) if known is None else _walked(known, cfg)
-    sources = np.flatnonzero(_source_mask(net.node_labels, walk_sources) & ~walked)
     dist_all, b, sb = _geodesic_pass(net, sources, cfg.h_symmetry, known is None)
     if known is None:
         known = DocumentMeasures(
@@ -253,29 +276,28 @@ def measure_document(
 
 def _geodesic_pass(net: WordNetwork, sources: np.ndarray, h_symmetry: tuple[int, ...],
                    with_betweenness: bool) -> tuple[np.ndarray, NodeMeasures | None, np.ndarray]:
-    """The BFS from every node, in blocks of ``geodesic_block_rows`` source
-    rows. Each block's geodesic edges serve at once and are dropped: its
-    Brandes dependencies are added to B, and the backbone walks start from
-    the walk ``sources`` (sorted) among its rows. Returns (dist_all, B or
-    None, Sb at ``sources``)."""
+    """The BFS from every node, in ``row_blocks`` of source rows by
+    ``geodesic_row_bytes``. Each block's geodesic edges serve at once and
+    are dropped: its Brandes dependencies are added to B, and the backbone
+    walks start from the walk ``sources`` (sorted) among its rows. Returns
+    (dist_all, B or None, Sb at ``sources``)."""
     from .graph import bfs_distances
 
     n = net.node_count
     dist_all = np.empty((n, n), dtype=np.int32)
     b = None
     sb = np.zeros((len(sources), len(h_symmetry)), dtype=np.float64)
-    step = geodesic_block_rows(net)
-    for start in range(0, n, step):
-        rows = np.arange(start, min(start + step, n))
+    for part in row_blocks(np.full(n, geodesic_row_bytes(net))):
+        rows = np.arange(part.start, part.stop)
         levels: list[GeodesicLevel] = []  # drops the last block's edges first
-        bfs_distances(net, rows, levels, out=dist_all[start : start + len(rows)])
+        bfs_distances(net, rows, levels, out=dist_all[part])
         if with_betweenness:
             b = betweenness(net, rows, levels, b)
-        lo, hi = np.searchsorted(sources, [start, start + len(rows)])
+        lo, hi = np.searchsorted(sources, [part.start, part.stop])
         if hi > lo:
             sb[lo:hi] = backbone_symmetry_batch(
                 net, sources[lo:hi], h_symmetry, dist=dist_all[sources[lo:hi]],
-                levels=geodesic_rows(levels, n, sources[lo:hi] - start, len(rows)))
+                levels=geodesic_rows(levels, n, sources[lo:hi] - part.start, len(rows)))
     return dist_all, b, sb
 
 

@@ -4,8 +4,8 @@ matrix-exponential walk mixture, and concentric symmetry.
 Self-avoiding walks are enumerated exactly: the set of alive walk prefixes is
 kept in flat arrays (endpoint, probability, short visited history) and grown
 one step at a time, so the whole frontier advances with a handful of numpy
-operations per level. Depth is capped (default 4), which also bounds the
-history to three columns.
+operations per level. Depth is capped at 4, which also bounds the history to
+three columns; sources go in blocks sized by a per-source byte bound.
 
 Concentric symmetry is evaluated on the backbone/merged pattern with the
 concentric walk: at each step the walker moves uniformly among the pattern
@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import GeodesicLevel, WordNetwork, bfs_distances, component_labels, min_labels
+from .graph import (GeodesicLevel, WordNetwork, bfs_distances, component_labels, min_labels,
+                    row_blocks)
 
 DEFAULT_DEPTH_CAP = 4
 
@@ -39,62 +40,62 @@ class TransitionMatrix:
     row_sum_error: float = 0.0
 
 
-def _saw_levels(
-    net: WordNetwork,
-    sources: np.ndarray,
-    h_max: int,
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Exact SAW position distributions for a batch of sources.
-
-    Returns (levels, dead) where levels[t-1][s, v] is the probability that the
-    walker from sources[s] stands on v after t steps, and dead[s, t] is the
-    mass of walks from sources[s] that could not complete t steps.
-    """
-    n_src = len(sources)
-    n = net.node_count
-    indptr, indices = net.indptr, net.indices
-
+def _saw_levels(net: WordNetwork, sources: np.ndarray, h_max: int) -> list[np.ndarray]:
+    """Exact SAW position distributions: levels[t-1][s, v] is the probability
+    that the walker from sources[s] stands on v after t steps."""
+    n_src, n = len(sources), net.node_count
+    indptr, indices, degrees = net.indptr, net.indices, net.degrees
     src_idx = np.arange(n_src, dtype=np.int64)
-    src_node = sources.astype(np.int64)
     cur = sources.astype(np.int64)
     prob = np.ones(n_src, dtype=np.float64)
-    hist: list[np.ndarray] = []
-
-    levels = [np.zeros((n_src, n), dtype=np.float64) for _ in range(h_max)]
-    dead = np.zeros((n_src, h_max + 1), dtype=np.float64)
-    dead_running = np.zeros(n_src, dtype=np.float64)
-
-    for t in range(1, h_max + 1):
-        if len(cur) == 0:
-            dead[:, t] = dead_running
-            continue
-        deg = (indptr[cur + 1] - indptr[cur]).astype(np.int64)
-        total = int(deg.sum())
+    hist: list[np.ndarray] = []  # each prefix's nodes before its end, the source first
+    levels = []
+    for _ in range(h_max):
+        deg = degrees[cur]
         path_id = np.repeat(np.arange(len(cur), dtype=np.int64), deg)
-        cum = np.concatenate(([0], np.cumsum(deg)))
-        pos = indptr[cur][path_id] + (np.arange(total, dtype=np.int64) - cum[path_id])
-        nbr = indices[pos].astype(np.int64)
-
-        mask = nbr != src_node[src_idx[path_id]]
+        nbr = indices[np.arange(len(path_id)) + np.repeat(indptr[cur] - np.cumsum(deg) + deg, deg)]
+        mask = np.ones(len(nbr), dtype=bool)  # no self-loops: no end is its own neighbour
         for col in hist:
             mask &= nbr != col[path_id]
-
-        branch = np.bincount(path_id[mask], minlength=len(cur)).astype(np.float64)
-        stuck = branch == 0
-        if stuck.any():
-            np.add.at(dead_running, src_idx[stuck], prob[stuck])
-
         sel = path_id[mask]
-        prob = prob[sel] / branch[sel]
+        del path_id  # the candidate arrays go before the next level is built
+        prob = prob[sel] / np.bincount(sel, minlength=len(cur))[sel]
         hist = [col[sel] for col in hist] + [cur[sel]]
         src_idx = src_idx[sel]
-        cur = nbr[mask]
+        cur = nbr[mask].astype(np.int64)
+        del nbr, mask
+        flat = np.bincount(src_idx * n + cur, weights=prob, minlength=n_src * n)
+        levels.append(flat.reshape(n_src, n))
+    return levels
 
-        dead[:, t] = dead_running
-        if len(cur):
-            flat = np.bincount(src_idx * n + cur, weights=prob, minlength=n_src * n)
-            levels[t - 1] = flat.reshape(n_src, n)
-    return levels, dead
+
+PREFIX_BYTES = 96  # bytes ``_saw_levels`` holds per candidate step, with headroom
+ENTROPY_CELL_BYTES = 24  # ``_exp_entropy_rows``: a mask, two float64 temporaries, headroom
+
+
+def nonbacktracking_walks(net: WordNetwork, h_max: int) -> np.ndarray:
+    """NB[t, s]: non-backtracking walks of t = 0..h_max steps from s, at least
+    the self-avoiding ones (as many up to t = 2). Per CSR entry v -> w, g_1 = 1
+    and g_t(v -> w) = sum of g_{t-1}(w -> x) over x in N(w) - g_{t-1}(w -> v);
+    NB_t(s) sums g_t out of s. CSR rows are sorted: one sort finds reverses."""
+    heads, tails = net.heads(), net.indices
+    reverse = np.lexsort((heads, tails))
+    out = np.ones((h_max + 1, net.node_count), dtype=np.float64)
+    g = np.ones(len(tails), dtype=np.float64)
+    for t in range(1, h_max + 1):
+        out[t] = np.bincount(heads, weights=g, minlength=net.node_count)
+        g = out[t][tails] - g[reverse]
+    return out
+
+
+def saw_row_bytes(net: WordNetwork, sources: np.ndarray, h_max: int) -> np.ndarray:
+    """An upper bound on the bytes each source adds to a block of
+    ``accessibility_batch``: at depth t, ``_saw_levels`` holds at most
+    NB_{t-1} + NB_t prefixes and candidate steps; per node, the dense level
+    rows, one more being summed, and the ring mass whose entropy is taken."""
+    nb = nonbacktracking_walks(net, h_max)[:, sources]
+    dense = (8 * h_max + 17 + ENTROPY_CELL_BYTES) * net.node_count
+    return PREFIX_BYTES * (nb[1:] + nb[:-1]).max(axis=0) + dense
 
 
 def _ring_entropy_exp(probs: np.ndarray) -> float:
@@ -105,20 +106,15 @@ def _ring_entropy_exp(probs: np.ndarray) -> float:
     return float(np.exp(-np.sum(pos * np.log(pos))))
 
 
-ENTROPY_BLOCK_CELLS = 1 << 16  # cells per step of ``_exp_entropy_rows``
-
-
 def _exp_entropy_rows(rows: np.ndarray) -> np.ndarray:
-    """exp of the Shannon entropy of each nonnegative mass row; 0 for a row
-    with no mass. Rows go in blocks, so the temporaries stay small; each
-    row is summed whole either way."""
+    """exp of the Shannon entropy of each nonnegative mass row (0 for a row
+    without mass), in ``row_blocks``; each row is summed whole either way."""
     out = np.empty(len(rows), dtype=np.float64)
-    step = max(1, ENTROPY_BLOCK_CELLS // max(rows.shape[1], 1))
-    for start in range(0, len(rows), step):
-        part = rows[start : start + step]
-        positive = part > 0
-        ent = -np.sum(np.where(positive, part * np.log(np.where(positive, part, 1.0)), 0.0), axis=1)
-        out[start : start + step] = np.where(part.sum(axis=1) > 0, np.exp(ent), 0.0)
+    for part in row_blocks(np.full(len(rows), ENTROPY_CELL_BYTES * rows.shape[1])):
+        mass = rows[part]
+        positive = mass > 0
+        ent = -np.sum(np.where(positive, mass * np.log(np.where(positive, mass, 1.0)), 0.0), axis=1)
+        out[part] = np.where(mass.sum(axis=1) > 0, np.exp(ent), 0.0)
     return out
 
 
@@ -126,26 +122,22 @@ def accessibility_batch(
     net: WordNetwork,
     sources: np.ndarray,
     h_values: tuple[int, ...],
-    cap: int = DEFAULT_DEPTH_CAP,
-    chunk: int = 16,
     dist_block: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Accessibility at each h in h_values for many sources; shape (S, len(h))."""
-    for h in h_values:
-        if not 1 <= h <= cap:
-            raise ValueError(f"h must lie in 1..{cap}")
+    """Accessibility at each h in h_values (1..DEFAULT_DEPTH_CAP, as
+    ``saw_row_bytes`` assumes) for many sources; shape (S, len(h)). The
+    sources go in ``row_blocks`` by ``saw_row_bytes``."""
+    if not all(1 <= h <= DEFAULT_DEPTH_CAP for h in h_values):
+        raise ValueError(f"h must lie in 1..{DEFAULT_DEPTH_CAP}")
     h_max = max(h_values)
+    sources = np.asarray(sources)
     out = np.zeros((len(sources), len(h_values)), dtype=np.float64)
-    for start in range(0, len(sources), chunk):
-        batch = np.asarray(sources[start : start + chunk])
-        levels, _ = _saw_levels(net, batch, h_max)
-        if dist_block is None:
-            dist = bfs_distances(net, batch)
-        else:
-            dist = dist_block[start : start + len(batch)]
+    for part in row_blocks(saw_row_bytes(net, sources, h_max)):
+        batch = sources[part]
+        levels = _saw_levels(net, batch, h_max)
+        dist = bfs_distances(net, batch) if dist_block is None else dist_block[part]
         for col, h in enumerate(h_values):
-            p = np.where(dist == h, levels[h - 1], 0.0)
-            out[start : start + len(batch), col] = _exp_entropy_rows(p)
+            out[part, col] = _exp_entropy_rows(np.where(dist == h, levels[h - 1], 0.0))
     return out
 
 
@@ -264,20 +256,25 @@ def backbone_symmetry_batch(
     return out
 
 
+def merged_row_bytes(net: WordNetwork) -> int:
+    """An upper bound on one source's bytes in a ``merged_symmetry_batch`` block:
+    per CSR entry, masks, distances, ids and keys; per node, labels and mass."""
+    return 64 * len(net.indices) + 64 * net.node_count
+
+
 def merged_symmetry_batch(
     net: WordNetwork,
     sources: np.ndarray,
     h_values: tuple[int, ...],
     dist: np.ndarray | None = None,
-    chunk: int = 64,
 ) -> np.ndarray:
     """Merged symmetry for many sources; shape (S, len(h_values)).
 
-    Sources go in chunks. Each source of a chunk gets its own copy of the
-    network (node v of copy i is i*n + v), so one ``min_labels`` call
-    labels the ring-internal groups of the whole chunk, one sort of
-    (copy, head group, tail group) keys deduplicates the outward super-edges,
-    and each concentric-walk step is one ``np.bincount`` over those edges.
+    Sources go in ``row_blocks`` by ``merged_row_bytes``, each with its own
+    copy of the network (node v of copy i is i*n + v), so one ``min_labels``
+    call labels the ring-internal groups of a whole block, one sort of (copy,
+    head group, tail group) keys deduplicates the outward super-edges, and
+    each concentric-walk step is one ``np.bincount`` over those edges.
     Matches the per-pattern reference ``symmetry`` (``tests/oracles.py``) exactly.
     """
     h_max = max(h_values)
@@ -290,8 +287,8 @@ def merged_symmetry_batch(
     rings = h_max + 2
     out = np.zeros((len(sources), len(h_values)), dtype=np.float64)
 
-    for start in range(0, len(sources), chunk):
-        d = dist[start : start + chunk]
+    for part in row_blocks(np.full(len(sources), merged_row_bytes(net))):
+        d = dist[part]
         copies = len(d)
         size = copies * n
         in_ball = (d >= 0) & (d <= h_max)
@@ -317,7 +314,7 @@ def merged_symmetry_batch(
         eta_cum = np.cumsum(dead.reshape(copies, rings), axis=1)
 
         mass = np.zeros(size, dtype=np.float64)
-        mass[group[np.arange(copies) * n + sources[start : start + copies]]] = 1.0
+        mass[group[np.arange(copies) * n + sources[part]]] = 1.0
         head_ring = d_flat[e_head]
         for r in range(h_max):
             level = r + 1
@@ -330,5 +327,5 @@ def merged_symmetry_batch(
                 for i in np.flatnonzero(ring_counts[:, level]):
                     row = rows[i]
                     denom = ring_counts[i, level] + eta_cum[i, level - 1]
-                    out[start + i, col] = _ring_entropy_exp(row[row > 0]) / denom
+                    out[part.start + i, col] = _ring_entropy_exp(row[row > 0]) / denom
     return out

@@ -14,8 +14,9 @@ subset's distances at a time.
 Two later sections hold earlier forms of package code. The per-source
 reference walks (SAW distributions, accessibility, the backbone and merged
 patterns, concentric symmetry) were the package's own slow paths, built on
-its SAW enumerator and BFS; they now serve as references for the batch
-kernels. The scipy kernels (sparse-product BFS, Brandes betweenness,
+its BFS and on its earlier SAW enumerator ``saw_levels``, which also tracks
+the mass of walks stranded early; they now serve as references for the
+batch kernels. The scipy kernels (sparse-product BFS, Brandes betweenness,
 clustering, eigenvector, PageRank, component labels, ``scipy.linalg.expm``)
 and the greedy community search that re-pushes stale heap entries are what
 the numpy kernels replaced, kept to show the replacements give identical
@@ -39,12 +40,7 @@ from prosenet.features import FeatureMatrix
 from prosenet.graph import WordNetwork, _csr_from_edges, bfs_distances, largest_component_nodes
 from prosenet.learn import _CartNode
 from prosenet.metrics import CommunityAssignment, NodeMeasures, _full, _on_component
-from prosenet.walks import (
-    DEFAULT_DEPTH_CAP,
-    TransitionMatrix,
-    _ring_entropy_exp,
-    _saw_levels,
-)
+from prosenet.walks import DEFAULT_DEPTH_CAP, TransitionMatrix, _ring_entropy_exp
 
 
 def net_from_edges(n: int, edges: set[tuple[int, int]], doc_id: str = "t") -> WordNetwork:
@@ -224,6 +220,40 @@ def oracle_saw(adj, source: int, h: int):
 
     walk(source, {source}, Fraction(1), 0)
     return probs, dead
+
+
+def oracle_saw_prefix_counts(adj, source: int, h: int) -> list[int]:
+    """counts[t]: the self-avoiding walks of t steps from source, t = 0..h."""
+    counts = [0] * (h + 1)
+
+    def walk(node, visited, steps):
+        counts[steps] += 1
+        if steps < h:
+            for v in adj[node]:
+                if v not in visited:
+                    visited.add(v)
+                    walk(v, visited, steps + 1)
+                    visited.remove(v)
+
+    walk(source, {source}, 0)
+    return counts
+
+
+def oracle_nonbacktracking_counts(adj, source: int, h: int) -> list[int]:
+    """counts[t]: the walks of t steps from source that never step straight
+    back to the node they came from, t = 0..h, counted per (node, previous
+    node) state."""
+    states = {(source, None): 1}
+    counts = [1]
+    for _ in range(h):
+        following: dict = {}
+        for (node, previous), ways in states.items():
+            for v in adj[node]:
+                if v != previous:
+                    following[(v, node)] = following.get((v, node), 0) + ways
+        states = following
+        counts.append(sum(states.values()))
+    return counts
 
 
 def oracle_accessibility(adj, n: int, source: int, h: int) -> float:
@@ -644,6 +674,64 @@ def concentric_levels(net: WordNetwork, source: int, h_max: int) -> ConcentricLe
     return ConcentricLevels(source, rings, eta)
 
 
+def saw_levels(
+    net: WordNetwork,
+    sources: np.ndarray,
+    h_max: int,
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Exact SAW position distributions for a batch of sources.
+
+    Returns (levels, dead) where levels[t-1][s, v] is the probability that the
+    walker from sources[s] stands on v after t steps, and dead[s, t] is the
+    mass of walks from sources[s] that could not complete t steps.
+    """
+    n_src = len(sources)
+    n = net.node_count
+    indptr, indices = net.indptr, net.indices
+
+    src_idx = np.arange(n_src, dtype=np.int64)
+    src_node = sources.astype(np.int64)
+    cur = sources.astype(np.int64)
+    prob = np.ones(n_src, dtype=np.float64)
+    hist: list[np.ndarray] = []
+
+    levels = [np.zeros((n_src, n), dtype=np.float64) for _ in range(h_max)]
+    dead = np.zeros((n_src, h_max + 1), dtype=np.float64)
+    dead_running = np.zeros(n_src, dtype=np.float64)
+
+    for t in range(1, h_max + 1):
+        if len(cur) == 0:
+            dead[:, t] = dead_running
+            continue
+        deg = (indptr[cur + 1] - indptr[cur]).astype(np.int64)
+        total = int(deg.sum())
+        path_id = np.repeat(np.arange(len(cur), dtype=np.int64), deg)
+        cum = np.concatenate(([0], np.cumsum(deg)))
+        pos = indptr[cur][path_id] + (np.arange(total, dtype=np.int64) - cum[path_id])
+        nbr = indices[pos].astype(np.int64)
+
+        mask = nbr != src_node[src_idx[path_id]]
+        for col in hist:
+            mask &= nbr != col[path_id]
+
+        branch = np.bincount(path_id[mask], minlength=len(cur)).astype(np.float64)
+        stuck = branch == 0
+        if stuck.any():
+            np.add.at(dead_running, src_idx[stuck], prob[stuck])
+
+        sel = path_id[mask]
+        prob = prob[sel] / branch[sel]
+        hist = [col[sel] for col in hist] + [cur[sel]]
+        src_idx = src_idx[sel]
+        cur = nbr[mask]
+
+        dead[:, t] = dead_running
+        if len(cur):
+            flat = np.bincount(src_idx * n + cur, weights=prob, minlength=n_src * n)
+            levels[t - 1] = flat.reshape(n_src, n)
+    return levels, dead
+
+
 def saw_distribution(
     net: WordNetwork,
     source: int,
@@ -653,7 +741,7 @@ def saw_distribution(
     """Exact endpoint distribution of h-step self-avoiding walks from source."""
     if not 1 <= h <= cap:
         raise ValueError(f"h must lie in 1..{cap}")
-    levels, dead = _saw_levels(net, np.array([source]), h)
+    levels, dead = saw_levels(net, np.array([source]), h)
     row = levels[h - 1][0]
     probs = {int(v): float(row[v]) for v in np.flatnonzero(row > 0)}
     return WalkDistribution(source, h, probs, float(dead[0, h]))

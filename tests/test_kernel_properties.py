@@ -5,9 +5,10 @@ Graphs come from ``conftest.networks``: edge lists with isolated nodes,
 disconnected parts and hubs, and token networks. Distances, geodesic counts,
 betweenness, clustering, the iterative centralities, component labels and
 communities must be identical, and so must the distances, betweenness and
-backbone symmetry of the blocked geodesic pass for every block size; ``Ag``,
-now from a symmetric eigendecomposition instead of ``scipy.linalg.expm``,
-within 1e-12 relative.
+backbone symmetry of the blocked geodesic pass for every block size, which
+``row_blocks`` cuts greedily within the budget; ``Ag``, now from a
+symmetric eigendecomposition instead of ``scipy.linalg.expm``, within 1e-12
+relative.
 """
 
 import numpy as np
@@ -31,9 +32,9 @@ from prosenet.graph import (
     bfs_distances,
     build_network,
     component_labels,
-    geodesic_block_rows,
     geodesic_row_bytes,
     geodesic_rows,
+    row_blocks,
 )
 from prosenet.metrics import (
     betweenness,
@@ -82,8 +83,8 @@ def test_geodesic_pass_is_the_same_for_every_block_size(net, data):
 
     def blocked(per_block):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(graph, "GEODESIC_BLOCK_BYTES", per_block * geodesic_row_bytes(net))
-            assert geodesic_block_rows(net) == per_block
+            patch.setattr(graph, "BLOCK_BYTES", per_block * geodesic_row_bytes(net))
+            assert next(row_blocks(np.full(n, geodesic_row_bytes(net)))) == slice(0, per_block)
             return pipeline._geodesic_pass(net, sources, h_values, True), betweenness(net)
 
     (dist, b, sb), alone = blocked(rows)
@@ -98,6 +99,20 @@ def test_geodesic_pass_is_the_same_for_every_block_size(net, data):
     assert np.array_equal(sb, whole_sb)
 
 
+@PROPERTY
+@given(st.lists(st.integers(0, 100), max_size=30), st.integers(0, 300))
+def test_row_blocks_are_consecutive_greedy_and_within_budget(row_bytes, budget):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graph, "BLOCK_BYTES", budget)
+        blocks = list(row_blocks(np.array(row_bytes, dtype=np.int64)))
+    assert [i for b in blocks for i in range(b.start, b.stop)] == list(range(len(row_bytes)))
+    for b in blocks:
+        size = sum(row_bytes[b])
+        assert size <= budget or b.stop - b.start == 1  # a row over the budget is alone
+        if b.stop < len(row_bytes):  # the next row would not have fit
+            assert size + row_bytes[b.stop] > budget
+
+
 @pytest.mark.parametrize("per_block", [1, 3, 7])
 def test_blocks_add_betweenness_in_source_order(per_block):
     # at about 50 nodes, adding a block's rows in another order changes B's
@@ -106,7 +121,7 @@ def test_blocks_add_betweenness_in_source_order(per_block):
     n = net.node_count
     sources = np.arange(0, n, 2)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(graph, "GEODESIC_BLOCK_BYTES", per_block * geodesic_row_bytes(net))
+        patch.setattr(graph, "BLOCK_BYTES", per_block * geodesic_row_bytes(net))
         dist, b, sb = pipeline._geodesic_pass(net, sources, (2, 3), True)
     same_measure(b, scipy_betweenness(net))
     assert np.array_equal(dist, scipy_bfs_distances(net, np.arange(n)))

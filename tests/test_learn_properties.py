@@ -5,7 +5,8 @@ the per-threshold reference on columns with repeated values, constant
 columns and adjacent floats, whose midpoints can round onto the upper value.
 Relevance sweep: the blocked subset sweep gives every subset exactly the
 accuracy of the one-subset-at-a-time reference, across block sizes, K and
-duplicate rows (distance ties).
+duplicate rows (distance ties). LOO-KNN on a feature set scores exactly the
+accuracy the sweep gives that set.
 """
 
 import numpy as np
@@ -14,7 +15,13 @@ from hypothesis import strategies as st
 
 from oracles import oracle_cart_train, oracle_knn_subset_accuracies
 from prosenet.features import FeatureMatrix
-from prosenet.learn import ClassifierSpec, _knn_subset_accuracies, cart_train, relevance_index
+from prosenet.learn import (
+    ClassifierSpec,
+    _knn_subset_accuracies,
+    cart_train,
+    loo_evaluate,
+    relevance_index,
+)
 
 PROPERTY = settings(max_examples=80, deadline=None)
 
@@ -119,3 +126,27 @@ def test_relevance_ledger_ranks_reference_accuracies(case):
     for rank, (m, _) in enumerate(report.ledger[: 2 ** (phi - 1)]):
         running += [m >> f & 1 for f in range(phi)]
         assert np.array_equal(report.omega[:, rank], running)
+
+
+# n 4, phi 9, K 1: summed pairwise (numpy's order for a row of 8 or more
+# terms) these distances vote for 0.75 accuracy, in ascending order for 0.5
+PAIRWISE_SENSITIVE = (
+    np.array([[-1, 2, 3, 2, -2, 2, 3, -1, 3], [2, 2, -3, 2, 3, -1, 0, -1, -1],
+              [2, -3, -2, -2, -3, -3, 2, 0, -2], [-3, 2, 3, 0, 0, 3, 2, -1, 2]])
+    * (1.0 + np.array([[3, 1, 0, 2, 3, 2, 3, 3, 0], [3, 2, 2, 1, 2, 0, 0, 2, 1],
+                       [3, 3, 1, 3, 2, 3, 1, 3, 2], [2, 3, 3, 1, 3, 0, 0, 0, 2]]) * 2.0**-52),
+    np.array([1, 0, 0, 1]), 1, 1 << 16,
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(sweep_cases())
+@example(PAIRWISE_SENSITIVE)
+def test_loo_knn_scores_the_ledgers_full_subset_accuracy(case):
+    x, y01, k, _ = case
+    n, phi = x.shape
+    fm = FeatureMatrix([f"d{i}" for i in range(n)], ["ab"[v] for v in y01],
+                       [f"f{f}" for f in range(phi)], x)
+    spec = ClassifierSpec("knn", knn_k=k)
+    ledger = dict(relevance_index(fm, spec).ledger)
+    assert loo_evaluate(fm, spec).accuracy == ledger[2**phi - 1]

@@ -26,6 +26,7 @@ from prosenet.pipeline import (
     prepare_manifest,
     relevance_csvs,
 )
+from prosenet.walks import accessibility_batch, saw_row_bytes
 
 
 class TestConfig:
@@ -364,7 +365,7 @@ class TestMeasurementMemory:
     def test_blocked_pass_stays_within_its_budget(self):
         net = build_network(zipf_doc(3000))
         n = net.node_count
-        budget, dist_bytes = graph.GEODESIC_BLOCK_BYTES, 4 * n * n
+        budget, dist_bytes = graph.BLOCK_BYTES, 4 * n * n
         assert n * geodesic_row_bytes(net) > budget  # one block would not fit
 
         def geodesic_pass():
@@ -373,12 +374,47 @@ class TestMeasurementMemory:
         blocked, peak = traced_peak(geodesic_pass)
         assert peak <= budget + dist_bytes
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(graph, "GEODESIC_BLOCK_BYTES", n * geodesic_row_bytes(net))
+            patch.setattr(graph, "BLOCK_BYTES", n * geodesic_row_bytes(net))
             whole, whole_peak = traced_peak(geodesic_pass)
         assert whole_peak > budget + dist_bytes
         assert np.array_equal(blocked[0], whole[0])
         assert np.array_equal(blocked[1].values, whole[1].values)
         assert np.array_equal(blocked[2], whole[2])
+
+    def test_saw_blocks_stay_within_the_budget_plus_one_source(self):
+        net = build_network(zipf_doc(500, words=400))  # hubs of degree 50
+        sources = np.sort(np.argsort(-net.degrees, kind="stable")[:16])
+        h_access = (2, 3, 4)
+        largest = saw_row_bytes(net, sources, max(h_access)).max()
+        dist = graph.bfs_distances(net, sources)
+
+        def enumerate_walks():
+            return accessibility_batch(net, sources, h_access, dist_block=dist)
+
+        blocked, peak = traced_peak(enumerate_walks)
+        assert peak <= graph.BLOCK_BYTES + largest
+        with pytest.MonkeyPatch.context() as patch:  # the 16 sources in one block
+            patch.setattr(graph, "BLOCK_BYTES", 1 << 40)
+            whole, whole_peak = traced_peak(enumerate_walks)
+        assert whole_peak > graph.BLOCK_BYTES + largest
+        assert np.array_equal(blocked, whole)
+
+    def test_walk_sources_over_budget_are_refused_before_the_enumeration(self, monkeypatch):
+        doc = zipf_doc(500, words=400)
+        net = build_network(doc)
+        cfg = RunConfig(h_access=(2, 3, 4))
+        largest = saw_row_bytes(net, np.arange(net.node_count), 4).max()
+        need = pipeline.measurement_bytes(net, np.arange(net.node_count), cfg.h_access)
+        assert need == 44 * net.node_count**2 + largest  # the SAW row is the largest
+        monkeypatch.setattr(pipeline, "MEASURE_BUDGET", need - 1)
+
+        def refused():
+            with pytest.raises(CostGuardError, match=f"{net.node_count}-node network"):
+                measure_document(doc, cfg, None)
+
+        _, peak = traced_peak(refused)
+        assert peak < largest
+        assert measure_document(doc, cfg, []).vocabulary_size == net.node_count
 
     def test_over_budget_document_is_refused_before_any_n_by_n_array(self, monkeypatch):
         doc = zipf_doc(3000)
@@ -544,6 +580,20 @@ class TestCli:
         rc = main(["classify", "--manifest", str(tmp_path / "missing.tsv"),
                    "--out", str(tmp_path)])
         assert rc == 1
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--knn-k", "0"), ("--top-k", "0"), ("--top-k", "1"), ("--rho-max", "-1"),
+        ("--window", "0"), ("--word-list-size", "0"), ("--min-doc-fraction", "0"),
+        ("--min-doc-fraction", "1.5"), ("--phi", "0"), ("--baseline-top-k", "0"),
+        ("--jobs", "0"),
+    ])
+    def test_out_of_range_value_is_a_clean_error(self, flag, value, tmp_path, capsys):
+        rc = main(["classify", "--manifest", str(tmp_path / "m.tsv"), flag, value,
+                   "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {flag} must be")
+        assert "Traceback" not in err
 
     def test_config_file_flag(self, toy_manifest, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"

@@ -2,10 +2,13 @@
 
 Graphs come from ``conftest.networks``: an edge list (disconnected parts,
 isolated nodes and a hub joined to many nodes) or a token sequence read with
-a window of 1 to 3. Two properties: every batch kernel matches its
-per-source reference, and a kernel's rows for any subset of sources are
+a window of 1 to 3. Every batch kernel matches its per-source reference,
+and a kernel's rows for any subset of sources, blocked by any budget, are
 exactly the rows of an all-node call, which is what lets a cache entry
-gather walk values node by node.
+gather walk values node by node. The SAW enumerator matches its earlier
+form, which also tracked the dead-end mass, and the non-backtracking walk
+counts behind its byte bound match a brute-force count and are at least the
+SAW prefix counts (equal up to two steps).
 """
 
 import numpy as np
@@ -14,9 +17,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import networks
-from oracles import accessibility, symmetry
+from oracles import (
+    accessibility,
+    oracle_nonbacktracking_counts,
+    oracle_saw_prefix_counts,
+    saw_levels,
+    symmetry,
+)
+from prosenet import graph
 from prosenet.graph import bfs_distances
-from prosenet.walks import accessibility_batch, backbone_symmetry_batch, merged_symmetry_batch
+from prosenet.walks import (
+    _saw_levels,
+    accessibility_batch,
+    backbone_symmetry_batch,
+    merged_row_bytes,
+    merged_symmetry_batch,
+    nonbacktracking_walks,
+    saw_row_bytes,
+)
 
 H_ACCESS = (1, 2, 3, 4)
 H_SYMMETRY = (1, 2, 3, 5)
@@ -45,17 +63,44 @@ def test_subset_rows_equal_all_node_rows(net, data):
     everyone = np.arange(n)
     dist_all = bfs_distances(net, everyone)
     subset = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1)))), dtype=np.int64)
-    chunk = data.draw(st.sampled_from([1, 2, 3, 64]))
+    # from one row per block (0) to every row in one block
+    widest = max(saw_row_bytes(net, everyone, max(H_ACCESS)).max(), merged_row_bytes(net))
+    budget = data.draw(st.integers(0, n * int(widest)))
     dist = bfs_distances(net, subset)
 
-    full = accessibility_batch(net, everyone, H_ACCESS, dist_block=dist_all)
-    part = accessibility_batch(net, subset, H_ACCESS, chunk=chunk, dist_block=dist)
-    assert np.array_equal(part, full[subset])
+    full_acc = accessibility_batch(net, everyone, H_ACCESS, dist_block=dist_all)
+    full_sm = merged_symmetry_batch(net, everyone, H_SYMMETRY, dist=dist_all)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graph, "BLOCK_BYTES", budget)
+        part_acc = accessibility_batch(net, subset, H_ACCESS, dist_block=dist)
+        part_sm = merged_symmetry_batch(net, subset, H_SYMMETRY, dist=dist)
+    assert np.array_equal(part_acc, full_acc[subset])
+    assert np.array_equal(part_sm, full_sm[subset])
 
     full = backbone_symmetry_batch(net, everyone, H_SYMMETRY, dist=dist_all)
     part = backbone_symmetry_batch(net, subset, H_SYMMETRY, dist=dist)
     assert np.array_equal(part, full[subset])
 
-    full = merged_symmetry_batch(net, everyone, H_SYMMETRY, dist=dist_all)
-    part = merged_symmetry_batch(net, subset, H_SYMMETRY, dist=dist, chunk=chunk)
-    assert np.array_equal(part, full[subset])
+
+@PROPERTY
+@given(networks)
+def test_saw_levels_equal_the_enumerator_with_dead_mass(net):
+    sources = np.arange(net.node_count)
+    want, _ = saw_levels(net, sources, max(H_ACCESS))
+    got = _saw_levels(net, sources, max(H_ACCESS))
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+@PROPERTY
+@given(networks)
+def test_nonbacktracking_walks_bound_the_saw_prefixes(net):
+    h_max = max(H_ACCESS)
+    nb = nonbacktracking_walks(net, h_max)
+    adj = {v: [int(w) for w in net.neighbors(v)] for v in range(net.node_count)}
+    for s in range(net.node_count):
+        assert list(nb[:, s]) == oracle_nonbacktracking_counts(adj, s, h_max)
+        saw = oracle_saw_prefix_counts(adj, s, h_max)
+        assert list(nb[:3, s]) == saw[:3]
+        assert np.all(nb[:, s] >= saw)
