@@ -21,6 +21,7 @@ from .features import FeatureMatrix, select_top_k
 from .linalg import top_eigenpairs_sym
 
 RELEVANCE_MAX_FEATURES = 15
+LEDGER_DTYPE = np.dtype([("mask", np.int64), ("accuracy", np.float64)])
 # cells of one (subsets, n, n) distance block in the relevance sweep
 SWEEP_BLOCK_CELLS = 1 << 16
 
@@ -50,15 +51,15 @@ class ClassificationReport:
 class RelevanceReport:
     """Exhaustive subset sweep: every nonempty feature subset's LOO accuracy.
 
-    ``ledger`` holds (bitmask, accuracy) sorted best-first (ties: smaller
-    subset, then smaller bitmask). ``omega[i, k-1]`` counts appearances of
-    feature i among the k best subsets, for k up to 2**(phi-1); ``r_index``
-    is its sum per feature.
+    ``ledger`` is a ``LEDGER_DTYPE`` array of (bitmask, accuracy) records
+    sorted best-first (ties: smaller subset, then smaller bitmask).
+    ``omega[i, k-1]`` counts appearances of feature i among the k best
+    subsets, for k up to 2**(phi-1); ``r_index`` is its sum per feature.
     """
 
     phi: int
     feature_names: list[str]
-    ledger: list[tuple[int, float]]
+    ledger: np.ndarray
     omega: np.ndarray
     r_index: dict[str, int]
 
@@ -388,15 +389,30 @@ def relevance_index(fm: FeatureMatrix, spec: ClassifierSpec | None = None) -> Re
             names = [fm.feature_names[f] for f in range(phi) if mask >> f & 1]
             accuracies[mask - 1] = loo_evaluate(fm.subset(names), spec).accuracy
 
-    masks = np.arange(1, 2**phi)
-    bits = masks[:, None] >> np.arange(phi) & 1
-    order = np.lexsort((masks, bits.sum(axis=1), -accuracies))
-    ledger = [(int(m), float(a)) for m, a in zip(masks[order], accuracies[order])]
-    omega = bits[order[: 2 ** (phi - 1)]].cumsum(axis=0).T
-    r_index = {
-        fm.feature_names[f]: int(omega[f].sum()) for f in range(phi)
-    }
-    return RelevanceReport(phi, list(fm.feature_names), ledger, omega, r_index)
+    return rank_subsets(list(fm.feature_names), accuracies)
+
+
+def rank_subsets(feature_names: list[str], accuracies: np.ndarray) -> RelevanceReport:
+    """The ledger, omega and index of the subsets' accuracies (by bitmask - 1).
+
+    Subset sizes and omega take one shift of the bitmasks per feature, so
+    nothing larger than one int64 per subset is held per feature.
+    """
+    phi = len(feature_names)
+    masks = np.arange(1, 2**phi, dtype=np.int64)
+    sizes = np.zeros(len(masks), dtype=np.int64)
+    for f in range(phi):
+        sizes += masks >> f & 1
+    order = np.lexsort((masks, sizes, -accuracies))
+    ledger = np.empty(len(masks), dtype=LEDGER_DTYPE)
+    ledger["mask"] = masks[order]
+    ledger["accuracy"] = accuracies[order]
+    top = ledger["mask"][: 2 ** (phi - 1)]
+    omega = np.empty((phi, len(top)), dtype=np.int64)
+    for f in range(phi):
+        np.cumsum(top >> f & 1, out=omega[f])
+    r_index = {feature_names[f]: int(omega[f].sum()) for f in range(phi)}
+    return RelevanceReport(phi, feature_names, ledger, omega, r_index)
 
 
 def pca_project(fm: FeatureMatrix, dims: int = 2) -> PcaProjection:

@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 import tempfile
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
@@ -87,6 +88,8 @@ from .walks import (
 
 STRATEGIES = ("GS", "LS", "LSS")
 CLASSIFIERS = ("knn", "cart", "nb")
+# rows of one streamed block of the relevance ledger and omega CSVs
+RELEVANCE_BLOCK_ROWS = 4096
 
 
 @dataclass
@@ -483,11 +486,18 @@ def _cache_store(path: Path, key: str, dm: DocumentMeasures) -> None:
 
 
 def atomic_write(path: Path, text: str) -> None:
+    atomic_write_blocks(path, (text,))
+
+
+def atomic_write_blocks(path: Path, blocks: Iterable[str]) -> None:
+    """Write the concatenated ``blocks`` to ``path`` through a temporary file
+    renamed over it, so a reader never sees a partial file."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            for block in blocks:
+                fh.write(block)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -719,29 +729,61 @@ def cmd_classify(cfg: RunConfig) -> dict[str, ClassificationReport]:
     return reports
 
 
-def relevance_csvs(report: RelevanceReport) -> tuple[str, str, str]:
-    # each mask's ';'-joined feature names, in feature order: the name of its
-    # lowest bit, then the string of the mask without that bit
-    feats = [""]
-    for mask in range(1, 2**report.phi):
+def _mask_names(names: list[str]) -> list[str]:
+    """Each mask's ';'-joined names, in feature order: the name of its lowest
+    bit, then the string of the mask without that bit."""
+    joined = [""]
+    for mask in range(1, 2 ** len(names)):
         low = mask & -mask
-        name = report.feature_names[low.bit_length() - 1]
-        feats.append(name if mask == low else f"{name};{feats[mask ^ low]}")
-    ledger_lines = ["rank,bitmask,features,accuracy"]
-    for rank, (mask, acc) in enumerate(report.ledger, start=1):
-        ledger_lines.append(f"{rank},{mask},{feats[mask]},{acc!r}")
-    index_lines = ["feature,r_index"]
+        name = names[low.bit_length() - 1]
+        joined.append(name if mask == low else f"{name};{joined[mask ^ low]}")
+    return joined
+
+
+def ledger_csv_blocks(report: RelevanceReport) -> Iterator[str]:
+    """The ledger CSV in blocks of ``RELEVANCE_BLOCK_ROWS`` rows.
+
+    A mask's names join those of its low phi // 2 bits and of its high bits,
+    each read from a table of 2^(bits) strings; each distinct accuracy of a
+    block is formatted once.
+    """
+    rows = RELEVANCE_BLOCK_ROWS
+    split = report.phi // 2
+    low_names = _mask_names(report.feature_names[:split])
+    high_names = _mask_names(report.feature_names[split:])
+    high_tails = [""] + [f";{name}" for name in high_names[1:]]
+    low_bits = (1 << split) - 1
+    yield "rank,bitmask,features,accuracy\n"
+    for start in range(0, len(report.ledger), rows):
+        block = report.ledger[start:start + rows]
+        values, which = np.unique(block["accuracy"], return_inverse=True)
+        texts = [repr(v) for v in values.tolist()]
+        lines = []
+        for rank, mask, i in zip(range(start + 1, start + rows + 1),
+                                 block["mask"].tolist(), which.tolist()):
+            low, high = mask & low_bits, mask >> split
+            feats = low_names[low] + high_tails[high] if low else high_names[high]
+            lines.append(f"{rank},{mask},{feats},{texts[i]}\n")
+        yield "".join(lines)
+
+
+def omega_csv_blocks(report: RelevanceReport) -> Iterator[str]:
+    """The omega CSV (one row per rank k) in blocks of ``RELEVANCE_BLOCK_ROWS`` rows."""
+    rows = RELEVANCE_BLOCK_ROWS
+    yield "k," + ",".join(report.feature_names) + "\n"
+    for start in range(0, report.omega.shape[1], rows):
+        counts = report.omega[:, start:start + rows].T.tolist()
+        yield "".join(f"{k},{','.join(map(str, row))}\n"
+                      for k, row in enumerate(counts, start=start + 1))
+
+
+def write_relevance(report: RelevanceReport, out: Path, strategy: str) -> None:
+    """The ledger, index and omega CSVs; the ledger and omega are streamed."""
+    atomic_write_blocks(out / f"relevance_ledger_{strategy}.csv", ledger_csv_blocks(report))
     order = sorted(report.r_index, key=lambda f: (-report.r_index[f], f))
-    for feat in order:
-        index_lines.append(f"{feat},{report.r_index[feat]}")
-    omega_lines = ["k," + ",".join(report.feature_names)]
-    for k in range(report.omega.shape[1]):
-        omega_lines.append(f"{k + 1}," + ",".join(str(v) for v in report.omega[:, k]))
-    return (
-        "\n".join(ledger_lines) + "\n",
-        "\n".join(index_lines) + "\n",
-        "\n".join(omega_lines) + "\n",
-    )
+    index = [f"{f},{report.r_index[f]}\n" for f in order]
+    atomic_write(out / f"relevance_index_{strategy}.csv", "".join(["feature,r_index\n"] + index))
+    atomic_write_blocks(out / f"relevance_omega_{strategy}.csv", omega_csv_blocks(report))
 
 
 def cmd_relevance(cfg: RunConfig) -> RelevanceReport:
@@ -752,10 +794,7 @@ def cmd_relevance(cfg: RunConfig) -> RelevanceReport:
     top = select_top_k(fm, min(cfg.phi, len(fm.feature_names)))
     spec = ClassifierSpec(cfg.classifier if cfg.classifier != "all" else "knn", knn_k=cfg.knn_k)
     report = relevance_index(top, spec)
-    ledger, index, omega = relevance_csvs(report)
-    atomic_write(out / f"relevance_ledger_{cfg.strategy}.csv", ledger)
-    atomic_write(out / f"relevance_index_{cfg.strategy}.csv", index)
-    atomic_write(out / f"relevance_omega_{cfg.strategy}.csv", omega)
+    write_relevance(report, out, cfg.strategy)
     return report
 
 

@@ -32,9 +32,8 @@ DEFAULT_DEPTH_CAP = 4
 
 @dataclass
 class TransitionMatrix:
-    """Uniform-neighbor transition matrix and its normalized exponential."""
+    """The normalized exponential of the uniform-neighbor transition matrix."""
 
-    p: np.ndarray = field(repr=False)
     walk_mixture: np.ndarray = field(repr=False)
     isolated: np.ndarray = field(repr=False)
     row_sum_error: float = 0.0
@@ -98,12 +97,26 @@ def saw_row_bytes(net: WordNetwork, sources: np.ndarray, h_max: int) -> np.ndarr
     return PREFIX_BYTES * (nb[1:] + nb[:-1]).max(axis=0) + dense
 
 
-def _ring_entropy_exp(probs: np.ndarray) -> float:
-    """exp of the Shannon entropy of a (possibly sub-unit) mass vector."""
-    pos = probs[probs > 0]
-    if len(pos) == 0:
-        return 0.0
-    return float(np.exp(-np.sum(pos * np.log(pos))))
+def _ring_exp_entropies(rows: np.ndarray) -> np.ndarray:
+    """exp of the Shannon entropy of each row's positive cells (0 for a row
+    without any). The rows are ordered by their count c of positive cells,
+    and the rows of each c are summed as one contiguous (rows, c) array
+    along its rows, which equals summing each row's cells alone, bit for bit."""
+    positive = rows > 0
+    counts = np.count_nonzero(positive, axis=1)
+    order = np.argsort(counts, kind="stable")
+    pos = rows[order][positive[order]]
+    terms = pos * np.log(pos)
+    sums = np.zeros(len(rows), dtype=np.float64)
+    row = cell = 0
+    values, sizes = np.unique(counts, return_counts=True)
+    for c, k in zip(values.tolist(), sizes.tolist()):
+        if c:
+            sums[row:row + k] = terms[cell:cell + c * k].reshape(k, c).sum(axis=1)
+        row, cell = row + k, cell + c * k
+    out = np.zeros(len(rows), dtype=np.float64)
+    out[order] = np.where(counts[order] > 0, np.exp(-sums), 0.0)
+    return out
 
 
 def _exp_entropy_rows(rows: np.ndarray) -> np.ndarray:
@@ -148,7 +161,7 @@ def expm(a: np.ndarray) -> np.ndarray:
 
 
 def transition_matrix(net: WordNetwork) -> TransitionMatrix:
-    """P_ij = a_ij / k_i and its normalized exponential exp(P)/e.
+    """The normalized exponential exp(P)/e of P_ij = a_ij / k_i.
 
     P = D^-1 A is similar to the symmetric S = D^-1/2 A D^-1/2, so exp(P) is
     D^-1/2 exp(S) D^1/2 with exp(S) from ``expm``. It is taken one connected
@@ -157,7 +170,7 @@ def transition_matrix(net: WordNetwork) -> TransitionMatrix:
     there. Rows of exp(P) sum to e for row-stochastic P; the realized
     deviation is recorded in ``row_sum_error`` and rows are renormalized
     afterwards so the entropy in the generalized accessibility is taken over
-    a distribution. Isolated nodes keep an all-zero P row and are flagged.
+    a distribution. Isolated nodes (an all-zero row of P) are flagged.
     """
     n = net.node_count
     k = net.degrees.astype(np.float64)
@@ -183,11 +196,10 @@ def transition_matrix(net: WordNetwork) -> TransitionMatrix:
             w = sym
         else:
             w[block] = sym
-    p = adj / kguard[:, None]
     sums = w.sum(axis=1)
     err = float(np.abs(sums[~isolated] - math.e).max()) if (~isolated).any() else 0.0
     w /= sums[:, None]
-    return TransitionMatrix(p, w, isolated, err)
+    return TransitionMatrix(w, isolated, err)
 
 
 def generalized_accessibility(
@@ -323,9 +335,8 @@ def merged_symmetry_batch(
             mass = np.bincount(e_tail[step], weights=mass[src] / out_count[src], minlength=size)
             if level in h_values:
                 col = h_values.index(level)
-                rows = mass.reshape(copies, n)
-                for i in np.flatnonzero(ring_counts[:, level]):
-                    row = rows[i]
-                    denom = ring_counts[i, level] + eta_cum[i, level - 1]
-                    out[part.start + i, col] = _ring_entropy_exp(row[row > 0]) / denom
+                ring = np.flatnonzero(ring_counts[:, level])
+                denom = ring_counts[ring, level] + eta_cum[ring, level - 1]
+                numer = _ring_exp_entropies(mass.reshape(copies, n)[ring])
+                out[part.start + ring, col] = numer / denom
     return out

@@ -9,18 +9,20 @@ column and one (bin, label) cell at a time, and the frequency decorrelation
 filter correlates one column at a time. The learners are the plain forms
 of what ``prosenet.learn`` vectorises: a single-row KNN vote, a CART that
 masks the rows once per threshold, and a relevance sweep that sums one
-subset's distances at a time.
+subset's distances at a time. The relevance ledger and omega come from a
+full subset-by-feature bit matrix, and its CSVs are whole strings built
+from one name string per mask, as ``prosenet.pipeline`` once built them.
 
 Two later sections hold earlier forms of package code. The per-source
 reference walks (SAW distributions, accessibility, the backbone and merged
-patterns, concentric symmetry) were the package's own slow paths, built on
-its BFS and on its earlier SAW enumerator ``saw_levels``, which also tracks
-the mass of walks stranded early; they now serve as references for the
-batch kernels. The scipy kernels (sparse-product BFS, Brandes betweenness,
-clustering, eigenvector, PageRank, component labels, ``scipy.linalg.expm``)
-and the greedy community search that re-pushes stale heap entries are what
-the numpy kernels replaced, kept to show the replacements give identical
-results.
+patterns, concentric symmetry, one ring entropy at a time) were the
+package's own slow paths, built on its BFS and on its earlier SAW enumerator
+``saw_levels``, which also tracks the mass of walks stranded early; they now
+serve as references for the batch kernels. The scipy kernels
+(sparse-product BFS, Brandes betweenness, clustering, eigenvector, PageRank,
+component labels, ``scipy.linalg.expm``) and the greedy community search
+that re-pushes stale heap entries are what the numpy kernels replaced, kept
+to show the replacements give identical results.
 """
 
 from __future__ import annotations
@@ -38,9 +40,9 @@ from scipy.sparse import csgraph
 from prosenet import ConvergenceError
 from prosenet.features import FeatureMatrix
 from prosenet.graph import WordNetwork, _csr_from_edges, bfs_distances, largest_component_nodes
-from prosenet.learn import _CartNode
+from prosenet.learn import RelevanceReport, _CartNode
 from prosenet.metrics import CommunityAssignment, NodeMeasures, _full, _on_component
-from prosenet.walks import DEFAULT_DEPTH_CAP, TransitionMatrix, _ring_entropy_exp
+from prosenet.walks import DEFAULT_DEPTH_CAP, TransitionMatrix
 
 
 def net_from_edges(n: int, edges: set[tuple[int, int]], doc_id: str = "t") -> WordNetwork:
@@ -357,6 +359,12 @@ def oracle_taylor_expm(p: np.ndarray, terms: int = 60) -> np.ndarray:
     return out
 
 
+def transition_probabilities(net: WordNetwork) -> np.ndarray:
+    """Dense P_ij = a_ij / k_i; an isolated node keeps an all-zero row."""
+    k = net.degrees.astype(np.float64)
+    return net.adjacency() / np.where(k == 0, 1.0, k)[:, None]
+
+
 def oracle_modularity(n: int, edges: set[tuple[int, int]], labels) -> float:
     a = np.zeros((n, n))
     for u, v in edges:
@@ -577,9 +585,62 @@ def oracle_knn_subset_accuracies(x: np.ndarray, y01: np.ndarray, k: int) -> np.n
     return accuracies
 
 
+def oracle_rank_subsets(
+    feature_names: list[str], accuracies: np.ndarray
+) -> tuple[list[tuple[int, float]], np.ndarray, dict[str, int]]:
+    """The ledger, omega and index from a (2^phi - 1) x phi bit matrix."""
+    phi = len(feature_names)
+    masks = np.arange(1, 2**phi)
+    bits = masks[:, None] >> np.arange(phi) & 1
+    order = np.lexsort((masks, bits.sum(axis=1), -accuracies))
+    ledger = [(int(m), float(a)) for m, a in zip(masks[order], accuracies[order])]
+    omega = bits[order[: 2 ** (phi - 1)]].cumsum(axis=0).T
+    r_index = {feature_names[f]: int(omega[f].sum()) for f in range(phi)}
+    return ledger, omega, r_index
+
+
+def relevance_csvs(report: RelevanceReport) -> tuple[str, str, str]:
+    """The ledger, index and omega CSVs as whole strings, with one joined
+    name string per mask."""
+    feats = [""]
+    for mask in range(1, 2**report.phi):
+        low = mask & -mask
+        name = report.feature_names[low.bit_length() - 1]
+        feats.append(name if mask == low else f"{name};{feats[mask ^ low]}")
+    ledger_lines = ["rank,bitmask,features,accuracy"]
+    for rank, (mask, acc) in enumerate(report.ledger.tolist(), start=1):
+        ledger_lines.append(f"{rank},{mask},{feats[mask]},{acc!r}")
+    index_lines = ["feature,r_index"]
+    order = sorted(report.r_index, key=lambda f: (-report.r_index[f], f))
+    for feat in order:
+        index_lines.append(f"{feat},{report.r_index[feat]}")
+    omega_lines = ["k," + ",".join(report.feature_names)]
+    for k in range(report.omega.shape[1]):
+        omega_lines.append(f"{k + 1}," + ",".join(str(v) for v in report.omega[:, k]))
+    return (
+        "\n".join(ledger_lines) + "\n",
+        "\n".join(index_lines) + "\n",
+        "\n".join(omega_lines) + "\n",
+    )
+
+
 # ---------------------------------------------------------------------------
 # per-source reference walks, formerly prosenet.walks
 # ---------------------------------------------------------------------------
+
+def ring_entropy_exp(probs: np.ndarray) -> float:
+    """exp of the Shannon entropy of a (possibly sub-unit) mass vector."""
+    pos = probs[probs > 0]
+    if len(pos) == 0:
+        return 0.0
+    return float(np.exp(-np.sum(pos * np.log(pos))))
+
+
+def ring_exp_entropies_per_row(rows: np.ndarray) -> np.ndarray:
+    """``ring_entropy_exp`` of each row's positive cells, one row at a time,
+    as ``merged_symmetry_batch`` took them."""
+    return np.array([ring_entropy_exp(row[row > 0]) for row in rows], dtype=np.float64)
+
 
 def largest_component(net: WordNetwork) -> WordNetwork:
     """Induced subgraph on the largest connected node set."""
@@ -764,7 +825,7 @@ def accessibility(
     ring_probs = np.array(
         [p for node, p in sorted(walk.probs.items()) if dist[node] == h], dtype=np.float64
     )
-    return _ring_entropy_exp(ring_probs)
+    return ring_entropy_exp(ring_probs)
 
 
 def _pattern_from_layers(
@@ -890,7 +951,7 @@ def symmetry(net: WordNetwork, source: int, h: int, variant: str) -> float:
     probs = pattern_level_distribution(pattern, h)
     if len(probs) == 0:
         return 0.0
-    numerator = _ring_entropy_exp(probs)
+    numerator = ring_entropy_exp(probs)
     denominator = len(pattern.rings[h]) + sum(pattern.dead_end_counts[:h])
     return numerator / denominator
 
@@ -1014,15 +1075,12 @@ def scipy_pagerank(net: WordNetwork, alpha: float = 0.85, tol: float = 1e-12,
 
 
 def scipy_transition_matrix(net: WordNetwork) -> TransitionMatrix:
-    """P = D^-1 A and exp(P)/row-sum with ``scipy.linalg.expm`` on P itself."""
-    k = net.degrees.astype(np.float64)
-    isolated = k == 0
-    p = sparse_adjacency(net).toarray()
-    p[~isolated] /= k[~isolated, None]
-    w = scipy_expm(p)
+    """exp(P)/row-sum of P = D^-1 A with ``scipy.linalg.expm`` on P itself."""
+    isolated = net.degrees == 0
+    w = scipy_expm(transition_probabilities(net))
     sums = w.sum(axis=1)
     err = float(np.abs(sums[~isolated] - math.e).max()) if (~isolated).any() else 0.0
-    return TransitionMatrix(p, w / sums[:, None], isolated, err)
+    return TransitionMatrix(w / sums[:, None], isolated, err)
 
 
 def repush_detect_communities(net: WordNetwork) -> CommunityAssignment:

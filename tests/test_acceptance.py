@@ -31,6 +31,7 @@ from oracles import (
     random_connected_graph,
     saw_distribution,
     symmetry,
+    transition_probabilities,
 )
 from prosenet.features import FeatureMatrix
 from prosenet.graph import build_network
@@ -127,8 +128,9 @@ def test_criterion_3_matrix_exponential():
     rng = np.random.default_rng(31)
     for _ in range(40):
         n, edges = random_connected_graph(rng, 3, 12)
-        tm = transition_matrix(net_from_edges(n, edges))
-        taylor = oracle_taylor_expm(tm.p, terms=60)
+        net = net_from_edges(n, edges)
+        tm = transition_matrix(net)
+        taylor = oracle_taylor_expm(transition_probabilities(net), terms=60)
         assert np.abs(tm.walk_mixture * math.e - taylor).max() < 1e-10
         assert np.abs((taylor).sum(axis=1) - math.e).max() < 1e-10
         assert tm.row_sum_error < 1e-10

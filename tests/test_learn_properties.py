@@ -121,7 +121,7 @@ def test_relevance_ledger_ranks_reference_accuracies(case):
     y_index = np.array([present.index(lab) for lab in fm.labels])
     expected = oracle_knn_subset_accuracies(x, y_index, k)
     order = sorted(range(1, 2**phi), key=lambda m: (-expected[m - 1], bin(m).count("1"), m))
-    assert report.ledger == [(m, float(expected[m - 1])) for m in order]
+    assert report.ledger.tolist() == [(m, float(expected[m - 1])) for m in order]
     running = np.zeros(phi, dtype=np.int64)
     for rank, (m, _) in enumerate(report.ledger[: 2 ** (phi - 1)]):
         running += [m >> f & 1 for f in range(phi)]
@@ -148,5 +148,5 @@ def test_loo_knn_scores_the_ledgers_full_subset_accuracy(case):
     fm = FeatureMatrix([f"d{i}" for i in range(n)], ["ab"[v] for v in y01],
                        [f"f{f}" for f in range(phi)], x)
     spec = ClassifierSpec("knn", knn_k=k)
-    ledger = dict(relevance_index(fm, spec).ledger)
+    ledger = dict(relevance_index(fm, spec).ledger.tolist())
     assert loo_evaluate(fm, spec).accuracy == ledger[2**phi - 1]

@@ -1,18 +1,23 @@
 import dataclasses
 import json
 import shutil
+import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_doc, write_toy_corpus, zipf_doc
+from oracles import oracle_rank_subsets, relevance_csvs
 from prosenet import CostGuardError, ProsenetError, graph, pipeline
 from prosenet.cli import main
 from prosenet.corpus import load_lemma_dictionary, load_manifest
 from prosenet.graph import build_network, geodesic_row_bytes
-from prosenet.learn import RelevanceReport
+from prosenet.learn import LEDGER_DTYPE, RelevanceReport, rank_subsets
 from prosenet.metrics import NodeMeasures
 from prosenet.pipeline import (
     RunConfig,
@@ -24,7 +29,7 @@ from prosenet.pipeline import (
     measure_document,
     parse_config_file,
     prepare_manifest,
-    relevance_csvs,
+    write_relevance,
 )
 from prosenet.walks import accessibility_batch, saw_row_bytes
 
@@ -532,19 +537,79 @@ class TestRelevanceCommand:
         assert len(omega) == 1 + 2 ** (3 - 1)
 
 
+RELEVANCE_FILES = ("ledger", "index", "omega")
+
+
+def written_relevance(report: RelevanceReport, out: Path) -> list[bytes]:
+    write_relevance(report, out, "LSS")
+    return [(out / f"relevance_{name}_LSS.csv").read_bytes() for name in RELEVANCE_FILES]
+
+
+def lss_names(phi: int) -> list[str]:
+    return [f"{'AS'[j % 2]}{2 + j % 3}@word{j}" for j in range(phi)]
+
+
+def grid_accuracies(phi: int, n: int, seed: int) -> np.ndarray:
+    """LOO accuracies k/n of 2^phi - 1 subsets: at most n + 1 values, many ties."""
+    return np.random.default_rng(seed).integers(0, n + 1, 2**phi - 1) / n
+
+
+@st.composite
+def relevance_cases(draw):
+    phi = draw(st.integers(1, 12))
+    names = draw(st.lists(st.text("abAS@_;,é23", min_size=1, max_size=6),
+                          min_size=phi, max_size=phi, unique=True))
+    accuracies = grid_accuracies(phi, draw(st.integers(1, 60)), draw(st.integers(0, 2**32 - 1)))
+    return names, accuracies, draw(st.integers(1, 2**phi))
+
+
 class TestRelevanceCsv:
     @pytest.mark.parametrize("phi", range(1, 7))
-    def test_ledger_names_equal_the_per_mask_join(self, phi):
+    def test_ledger_names_equal_the_per_mask_join(self, phi, tmp_path):
         rng = np.random.default_rng(phi)
         names = [f"m{j}@w{j}" for j in range(phi)]
         masks = rng.permutation(np.arange(1, 2**phi)).tolist()
         ledger = list(zip(masks, rng.random(len(masks)).tolist()))
-        report = RelevanceReport(phi, names, ledger, np.zeros((phi, 1), dtype=np.int64), {})
+        report = RelevanceReport(phi, names, np.array(ledger, dtype=LEDGER_DTYPE),
+                                 np.zeros((phi, 1), dtype=np.int64), {})
         expected = ["rank,bitmask,features,accuracy"] + [
             f"{rank},{mask},{';'.join(names[f] for f in range(phi) if mask >> f & 1)},{acc!r}"
             for rank, (mask, acc) in enumerate(ledger, start=1)
         ]
-        assert relevance_csvs(report)[0] == "\n".join(expected) + "\n"
+        assert written_relevance(report, tmp_path)[0].decode() == "\n".join(expected) + "\n"
+
+    @settings(max_examples=60, deadline=None)
+    @given(relevance_cases())
+    @example((lss_names(15), grid_accuracies(15, 40, 15), pipeline.RELEVANCE_BLOCK_ROWS))
+    def test_streamed_outputs_equal_the_oracle(self, case):
+        names, accuracies, rows = case
+        report = rank_subsets(names, accuracies)
+        ledger, omega, r_index = oracle_rank_subsets(names, accuracies)
+        assert report.ledger.tolist() == ledger
+        assert np.array_equal(report.omega, omega)
+        assert report.r_index == r_index
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(pipeline, "RELEVANCE_BLOCK_ROWS", rows):
+            got = written_relevance(report, Path(tmp))
+        assert got == [text.encode("utf-8") for text in relevance_csvs(report)]
+
+    def test_streamed_outputs_peak_within_about_one_block(self, tmp_path):
+        report = rank_subsets(lss_names(15), grid_accuracies(15, 40, 5))
+        # an omega row of 15 counts takes about 1.4 KiB as Python ints, a list
+        # and its line (a ledger row about 0.35 KiB); the name tables and the
+        # file buffers are fixed
+        row_bytes, fixed_bytes = 2048, 256 * 1024
+        for rows in (256, pipeline.RELEVANCE_BLOCK_ROWS):
+            with mock.patch.object(pipeline, "RELEVANCE_BLOCK_ROWS", rows):
+                _, peak = traced_peak(lambda: write_relevance(report, tmp_path, "LSS"))
+            assert peak < rows * row_bytes + fixed_bytes, rows
+
+        def whole_strings():
+            for name, text in zip(RELEVANCE_FILES, relevance_csvs(report)):
+                pipeline.atomic_write(tmp_path / f"relevance_{name}_LSS.csv", text)
+
+        _, oracle_peak = traced_peak(whole_strings)
+        assert oracle_peak > 15 * 2**20 > 2 * peak
 
 
 class TestBaselinesCommand:

@@ -8,8 +8,12 @@ exactly the rows of an all-node call, which is what lets a cache entry
 gather walk values node by node. The SAW enumerator matches its earlier
 form, which also tracked the dead-end mass, and the non-backtracking walk
 counts behind its byte bound match a brute-force count and are at least the
-SAW prefix counts (equal up to two steps).
+SAW prefix counts (equal up to two steps). Merged symmetry's ring entropies,
+summed a group of equal-length rows at a time, equal the per-row sums bit
+for bit.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,12 +25,14 @@ from oracles import (
     accessibility,
     oracle_nonbacktracking_counts,
     oracle_saw_prefix_counts,
+    ring_exp_entropies_per_row,
     saw_levels,
     symmetry,
 )
-from prosenet import graph
+from prosenet import graph, walks
 from prosenet.graph import bfs_distances
 from prosenet.walks import (
+    _ring_exp_entropies,
     _saw_levels,
     accessibility_batch,
     backbone_symmetry_batch,
@@ -104,3 +110,24 @@ def test_nonbacktracking_walks_bound_the_saw_prefixes(net):
         saw = oracle_saw_prefix_counts(adj, s, h_max)
         assert list(nb[:3, s]) == saw[:3]
         assert np.all(nb[:, s] >= saw)
+
+
+@PROPERTY
+@given(networks)
+def test_merged_symmetry_equals_its_per_row_ring_entropies(net):
+    sources = np.arange(net.node_count)
+    h_values = (1, 2, 3, 4, 5)
+    grouped = merged_symmetry_batch(net, sources, h_values)
+    with mock.patch.object(walks, "_ring_exp_entropies", ring_exp_entropies_per_row):
+        per_row = merged_symmetry_batch(net, sources, h_values)
+    assert np.array_equal(grouped, per_row)
+
+
+@PROPERTY
+@given(st.integers(0, 40), st.integers(1, 700), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_grouped_ring_entropies_equal_the_per_row_sums(n_rows, width, density, seed):
+    # wide rows reach numpy's unrolled and blocked pairwise summation
+    rng = np.random.default_rng(seed)
+    rows = rng.random((n_rows, width)) * (rng.random((n_rows, width)) < density)
+    rows /= np.maximum(rows.sum(axis=1, keepdims=True), 1.0)
+    assert np.array_equal(_ring_exp_entropies(rows), ring_exp_entropies_per_row(rows))

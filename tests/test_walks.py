@@ -20,6 +20,7 @@ from oracles import (
     random_connected_graph,
     saw_distribution,
     symmetry,
+    transition_probabilities,
 )
 from prosenet.graph import build_network
 from prosenet.walks import (
@@ -194,7 +195,7 @@ class TestTransitionMatrix:
             n, edges = random_connected_graph(rng)
             net = net_from_edges(n, edges)
             tm = transition_matrix(net)
-            expected = oracle_taylor_expm(tm.p, terms=60)
+            expected = oracle_taylor_expm(transition_probabilities(net), terms=60)
             assert np.allclose(tm.walk_mixture * np.exp(1.0), expected, atol=1e-10)
 
     def test_row_sums_equal_e(self):
