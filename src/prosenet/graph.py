@@ -7,12 +7,13 @@ heavier measurements can run vectorized.
 Shortest-path structure comes from one frontier-expanding BFS over the CSR
 arrays. Besides the hop distances it yields every level's geodesic edges:
 the (source s, v -> w) steps with dist[s, w] == dist[s, v] + 1, as flat ids
-s * n + v and s * n + w in (s, v, w) order. Brandes betweenness and the
-backbone symmetry walk run over those edges with ``np.bincount``, whose
-sequential accumulation sums each target's terms in ascending (s, v) order.
-Every batched kernel, this pass from every node among them, runs over
-``row_blocks`` sized from its own bound on one row's bytes; each block's
-work is used and dropped before the next block starts.
+s * n + v and s * n + w in (s, v, w) order. Brandes betweenness runs over
+those edges with ``np.bincount``, whose sequential accumulation sums each
+target's terms in ascending (s, v) order; every other measure that needs
+shortest paths reads the distances. Every batched kernel, this pass from
+every node among them, runs over ``row_blocks`` sized from its own bound on
+one row's bytes; each block's work is used and dropped before the next
+block starts.
 """
 
 from __future__ import annotations
@@ -188,7 +189,7 @@ def geodesic_row_bytes(net: WordNetwork) -> int:
     """An upper bound on one source row's bytes in a block of a geodesic pass:
     per CSR entry, a held geodesic edge (two int32 ids) and a level's
     expansion (about 28 bytes); per node, the float64 rows of Brandes' sigma,
-    delta and sums and of the backbone walk's mass and entropy terms."""
+    delta and sums, with room to spare."""
     return 32 * len(net.indices) + 64 * net.node_count
 
 
@@ -239,26 +240,6 @@ def _expand(frontier: np.ndarray, n: int, indptr: np.ndarray, indices: np.ndarra
     pos = np.arange(len(tails), dtype=np.int64) + np.repeat(indptr[node] - first, deg)
     heads = np.repeat(frontier - node, deg) + indices[pos].astype(frontier.dtype)
     return tails, heads
-
-
-def geodesic_rows(levels: list[GeodesicLevel], n: int, rows: np.ndarray,
-                  width: int) -> list[GeodesicLevel]:
-    """The geodesic edges of the sorted rows ``rows`` of a pass (or a block
-    of one) with ``width`` source rows, renumbered so that rows[i] becomes
-    row i."""
-    if len(rows) == width:
-        return levels
-    keep = np.zeros(width, dtype=bool)
-    keep[rows] = True
-    rank = np.cumsum(keep) - 1
-    out = []
-    for lev in levels:
-        row = lev.tails // n
-        mask = keep[row]
-        if mask.any():
-            shift = ((rank[row] - row) * n)[mask].astype(lev.tails.dtype)
-            out.append(GeodesicLevel(lev.tails[mask] + shift, lev.heads[mask] + shift))
-    return out
 
 
 def network_to_json(net: WordNetwork) -> str:

@@ -32,8 +32,6 @@ class ClassifierSpec:
 
     name: str = "knn"  # knn | cart | nb
     knn_k: int = 1
-    cart_min_split: int = 2
-    nb_var_smoothing: float = 1e-9
 
 
 @dataclass
@@ -299,9 +297,9 @@ def loo_evaluate(fm: FeatureMatrix, spec: ClassifierSpec) -> ClassificationRepor
             test = (x[i] - mean) / std
             train_y = [y[j] for j in range(n) if mask[j]]
             if spec.name == "cart":
-                predictions.append(cart_classify(cart_train(train, train_y, spec.cart_min_split), test))
+                predictions.append(cart_classify(cart_train(train, train_y), test))
             elif spec.name == "nb":
-                model = nb_train(train, train_y, spec.nb_var_smoothing, labels_sorted)
+                model = nb_train(train, train_y, expected_labels=labels_sorted)
                 predictions.append(nb_classify(model, test))
             else:
                 raise ValueError(f"unknown classifier {spec.name!r}")
@@ -429,9 +427,7 @@ def pca_project(fm: FeatureMatrix, dims: int = 2) -> PcaProjection:
 # traditional baselines
 # ---------------------------------------------------------------------------
 
-def _relative_frequency_matrix(
-    docs: list[Document], vocabulary: list[str], relative: bool = True
-) -> np.ndarray:
+def _relative_frequency_matrix(docs: list[Document], vocabulary: list[str]) -> np.ndarray:
     rows = np.zeros((len(docs), len(vocabulary)), dtype=np.float64)
     index = {w: j for j, w in enumerate(vocabulary)}
     for i, doc in enumerate(docs):
@@ -439,13 +435,13 @@ def _relative_frequency_matrix(
             j = index.get(tok)
             if j is not None:
                 rows[i, j] += 1.0
-        if relative and doc.tokens:
+        if doc.tokens:
             rows[i] /= len(doc.tokens)
     return rows
 
 
 def baseline_word_lsa(
-    docs: list[Document], n_words: int = 10, relative: bool = True
+    docs: list[Document], n_words: int = 10
 ) -> tuple[FeatureMatrix, np.ndarray]:
     """Relative frequencies of the most frequent words, with a rank-2 SVD map.
 
@@ -457,7 +453,7 @@ def baseline_word_lsa(
         for tok in doc.tokens:
             totals[tok] = totals.get(tok, 0) + 1
     vocab = sorted(totals, key=lambda w: (-totals[w], w))[:n_words]
-    rows = _relative_frequency_matrix(docs, vocab, relative)
+    rows = _relative_frequency_matrix(docs, vocab)
     fm = FeatureMatrix([d.id for d in docs], [d.label for d in docs], list(vocab), rows)
     gram = rows.T @ rows
     _, vectors = top_eigenpairs_sym(gram, 2)
@@ -469,7 +465,6 @@ def baseline_stopword_frequency(
     stoplist: set[str],
     top_k: int = 15,
     spec: ClassifierSpec | None = None,
-    relative: bool = True,
 ) -> ClassificationReport:
     """Classify on the most informative stopword frequencies.
 
@@ -479,7 +474,7 @@ def baseline_stopword_frequency(
     present = sorted({tok for doc in docs for tok in doc.tokens if tok in stoplist})
     if not present:
         raise ValueError("no stopwords present in the corpus")
-    rows = _relative_frequency_matrix(docs, present, relative)
+    rows = _relative_frequency_matrix(docs, present)
     fm = FeatureMatrix([d.id for d in docs], [d.label for d in docs], present, rows)
     fm = select_top_k(fm, min(top_k, len(present)))
     report = loo_evaluate(fm, spec or ClassifierSpec())
@@ -501,7 +496,6 @@ def baseline_char_bigrams(
     raw_docs: list[tuple[str, str, str]],
     top_k: int = 15,
     spec: ClassifierSpec | None = None,
-    relative: bool = True,
 ) -> ClassificationReport:
     """Classify on the most informative character-bigram frequencies.
 
@@ -516,7 +510,7 @@ def baseline_char_bigrams(
         for bg, c in counts.items():
             rows[i, index[bg]] = c
         total = rows[i].sum()
-        if relative and total > 0:
+        if total > 0:
             rows[i] /= total
     fm = FeatureMatrix(
         [d[0] for d in raw_docs], [d[1] for d in raw_docs], vocab, rows

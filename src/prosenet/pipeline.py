@@ -44,11 +44,9 @@ from .features import (
     select_word_list,
 )
 from .graph import (
-    GeodesicLevel,
     WordNetwork,
     build_network,
     geodesic_row_bytes,
-    geodesic_rows,
     network_to_json,
     row_blocks,
 )
@@ -77,6 +75,7 @@ from .metrics import (
     pagerank,
 )
 from .walks import (
+    DEFAULT_DEPTH_CAP,
     ENTROPY_CELL_BYTES,
     accessibility_batch,
     backbone_symmetry_batch,
@@ -90,6 +89,7 @@ STRATEGIES = ("GS", "LS", "LSS")
 CLASSIFIERS = ("knn", "cart", "nb")
 # rows of one streamed block of the relevance ledger and omega CSVs
 RELEVANCE_BLOCK_ROWS = 4096
+OMEGA_FORMAT_ROWS = 256  # omega rows formatted from Python ints at once
 
 
 @dataclass
@@ -128,8 +128,8 @@ class RunConfig:
             raise ProsenetError("alpha must lie in (0, 1)")
         if self.closeness not in ("mean", "reciprocal"):
             raise ProsenetError("closeness must be 'mean' or 'reciprocal'")
-        if not self.h_access or any(h < 1 or h > 4 for h in self.h_access):
-            raise ProsenetError("walk depths (--h) must lie in 1..4")
+        if not self.h_access or any(h < 1 or h > DEFAULT_DEPTH_CAP for h in self.h_access):
+            raise ProsenetError(f"walk depths (--h) must lie in 1..{DEFAULT_DEPTH_CAP}")
         if not self.h_symmetry or any(h < 1 for h in self.h_symmetry):
             raise ProsenetError("symmetry depths must be >= 1")
         for name, ok, rule in (
@@ -243,7 +243,7 @@ def measure_document(
             f"document {doc.id!r}: measuring its {n}-node network needs about "
             f"{need / 2**20:.1f} MiB, over the {MEASURE_BUDGET / 2**20:.1f} MiB budget"
         )
-    dist_all, b, sb = _geodesic_pass(net, sources, cfg.h_symmetry, known is None)
+    dist_all, b = _geodesic_pass(net, known is None)
     if known is None:
         known = DocumentMeasures(
             doc_id=doc.id,
@@ -268,6 +268,7 @@ def measure_document(
 
     dist_sources = dist_all if len(sources) == n else dist_all[sources]
     acc = accessibility_batch(net, sources, cfg.h_access, dist_block=dist_sources)
+    sb = backbone_symmetry_batch(net, sources, cfg.h_symmetry, dist=dist_sources)
     sm = merged_symmetry_batch(net, sources, cfg.h_symmetry, dist=dist_sources)
     for col, h in enumerate(cfg.h_access):
         walk_measure(f"A{h}", acc[:, col])
@@ -277,31 +278,24 @@ def measure_document(
     return dataclasses.replace(known, measures=measures)
 
 
-def _geodesic_pass(net: WordNetwork, sources: np.ndarray, h_symmetry: tuple[int, ...],
-                   with_betweenness: bool) -> tuple[np.ndarray, NodeMeasures | None, np.ndarray]:
+def _geodesic_pass(net: WordNetwork,
+                   with_betweenness: bool) -> tuple[np.ndarray, NodeMeasures | None]:
     """The BFS from every node, in ``row_blocks`` of source rows by
-    ``geodesic_row_bytes``. Each block's geodesic edges serve at once and
-    are dropped: its Brandes dependencies are added to B, and the backbone
-    walks start from the walk ``sources`` (sorted) among its rows. Returns
-    (dist_all, B or None, Sb at ``sources``)."""
+    ``geodesic_row_bytes``; with ``with_betweenness``, each block's Brandes
+    dependencies are added to B and its geodesic edges dropped. Returns
+    (dist_all, B or None)."""
     from .graph import bfs_distances
 
     n = net.node_count
     dist_all = np.empty((n, n), dtype=np.int32)
     b = None
-    sb = np.zeros((len(sources), len(h_symmetry)), dtype=np.float64)
     for part in row_blocks(np.full(n, geodesic_row_bytes(net))):
         rows = np.arange(part.start, part.stop)
-        levels: list[GeodesicLevel] = []  # drops the last block's edges first
+        levels = [] if with_betweenness else None  # drops the last block's edges first
         bfs_distances(net, rows, levels, out=dist_all[part])
         if with_betweenness:
             b = betweenness(net, rows, levels, b)
-        lo, hi = np.searchsorted(sources, [part.start, part.stop])
-        if hi > lo:
-            sb[lo:hi] = backbone_symmetry_batch(
-                net, sources[lo:hi], h_symmetry, dist=dist_all[sources[lo:hi]],
-                levels=geodesic_rows(levels, n, sources[lo:hi] - part.start, len(rows)))
-    return dist_all, b, sb
+    return dist_all, b
 
 
 def _classic_measures(net: WordNetwork, cfg: RunConfig, dist_all: np.ndarray,
@@ -768,13 +762,22 @@ def ledger_csv_blocks(report: RelevanceReport) -> Iterator[str]:
 
 
 def omega_csv_blocks(report: RelevanceReport) -> Iterator[str]:
-    """The omega CSV (one row per rank k) in blocks of ``RELEVANCE_BLOCK_ROWS`` rows."""
-    rows = RELEVANCE_BLOCK_ROWS
+    """The omega CSV (one row per rank k) in blocks of ``RELEVANCE_BLOCK_ROWS`` rows.
+
+    The lines of ``OMEGA_FORMAT_ROWS`` rows are one %-format of their ranks
+    and counts, so only that many rows are Python ints at a time.
+    """
+    rows, n_ranks = RELEVANCE_BLOCK_ROWS, report.omega.shape[1]
+    line = ",".join(["%d"] * (len(report.feature_names) + 1)) + "\n"
     yield "k," + ",".join(report.feature_names) + "\n"
-    for start in range(0, report.omega.shape[1], rows):
-        counts = report.omega[:, start:start + rows].T.tolist()
-        yield "".join(f"{k},{','.join(map(str, row))}\n"
-                      for k, row in enumerate(counts, start=start + 1))
+    for start in range(0, n_ranks, rows):
+        stop = min(start + rows, n_ranks)
+        parts = []
+        for lo in range(start, stop, OMEGA_FORMAT_ROWS):
+            hi = min(lo + OMEGA_FORMAT_ROWS, stop)
+            table = np.vstack([np.arange(lo + 1, hi + 1), report.omega[:, lo:hi]]).T
+            parts.append(line * (hi - lo) % tuple(table.ravel().tolist()))
+        yield "".join(parts)
 
 
 def write_relevance(report: RelevanceReport, out: Path, strategy: str) -> None:

@@ -12,9 +12,10 @@ concentric walk: at each step the walker moves uniformly among the pattern
 neighbors one level further out, and pattern nodes without outward edges
 absorb their mass as dead ends. Both patterns are layered (their only edges
 join consecutive levels), so outward trajectories never revisit a node and
-the walk is self-avoiding by construction. The backbone walk runs over the
-geodesic edges of the BFS pass (``graph.bfs_distances``); the merged walk
-over the super-edges between ring-internal groups.
+the walk is self-avoiding by construction. One kernel serves both from the
+sources' distance rows: the backbone keeps the edges one hop outward inside
+the ball, and the merged pattern contracts each ring-internal connected
+group into one node and keeps each outward super-edge once.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import (GeodesicLevel, WordNetwork, bfs_distances, component_labels, min_labels,
-                    row_blocks)
+from .graph import WordNetwork, bfs_distances, component_labels, min_labels, row_blocks
 
 DEFAULT_DEPTH_CAP = 4
 
@@ -69,7 +69,7 @@ def _saw_levels(net: WordNetwork, sources: np.ndarray, h_max: int) -> list[np.nd
 
 
 PREFIX_BYTES = 96  # bytes ``_saw_levels`` holds per candidate step, with headroom
-ENTROPY_CELL_BYTES = 24  # ``_exp_entropy_rows``: a mask, two float64 temporaries, headroom
+ENTROPY_CELL_BYTES = 24  # ``_exp_entropy_rows``: a mask, a float64 temporary, headroom
 
 
 def nonbacktracking_walks(net: WordNetwork, h_max: int) -> np.ndarray:
@@ -126,8 +126,9 @@ def _exp_entropy_rows(rows: np.ndarray) -> np.ndarray:
     for part in row_blocks(np.full(len(rows), ENTROPY_CELL_BYTES * rows.shape[1])):
         mass = rows[part]
         positive = mass > 0
-        ent = -np.sum(np.where(positive, mass * np.log(np.where(positive, mass, 1.0)), 0.0), axis=1)
-        out[part] = np.where(mass.sum(axis=1) > 0, np.exp(ent), 0.0)
+        terms = np.log(mass, out=np.zeros(mass.shape), where=positive)
+        terms *= mass
+        out[part] = np.where(positive.any(axis=1), np.exp(-terms.sum(axis=1)), 0.0)
     return out
 
 
@@ -223,71 +224,45 @@ def generalized_accessibility(
     return NodeMeasures("Ag", _exp_entropy_rows(rows), np.zeros(len(rows), dtype=bool), net.doc_id)
 
 
-def backbone_symmetry_batch(
-    net: WordNetwork,
-    sources: np.ndarray,
-    h_values: tuple[int, ...],
-    dist: np.ndarray | None = None,
-    levels: list[GeodesicLevel] | None = None,
-) -> np.ndarray:
-    """Backbone symmetry for many sources at once; shape (S, len(h_values)).
-
-    Works directly on the full graph: the backbone's outward edges are the
-    geodesic edges of a BFS from the sources, so outward degrees and each
-    walk step are one ``np.bincount`` over a level's edges. ``dist`` and
-    ``levels`` are that pass (``bfs_distances(net, sources, levels)``); both
-    are recomputed unless ``levels`` is given.
-    """
-    h_max = max(h_values)
-    sources = np.asarray(sources)
-    if levels is None:
-        levels = []
-        dist = bfs_distances(net, sources, levels)
-    n_src, n = len(sources), net.node_count
-    size = n_src * n
-    mass = np.zeros(size, dtype=np.float64)
-    mass[np.arange(n_src) * n + sources] = 1.0
-    eta_cum = np.zeros(n_src, dtype=np.float64)
-    out = np.zeros((n_src, len(h_values)), dtype=np.float64)
-    none = np.zeros(0, dtype=np.int64)
-
-    for r in range(h_max):
-        lev = levels[r] if r < len(levels) else GeodesicLevel(none, none)
-        outward = np.bincount(lev.tails, minlength=size)
-        dead = (dist == r) & (outward.reshape(n_src, n) == 0)
-        eta_cum += dead.sum(axis=1)
-        contrib = mass[lev.tails] / outward[lev.tails]
-        mass = np.bincount(lev.heads, weights=contrib, minlength=size)
-        level = r + 1
-        if level in h_values:
-            col = h_values.index(level)
-            numer = _exp_entropy_rows(mass.reshape(n_src, n))
-            ring_count = (dist == level).sum(axis=1)
-            denom = ring_count + eta_cum
-            out[:, col] = np.where(ring_count > 0, numer / np.where(denom > 0, denom, 1.0), 0.0)
-    return out
-
-
 def merged_row_bytes(net: WordNetwork) -> int:
-    """An upper bound on one source's bytes in a ``merged_symmetry_batch`` block:
-    per CSR entry, masks, distances, ids and keys; per node, labels and mass."""
+    """An upper bound on one source's bytes in a block of either symmetry
+    batch: per CSR entry, masks, distances, ids and keys; per node, labels
+    and mass."""
     return 64 * len(net.indices) + 64 * net.node_count
 
 
-def merged_symmetry_batch(
+def _copy_edges(mask: np.ndarray, heads: np.ndarray, tails: np.ndarray,
+                n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR entries e of each copy i where mask[i, e] holds, as flat
+    (i*n + head, i*n + tail) ids in (copy, entry) order; ``np.nonzero`` of
+    the 2-d mask is ~4x slower."""
+    flat = np.flatnonzero(mask)
+    copy = flat // len(tails)
+    e = flat - copy * len(tails)
+    return copy * n + heads[e], copy * n + tails[e]
+
+
+def _concentric_symmetry(
     net: WordNetwork,
     sources: np.ndarray,
     h_values: tuple[int, ...],
-    dist: np.ndarray | None = None,
+    dist: np.ndarray | None,
+    merge: bool,
 ) -> np.ndarray:
-    """Merged symmetry for many sources; shape (S, len(h_values)).
+    """Merged (``merge``) or backbone symmetry for many sources; shape (S, len(h_values)).
 
     Sources go in ``row_blocks`` by ``merged_row_bytes``, each with its own
-    copy of the network (node v of copy i is i*n + v), so one ``min_labels``
-    call labels the ring-internal groups of a whole block, one sort of (copy,
-    head group, tail group) keys deduplicates the outward super-edges, and
-    each concentric-walk step is one ``np.bincount`` over those edges.
-    Matches the per-pattern reference ``symmetry`` (``tests/oracles.py``) exactly.
+    copy of the network (node v of copy i is i*n + v). A block's outward
+    edges are the CSR entries v -> w with dist[w] == dist[v] + 1 inside the
+    ball, in (copy, v, w) order. The merged pattern contracts them: one
+    ``min_labels`` call labels the ring-internal groups of the whole block
+    and one sort of (head group, tail group) keys deduplicates the outward
+    super-edges. Each concentric-walk step is one ``np.bincount`` over the
+    edges out of one ring. The ring entropies stay per pattern: the backbone's
+    ``_exp_entropy_rows`` and the merged ``_ring_exp_entropies`` sum in
+    different orders, and either one for both moves the other's last bits.
+    ``dist`` holds the sources' distance rows (recomputed when None).
+    Matches the per-pattern reference ``symmetry`` (``tests/oracles.py``).
     """
     h_max = max(h_values)
     sources = np.asarray(sources)
@@ -297,6 +272,7 @@ def merged_symmetry_batch(
     heads = net.heads()
     tails = net.indices.astype(np.int64)
     rings = h_max + 2
+    entropy = _ring_exp_entropies if merge else _exp_entropy_rows
     out = np.zeros((len(sources), len(h_values)), dtype=np.float64)
 
     for part in row_blocks(np.full(len(sources), merged_row_bytes(net))):
@@ -304,29 +280,29 @@ def merged_symmetry_batch(
         copies = len(d)
         size = copies * n
         in_ball = (d >= 0) & (d <= h_max)
-        edge_ok = in_ball[:, heads] & in_ball[:, tails]
         d_head, d_tail = d[:, heads], d[:, tails]
-
-        copy, e = np.nonzero(edge_ok & (d_head == d_tail))
-        group = min_labels(size, copy * n + heads[e], copy * n + tails[e])
-
-        copy, e = np.nonzero(edge_ok & (d_tail == d_head + 1))
-        # sort and drop repeats by hand: np.unique hashes first, ~20x slower here
-        key = np.sort(group[copy * n + heads[e]] * size + group[copy * n + tails[e]])
-        uniq = key[np.r_[True, key[1:] != key[:-1]]] if len(key) else key
-        e_head = uniq // size
-        e_tail = uniq % size
+        # no test of d_head >= 0: an unreached head's neighbours are unreached too
+        e_head, e_tail = _copy_edges((d_tail == d_head + 1) & (d_head < h_max), heads, tails, n)
+        root = in_ball.ravel()
+        if merge:
+            group = min_labels(size, *_copy_edges(in_ball[:, heads] & (d_head == d_tail),
+                                                  heads, tails, n))
+            # sort and drop repeats by hand: np.unique hashes first, ~20x slower here
+            key = np.sort(group[e_head] * size + group[e_tail])
+            uniq = key[np.r_[True, key[1:] != key[:-1]]] if len(key) else key
+            e_head, e_tail = uniq // size, uniq % size
+            root = root & (group == np.arange(size))
         out_count = np.bincount(e_head, minlength=size)
 
         d_flat = d.ravel()
-        groups = np.flatnonzero(in_ball.ravel() & (group == np.arange(size)))
+        groups = np.flatnonzero(root)
         slot = (groups // n) * rings + d_flat[groups]  # (copy, ring) of each group
         ring_counts = np.bincount(slot, minlength=copies * rings).reshape(copies, rings)
         dead = np.bincount(slot[out_count[groups] == 0], minlength=copies * rings)
         eta_cum = np.cumsum(dead.reshape(copies, rings), axis=1)
 
         mass = np.zeros(size, dtype=np.float64)
-        mass[group[np.arange(copies) * n + sources[part]]] = 1.0
+        mass[np.arange(copies) * n + sources[part]] = 1.0  # a source is its own group
         head_ring = d_flat[e_head]
         for r in range(h_max):
             level = r + 1
@@ -337,6 +313,25 @@ def merged_symmetry_batch(
                 col = h_values.index(level)
                 ring = np.flatnonzero(ring_counts[:, level])
                 denom = ring_counts[ring, level] + eta_cum[ring, level - 1]
-                numer = _ring_exp_entropies(mass.reshape(copies, n)[ring])
-                out[part.start + ring, col] = numer / denom
+                out[part.start + ring, col] = entropy(mass.reshape(copies, n)[ring]) / denom
     return out
+
+
+def backbone_symmetry_batch(
+    net: WordNetwork,
+    sources: np.ndarray,
+    h_values: tuple[int, ...],
+    dist: np.ndarray | None = None,
+) -> np.ndarray:
+    """Backbone symmetry for many sources; shape (S, len(h_values))."""
+    return _concentric_symmetry(net, sources, h_values, dist, merge=False)
+
+
+def merged_symmetry_batch(
+    net: WordNetwork,
+    sources: np.ndarray,
+    h_values: tuple[int, ...],
+    dist: np.ndarray | None = None,
+) -> np.ndarray:
+    """Merged symmetry for many sources; shape (S, len(h_values))."""
+    return _concentric_symmetry(net, sources, h_values, dist, merge=True)

@@ -18,11 +18,13 @@ reference walks (SAW distributions, accessibility, the backbone and merged
 patterns, concentric symmetry, one ring entropy at a time) were the
 package's own slow paths, built on its BFS and on its earlier SAW enumerator
 ``saw_levels``, which also tracks the mass of walks stranded early; they now
-serve as references for the batch kernels. The scipy kernels
-(sparse-product BFS, Brandes betweenness, clustering, eigenvector, PageRank,
-component labels, ``scipy.linalg.expm``) and the greedy community search
-that re-pushes stale heap entries are what the numpy kernels replaced, kept
-to show the replacements give identical results.
+serve as references for the batch kernels, as does the backbone walk over
+the BFS's geodesic levels that the one concentric-walk kernel replaced.
+The scipy kernels (sparse-product BFS, Brandes betweenness, clustering,
+eigenvector, PageRank, component labels, ``scipy.linalg.expm``) and the
+greedy community search that re-pushes stale heap entries are what the
+numpy kernels replaced, kept to show the replacements give identical
+results.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ from scipy.sparse import csgraph
 
 from prosenet import ConvergenceError
 from prosenet.features import FeatureMatrix
-from prosenet.graph import WordNetwork, _csr_from_edges, bfs_distances, largest_component_nodes
+from prosenet.graph import (GeodesicLevel, WordNetwork, _csr_from_edges, bfs_distances,
+                            largest_component_nodes)
 from prosenet.learn import RelevanceReport, _CartNode
 from prosenet.metrics import CommunityAssignment, NodeMeasures, _full, _on_component
 from prosenet.walks import DEFAULT_DEPTH_CAP, TransitionMatrix
@@ -636,6 +639,15 @@ def ring_entropy_exp(probs: np.ndarray) -> float:
     return float(np.exp(-np.sum(pos * np.log(pos))))
 
 
+def where_exp_entropy_rows(rows: np.ndarray) -> np.ndarray:
+    """exp of the Shannon entropy of each nonnegative mass row (0 for a row
+    without mass), as ``walks._exp_entropy_rows`` took it: the log of every
+    cell, with ``np.where`` putting 1 in place of the cells without mass."""
+    positive = rows > 0
+    ent = -np.sum(np.where(positive, rows * np.log(np.where(positive, rows, 1.0)), 0.0), axis=1)
+    return np.where(rows.sum(axis=1) > 0, np.exp(ent), 0.0)
+
+
 def ring_exp_entropies_per_row(rows: np.ndarray) -> np.ndarray:
     """``ring_entropy_exp`` of each row's positive cells, one row at a time,
     as ``merged_symmetry_batch`` took them."""
@@ -954,6 +966,39 @@ def symmetry(net: WordNetwork, source: int, h: int, variant: str) -> float:
     numerator = ring_entropy_exp(probs)
     denominator = len(pattern.rings[h]) + sum(pattern.dead_end_counts[:h])
     return numerator / denominator
+
+
+def levels_backbone_symmetry(net: WordNetwork, sources: np.ndarray,
+                             h_values: tuple[int, ...]) -> np.ndarray:
+    """Backbone symmetry as ``backbone_symmetry_batch`` took it from the
+    geodesic levels of a BFS from the sources: outward degrees and each walk
+    step are one ``np.bincount`` over a level's edges; shape (S, len(h_values))."""
+    h_max = max(h_values)
+    sources = np.asarray(sources)
+    levels: list[GeodesicLevel] = []
+    dist = bfs_distances(net, sources, levels)
+    n_src, n = len(sources), net.node_count
+    size = n_src * n
+    mass = np.zeros(size, dtype=np.float64)
+    mass[np.arange(n_src) * n + sources] = 1.0
+    eta_cum = np.zeros(n_src, dtype=np.float64)
+    out = np.zeros((n_src, len(h_values)), dtype=np.float64)
+    none = np.zeros(0, dtype=np.int64)
+    for r in range(h_max):
+        lev = levels[r] if r < len(levels) else GeodesicLevel(none, none)
+        outward = np.bincount(lev.tails, minlength=size)
+        dead = (dist == r) & (outward.reshape(n_src, n) == 0)
+        eta_cum += dead.sum(axis=1)
+        contrib = mass[lev.tails] / outward[lev.tails]
+        mass = np.bincount(lev.heads, weights=contrib, minlength=size)
+        level = r + 1
+        if level in h_values:
+            col = h_values.index(level)
+            numer = where_exp_entropy_rows(mass.reshape(n_src, n))
+            ring_count = (dist == level).sum(axis=1)
+            denom = ring_count + eta_cum
+            out[:, col] = np.where(ring_count > 0, numer / np.where(denom > 0, denom, 1.0), 0.0)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,12 @@ the re-pushing community search they replaced (``oracles``).
 Graphs come from ``conftest.networks``: edge lists with isolated nodes,
 disconnected parts and hubs, and token networks. Distances, geodesic counts,
 betweenness, clustering, the iterative centralities, component labels and
-communities must be identical, and so must the distances, betweenness and
-backbone symmetry of the blocked geodesic pass for every block size, which
-``row_blocks`` cuts greedily within the budget; ``Ag``, now from a
-symmetric eigendecomposition instead of ``scipy.linalg.expm``, within 1e-12
-relative.
+communities must be identical, and so must the distances and betweenness
+of the blocked geodesic pass for every block size, which ``row_blocks`` cuts
+greedily within the budget, and the backbone symmetry of the one
+concentric-walk kernel and of the walk over the BFS's geodesic levels that it
+replaced, for any budget; ``Ag``, now from a symmetric eigendecomposition
+instead of ``scipy.linalg.expm``, within 1e-12 relative.
 """
 
 import numpy as np
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from conftest import networks, zipf_doc
 from oracles import (
+    levels_backbone_symmetry,
     repush_detect_communities,
     scipy_betweenness,
     scipy_bfs_distances,
@@ -33,7 +35,6 @@ from prosenet.graph import (
     build_network,
     component_labels,
     geodesic_row_bytes,
-    geodesic_rows,
     row_blocks,
 )
 from prosenet.metrics import (
@@ -43,7 +44,7 @@ from prosenet.metrics import (
     eigenvector_centrality,
     pagerank,
 )
-from prosenet.walks import backbone_symmetry_batch, generalized_accessibility
+from prosenet.walks import backbone_symmetry_batch, generalized_accessibility, merged_row_bytes
 
 PROPERTY = settings(max_examples=80, deadline=None)
 
@@ -77,26 +78,24 @@ def test_bfs_levels_are_every_geodesic_edge_in_order(net, data):
 @given(networks, st.data())
 def test_geodesic_pass_is_the_same_for_every_block_size(net, data):
     n = net.node_count
-    sources = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1)))), dtype=np.int64)
-    h_values = (1, 2, 3, 5)
     rows = data.draw(st.integers(1, n))
 
     def blocked(per_block):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(graph, "BLOCK_BYTES", per_block * geodesic_row_bytes(net))
             assert next(row_blocks(np.full(n, geodesic_row_bytes(net)))) == slice(0, per_block)
-            return pipeline._geodesic_pass(net, sources, h_values, True), betweenness(net)
+            return pipeline._geodesic_pass(net, True), betweenness(net)
 
-    (dist, b, sb), alone = blocked(rows)
-    (whole_dist, whole_b, whole_sb), whole_alone = blocked(n)
+    (dist, b), alone = blocked(rows)
+    (whole_dist, whole_b), whole_alone = blocked(n)
     assert np.array_equal(whole_dist, scipy_bfs_distances(net, np.arange(n)))
     same_measure(whole_b, scipy_betweenness(net))
     same_measure(whole_alone, whole_b)
-    assert np.array_equal(whole_sb, backbone_symmetry_batch(net, sources, h_values))
     assert np.array_equal(dist, whole_dist)
     same_measure(b, whole_b)
     same_measure(alone, whole_b)
-    assert np.array_equal(sb, whole_sb)
+    assert pipeline._geodesic_pass(net, False)[1] is None
+    assert np.array_equal(pipeline._geodesic_pass(net, False)[0], whole_dist)
 
 
 @PROPERTY
@@ -119,13 +118,11 @@ def test_blocks_add_betweenness_in_source_order(per_block):
     # last bits; the hypothesis networks are too small to show it
     net = build_network(zipf_doc(60))
     n = net.node_count
-    sources = np.arange(0, n, 2)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(graph, "BLOCK_BYTES", per_block * geodesic_row_bytes(net))
-        dist, b, sb = pipeline._geodesic_pass(net, sources, (2, 3), True)
+        dist, b = pipeline._geodesic_pass(net, True)
     same_measure(b, scipy_betweenness(net))
     assert np.array_equal(dist, scipy_bfs_distances(net, np.arange(n)))
-    assert np.array_equal(sb, backbone_symmetry_batch(net, sources, (2, 3)))
 
 
 @PROPERTY
@@ -173,12 +170,17 @@ def test_ag_within_1e12_of_scipy_expm(net):
 
 @PROPERTY
 @given(networks, st.data())
-def test_backbone_from_an_all_node_pass_equals_its_own_pass(net, data):
+def test_backbone_equals_the_walk_over_geodesic_levels(net, data):
     n = net.node_count
-    sources = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1)))), dtype=np.int64)
+    everyone = np.arange(n)
+    subset = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1)))), dtype=np.int64)
     h_values = (1, 2, 3, 5)
-    levels = []
-    dist = bfs_distances(net, np.arange(n), levels)
-    shared = backbone_symmetry_batch(net, sources, h_values, dist=dist[sources],
-                                     levels=geodesic_rows(levels, n, sources, n))
-    assert np.array_equal(shared, backbone_symmetry_batch(net, sources, h_values))
+    # from one source per block (0) to every source in one block
+    budget = data.draw(st.integers(0, n * merged_row_bytes(net)))
+    dist = bfs_distances(net, everyone)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graph, "BLOCK_BYTES", budget)
+        every = backbone_symmetry_batch(net, everyone, h_values, dist=dist)
+        part = backbone_symmetry_batch(net, subset, h_values, dist=dist[subset])
+    assert np.array_equal(every, levels_backbone_symmetry(net, everyone, h_values))
+    assert np.array_equal(part, levels_backbone_symmetry(net, subset, h_values))

@@ -31,7 +31,14 @@ from prosenet.pipeline import (
     prepare_manifest,
     write_relevance,
 )
-from prosenet.walks import accessibility_batch, saw_row_bytes
+from prosenet.walks import (
+    DEFAULT_DEPTH_CAP,
+    accessibility_batch,
+    backbone_symmetry_batch,
+    merged_row_bytes,
+    merged_symmetry_batch,
+    saw_row_bytes,
+)
 
 
 class TestConfig:
@@ -53,6 +60,15 @@ class TestConfig:
     def test_bad_strategy_rejected(self):
         with pytest.raises(ProsenetError):
             config_from_sources({}, {"strategy": "XX"})
+
+    def test_walk_depths_are_capped_where_the_walks_cap_them(self, monkeypatch):
+        depths = (1, DEFAULT_DEPTH_CAP)
+        assert config_from_sources({}, {"h_access": depths}).h_access == depths
+        with pytest.raises(ProsenetError, match=f"1\\.\\.{DEFAULT_DEPTH_CAP}"):
+            config_from_sources({}, {"h_access": (DEFAULT_DEPTH_CAP + 1,)})
+        monkeypatch.setattr(pipeline, "DEFAULT_DEPTH_CAP", DEFAULT_DEPTH_CAP - 1)
+        with pytest.raises(ProsenetError, match=f"1\\.\\.{DEFAULT_DEPTH_CAP - 1}"):
+            config_from_sources({}, {"h_access": depths})
 
 
 @pytest.fixture(scope="module")
@@ -374,7 +390,7 @@ class TestMeasurementMemory:
         assert n * geodesic_row_bytes(net) > budget  # one block would not fit
 
         def geodesic_pass():
-            return pipeline._geodesic_pass(net, np.arange(n), (2, 3, 4), True)
+            return pipeline._geodesic_pass(net, True)
 
         blocked, peak = traced_peak(geodesic_pass)
         assert peak <= budget + dist_bytes
@@ -384,7 +400,23 @@ class TestMeasurementMemory:
         assert whole_peak > budget + dist_bytes
         assert np.array_equal(blocked[0], whole[0])
         assert np.array_equal(blocked[1].values, whole[1].values)
-        assert np.array_equal(blocked[2], whole[2])
+
+    def test_symmetry_blocks_stay_within_the_budget(self):
+        net = build_network(zipf_doc(1000))
+        n = net.node_count
+        dist = graph.bfs_distances(net, np.arange(n))
+        assert n * merged_row_bytes(net) > graph.BLOCK_BYTES  # one block would not fit
+        for batch in (backbone_symmetry_batch, merged_symmetry_batch):
+            def walk():
+                return batch(net, np.arange(n), (2, 3, 4), dist=dist)
+
+            blocked, peak = traced_peak(walk)
+            assert peak <= graph.BLOCK_BYTES, batch.__name__
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(graph, "BLOCK_BYTES", n * merged_row_bytes(net))
+                whole, whole_peak = traced_peak(walk)
+            assert whole_peak > graph.BLOCK_BYTES, batch.__name__
+            assert np.array_equal(blocked, whole)
 
     def test_saw_blocks_stay_within_the_budget_plus_one_source(self):
         net = build_network(zipf_doc(500, words=400))  # hubs of degree 50
@@ -610,6 +642,18 @@ class TestRelevanceCsv:
 
         _, oracle_peak = traced_peak(whole_strings)
         assert oracle_peak > 15 * 2**20 > 2 * peak
+
+    def test_omega_writer_peaks_no_higher_than_the_ledger_writer(self):
+        # a block of 4096 omega rows as Python ints took about 3 MiB
+        report = rank_subsets(lss_names(15), grid_accuracies(15, 40, 5))
+
+        def drained(blocks):
+            return lambda: sum(len(block) for block in blocks(report))
+
+        omega_chars, omega_peak = traced_peak(drained(pipeline.omega_csv_blocks))
+        ledger_chars, ledger_peak = traced_peak(drained(pipeline.ledger_csv_blocks))
+        assert omega_chars > pipeline.RELEVANCE_BLOCK_ROWS * 16  # several full blocks
+        assert omega_peak <= ledger_peak
 
 
 class TestBaselinesCommand:

@@ -10,7 +10,8 @@ form, which also tracked the dead-end mass, and the non-backtracking walk
 counts behind its byte bound match a brute-force count and are at least the
 SAW prefix counts (equal up to two steps). Merged symmetry's ring entropies,
 summed a group of equal-length rows at a time, equal the per-row sums bit
-for bit.
+for bit, and the entropy rows that take logs only of the cells with mass
+equal the rows that take the log of every cell.
 """
 
 from unittest import mock
@@ -28,10 +29,12 @@ from oracles import (
     ring_exp_entropies_per_row,
     saw_levels,
     symmetry,
+    where_exp_entropy_rows,
 )
 from prosenet import graph, walks
 from prosenet.graph import bfs_distances
 from prosenet.walks import (
+    _exp_entropy_rows,
     _ring_exp_entropies,
     _saw_levels,
     accessibility_batch,
@@ -131,3 +134,14 @@ def test_grouped_ring_entropies_equal_the_per_row_sums(n_rows, width, density, s
     rows = rng.random((n_rows, width)) * (rng.random((n_rows, width)) < density)
     rows /= np.maximum(rows.sum(axis=1, keepdims=True), 1.0)
     assert np.array_equal(_ring_exp_entropies(rows), ring_exp_entropies_per_row(rows))
+
+
+@PROPERTY
+@given(st.integers(0, 40), st.integers(1, 700), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1),
+       st.booleans())
+def test_exp_entropy_rows_equal_the_log_of_every_cell(n_rows, width, density, seed, normalized):
+    rng = np.random.default_rng(seed)
+    rows = rng.random((n_rows, width)) * (rng.random((n_rows, width)) < density)
+    if normalized:
+        rows /= np.maximum(rows.sum(axis=1, keepdims=True), 1.0)
+    assert np.array_equal(_exp_entropy_rows(rows), where_exp_entropy_rows(rows))
