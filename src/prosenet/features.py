@@ -60,9 +60,6 @@ class FeatureMatrix:
     def n_documents(self) -> int:
         return len(self.doc_ids)
 
-    def column(self, name: str) -> np.ndarray:
-        return self.values[:, self.feature_names.index(name)]
-
     def subset(self, names: list[str]) -> "FeatureMatrix":
         idx = [self.feature_names.index(n) for n in names]
         return FeatureMatrix(

@@ -7,13 +7,13 @@ heavier measurements can run vectorized.
 Shortest-path structure comes from one frontier-expanding BFS over the CSR
 arrays. Besides the hop distances it yields every level's geodesic edges:
 the (source s, v -> w) steps with dist[s, w] == dist[s, v] + 1, as flat ids
-s * n + v and s * n + w in (s, v, w) order. Brandes betweenness runs over
-those edges with ``np.bincount``, whose sequential accumulation sums each
-target's terms in ascending (s, v) order; every other measure that needs
-shortest paths reads the distances. Every batched kernel, this pass from
-every node among them, runs over ``row_blocks`` sized from its own bound on
-one row's bytes; each block's work is used and dropped before the next
-block starts.
+s * n + v and s * n + w in (s, v, w) order. ``metrics.betweenness`` runs
+the pass from every node and Brandes accumulation over those edges with
+``np.bincount``, whose sequential accumulation sums each target's terms in
+ascending (s, v) order; every other measure that needs shortest paths reads
+the distances that pass fills. Every batched kernel, this pass among them,
+runs over ``row_blocks`` sized from its own bound on one row's bytes; each
+block's work is used and dropped before the next block starts.
 """
 
 from __future__ import annotations
@@ -62,9 +62,6 @@ class WordNetwork:
                 if u < v:
                     out.append((u, int(v)))
         return out
-
-    def node_index(self) -> dict[str, int]:
-        return {label: i for i, label in enumerate(self.node_labels)}
 
     def heads(self) -> np.ndarray:
         """The head node of each CSR entry: edge e runs heads()[e] -> indices[e]."""

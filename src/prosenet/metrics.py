@@ -8,11 +8,13 @@ from any later aggregation. All other measurements cover every node.
 Betweenness sums over ordered source/target pairs (i, j) with i != u != j,
 so a middle node of a 3-path scores 2, not 1.
 
-Every kernel is plain numpy over the CSR arrays: Brandes betweenness walks
-the geodesic edges of one BFS pass, the iterative centralities multiply by
-the adjacency with ``np.bincount`` (each row summed in ascending neighbour
-order, as a CSR product sums it), and clustering counts common neighbours
-by intersecting boolean adjacency rows.
+Every kernel is plain numpy over the CSR arrays: betweenness runs the
+geodesic pass, a BFS from every node that can fill a caller's distance matrix
+for closeness, eccentricity and neighbourhood counts, with Brandes
+accumulation over each block's geodesic edges; the iterative centralities
+multiply by the adjacency with ``np.bincount`` (each row summed in ascending
+neighbour order, as a CSR product sums it), and clustering counts common
+neighbours by intersecting boolean adjacency rows.
 """
 
 from __future__ import annotations
@@ -119,33 +121,28 @@ def _component_distances(net: WordNetwork, comp: np.ndarray,
     return dist if len(comp) == net.node_count else dist[np.ix_(comp, comp)]
 
 
-def betweenness(net: WordNetwork, sources: np.ndarray | None = None,
-                levels: list[GeodesicLevel] | None = None,
-                running: NodeMeasures | None = None) -> NodeMeasures:
+def betweenness(net: WordNetwork, dist: np.ndarray | None = None) -> NodeMeasures:
     """Shortest-path betweenness over ordered pairs, on the largest component.
 
-    Brandes accumulation over the geodesic edges of a BFS: geodesic counts
-    sigma flow forward level by level, the dependencies delta flow back,
-    each step one ``np.bincount`` over a level's edges. Each source row's
-    sigma and delta depend on that row's edges alone, so the sources may be
-    searched block by block: ``levels`` are the geodesic levels of one block
-    ``bfs_distances(net, sources, levels)`` (by default one pass from
-    every node), and the block's dependencies are added to ``running``, the
-    betweenness of the blocks before it, in source order. Sources outside
-    the component add exactly 0 to its nodes. Without ``levels`` the
-    component is searched afresh, in ``row_blocks`` of its nodes.
+    The geodesic pass: a BFS from every node, in ``row_blocks`` of source
+    rows by ``geodesic_row_bytes``. Each block's hop distances go into its
+    rows of ``dist`` when given (a C-ordered int32 (n, n) array), and Brandes
+    accumulation runs over the block's geodesic edges: geodesic counts sigma
+    flow forward level by level, the dependencies delta flow back, each step
+    one ``np.bincount`` over a level's edges. Each source row's sigma and
+    delta depend on that row's edges alone, so the blocks' dependencies are
+    added in source order; sources outside the component add exactly 0 to
+    its nodes.
     """
     comp = largest_component_nodes(net)
-    k, n = len(comp), net.node_count
-    total = np.zeros(n, dtype=np.float64) if running is None else running.values
-    if k > 2 and levels is not None:
-        sources = np.arange(n) if sources is None else np.asarray(sources)
-        total = _brandes(sources, levels, n, total)
-    elif k > 2:
-        for part in row_blocks(np.full(k, geodesic_row_bytes(net))):
-            block_levels: list[GeodesicLevel] = []
-            bfs_distances(net, comp[part], block_levels)
-            total = _brandes(comp[part], block_levels, n, total)
+    n = net.node_count
+    total = np.zeros(n, dtype=np.float64)
+    for part in row_blocks(np.full(n, geodesic_row_bytes(net))):
+        sources = np.arange(part.start, part.stop)
+        levels: list[GeodesicLevel] = []
+        bfs_distances(net, sources, levels, out=None if dist is None else dist[part])
+        if len(comp) > 2:
+            total = _brandes(sources, levels, n, total)
     return _on_component(net, "B", comp, total[comp])
 
 

@@ -43,13 +43,7 @@ from .features import (
     select_top_k,
     select_word_list,
 )
-from .graph import (
-    WordNetwork,
-    build_network,
-    geodesic_row_bytes,
-    network_to_json,
-    row_blocks,
-)
+from .graph import WordNetwork, build_network, geodesic_row_bytes, network_to_json
 from .learn import (
     ClassificationReport,
     ClassifierSpec,
@@ -169,8 +163,14 @@ def parse_config_file(path: str | Path) -> dict:
     return values
 
 
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+_EXPECTED = {bool: "one of 1/true/yes/0/false/no", int: "an integer", float: "a number",
+             tuple: "a comma list of integers"}
+
+
 def config_from_sources(file_values: dict, overrides: dict) -> RunConfig:
-    """Build a RunConfig from config-file values plus CLI overrides."""
+    """Build a RunConfig from config-file values plus CLI overrides; a value
+    that does not parse as its key's type is a ``ProsenetError``."""
     merged = dict(file_values)
     merged.update({k: v for k, v in overrides.items() if v is not None})
     cfg = RunConfig()
@@ -178,19 +178,24 @@ def config_from_sources(file_values: dict, overrides: dict) -> RunConfig:
         if not hasattr(cfg, key):
             raise ProsenetError(f"unknown config key {key!r}")
         current = getattr(cfg, key)
-        if isinstance(current, bool):
-            value = raw if isinstance(raw, bool) else str(raw).lower() in ("1", "true", "yes")
-        elif isinstance(current, int):
-            value = int(raw)
-        elif isinstance(current, float):
-            value = float(raw)
-        elif isinstance(current, tuple):
-            if isinstance(raw, (tuple, list)):
-                value = tuple(int(v) for v in raw)
+        try:
+            if isinstance(current, bool):
+                value = raw if isinstance(raw, bool) else _BOOLEANS[str(raw).strip().lower()]
+            elif isinstance(current, int):
+                value = int(raw)
+            elif isinstance(current, float):
+                value = float(raw)
+            elif isinstance(current, tuple):
+                if isinstance(raw, (tuple, list)):
+                    value = tuple(int(v) for v in raw)
+                else:
+                    value = tuple(int(v) for v in str(raw).split(",") if v.strip())
             else:
-                value = tuple(int(v) for v in str(raw).split(",") if v.strip())
-        else:
-            value = str(raw)
+                value = str(raw)
+        except (KeyError, ValueError):
+            raise ProsenetError(
+                f"config key {key!r} must be {_EXPECTED[type(current)]}, got {raw!r}"
+            ) from None
         setattr(cfg, key, value)
     cfg.validate()
     return cfg
@@ -215,99 +220,63 @@ def measurement_bytes(net: WordNetwork, sources: np.ndarray, h_access: tuple[int
     return 4 * n * n + 5 * 8 * n * n + int(max(rows))
 
 
-def measure_document(
-    doc: Document,
-    cfg: RunConfig,
-    walk_sources: list[str] | None,
-    known: DocumentMeasures | None = None,
-) -> DocumentMeasures:
+def measure_document(doc: Document, cfg: RunConfig,
+                     walk_sources: list[str] | None) -> DocumentMeasures:
     """All measures for one document's network.
 
     ``walk_sources`` limits the expensive walk measures (A, Sb, Sm) to the
-    named words; None measures every node and an empty list omits them.
-    ``known`` holds measures already taken on this network with these
-    settings (a cache entry): its classic measures and walk values are kept,
-    and the network is walked only from the requested nodes it lacks. One
-    geodesic pass from every node feeds every distance-based measure either
-    way. A network whose estimated peak exceeds ``MEASURE_BUDGET`` is
-    refused with ``CostGuardError`` before anything n x n is allocated or
-    any walk enumerated.
+    named words; None measures every node and an empty list omits them. One
+    geodesic pass from every node, run by ``betweenness``, feeds every
+    distance-based measure. A network whose estimated peak exceeds
+    ``MEASURE_BUDGET`` is refused with ``CostGuardError`` before anything
+    n x n is allocated or any walk enumerated.
     """
     net = build_network(doc, cfg.window)
     n = net.node_count
-    walked = np.zeros(n, dtype=bool) if known is None else _walked(known, cfg)
-    sources = np.flatnonzero(_source_mask(net.node_labels, walk_sources) & ~walked)
+    requested = _source_mask(net.node_labels, walk_sources)
+    sources = np.flatnonzero(requested)
     need = measurement_bytes(net, sources, cfg.h_access)
     if need > MEASURE_BUDGET:
         raise CostGuardError(
             f"document {doc.id!r}: measuring its {n}-node network needs about "
             f"{need / 2**20:.1f} MiB, over the {MEASURE_BUDGET / 2**20:.1f} MiB budget"
         )
-    dist_all, b = _geodesic_pass(net, known is None)
-    if known is None:
-        known = DocumentMeasures(
-            doc_id=doc.id,
-            label=doc.label,
-            node_labels=list(net.node_labels),
-            measures=_classic_measures(net, cfg, dist_all, b),
-            vocabulary_size=net.node_count,
-            modularity_q=detect_communities(net).q,
-            word_frequencies=word_frequencies(doc),
-        )
+    dist_all = np.empty((n, n), dtype=np.int32)
+    dm = DocumentMeasures(
+        doc_id=doc.id,
+        label=doc.label,
+        node_labels=list(net.node_labels),
+        measures=_classic_measures(net, cfg, dist_all),
+        vocabulary_size=n,
+        modularity_q=detect_communities(net).q,
+        word_frequencies=word_frequencies(doc),
+    )
     if walk_sources == []:
-        return known
-
-    walked[sources] = True
-    measures = dict(known.measures)
-
-    def walk_measure(name: str, per_source: np.ndarray) -> None:
-        values = known.measures[name].values.copy() if name in known.measures \
-            else np.zeros(n, dtype=np.float64)
-        values[sources] = per_source
-        measures[name] = NodeMeasures(name, values, ~walked, doc.id)
+        return dm
 
     dist_sources = dist_all if len(sources) == n else dist_all[sources]
     acc = accessibility_batch(net, sources, cfg.h_access, dist_block=dist_sources)
     sb = backbone_symmetry_batch(net, sources, cfg.h_symmetry, dist=dist_sources)
     sm = merged_symmetry_batch(net, sources, cfg.h_symmetry, dist=dist_sources)
-    for col, h in enumerate(cfg.h_access):
-        walk_measure(f"A{h}", acc[:, col])
+    walks = {f"A{h}": acc[:, col] for col, h in enumerate(cfg.h_access)}
     for col, h in enumerate(cfg.h_symmetry):
-        walk_measure(f"Sb{h}", sb[:, col])
-        walk_measure(f"Sm{h}", sm[:, col])
-    return dataclasses.replace(known, measures=measures)
+        walks[f"Sb{h}"], walks[f"Sm{h}"] = sb[:, col], sm[:, col]
+    for name, per_source in walks.items():
+        values = np.zeros(n, dtype=np.float64)
+        values[sources] = per_source
+        dm.measures[name] = NodeMeasures(name, values, ~requested, doc.id)
+    return dm
 
 
-def _geodesic_pass(net: WordNetwork,
-                   with_betweenness: bool) -> tuple[np.ndarray, NodeMeasures | None]:
-    """The BFS from every node, in ``row_blocks`` of source rows by
-    ``geodesic_row_bytes``; with ``with_betweenness``, each block's Brandes
-    dependencies are added to B and its geodesic edges dropped. Returns
-    (dist_all, B or None)."""
-    from .graph import bfs_distances
-
-    n = net.node_count
-    dist_all = np.empty((n, n), dtype=np.int32)
-    b = None
-    for part in row_blocks(np.full(n, geodesic_row_bytes(net))):
-        rows = np.arange(part.start, part.stop)
-        levels = [] if with_betweenness else None  # drops the last block's edges first
-        bfs_distances(net, rows, levels, out=dist_all[part])
-        if with_betweenness:
-            b = betweenness(net, rows, levels, b)
-    return dist_all, b
-
-
-def _classic_measures(net: WordNetwork, cfg: RunConfig, dist_all: np.ndarray,
-                      b: NodeMeasures) -> dict:
-    """Every all-node measure that needs no walk sources; ``dist_all`` and
-    the betweenness ``b`` come from the geodesic pass."""
+def _classic_measures(net: WordNetwork, cfg: RunConfig, dist_all: np.ndarray) -> dict:
+    """Every all-node measure that needs no walk sources; betweenness runs
+    the geodesic pass, which fills ``dist_all`` for the measures after it."""
     measures = {}
     measures["k"] = degree(net)
+    measures["B"] = betweenness(net, dist=dist_all)
     for h in cfg.h_access:
         measures[f"N{h}"] = neighborhood_connectivity(net, h, cfg.cumulative, dist=dist_all)
     measures["cc"] = clustering(net)
-    measures["B"] = b
     measures["C"] = closeness(net, reciprocal=cfg.closeness == "reciprocal", dist=dist_all)
     measures["E"] = eccentricity(net, dist=dist_all)
     measures["Ec"] = eigenvector_centrality(net)
@@ -339,6 +308,16 @@ def _covers(dm: DocumentMeasures, cfg: RunConfig, walk_sources: list[str] | None
     if walk_sources == []:
         return True
     return not (_source_mask(dm.node_labels, walk_sources) & ~_walked(dm, cfg)).any()
+
+
+def _with_walked(dm: DocumentMeasures, cfg: RunConfig,
+                 walk_sources: list[str] | None) -> list[str] | None:
+    """``walk_sources`` plus the nodes ``dm`` has walked: measured afresh
+    from these, an entry keeps every walk value it held."""
+    if walk_sources is None:
+        return None
+    walked = [label for label, done in zip(dm.node_labels, _walked(dm, cfg)) if done]
+    return walk_sources + walked
 
 
 def _restrict_walks(dm: DocumentMeasures, cfg: RunConfig,
@@ -516,9 +495,9 @@ def _dictionary_for(cfg: RunConfig) -> LemmaDictionary:
 def _measure_task(args) -> tuple[str, DocumentMeasures | None, str | None]:
     """(doc_id, measures, error or None); a measured document's entry is
     stored at once, so an interrupted run resumes from it."""
-    doc, sources, cfg, known, key, path = args
+    doc, sources, cfg, key, path = args
     try:
-        dm = measure_document(doc, cfg, sources, known)
+        dm = measure_document(doc, cfg, sources)
     except Exception as exc:  # noqa: BLE001 - reported per document by the caller
         return doc.id, None, f"{type(exc).__name__}: {exc}"
     if path is not None:
@@ -536,7 +515,8 @@ def compute_corpus_measures(manifest: CorpusManifest, cfg: RunConfig,
     holds the classic measures, the word frequencies and the walk values of
     every node walked so far, so an entry that covers the requested sources
     is served without preprocessing or measuring; otherwise the document is
-    preprocessed, only the missing sources are walked, and the merged entry
+    preprocessed and measured afresh, walked from the requested sources and
+    from every node its entry had walked, so an entry only grows. Each entry
     is stored as soon as its document completes, which lets an interrupted
     run resume from the documents it finished. LS and LSS walk from the word
     list, taken from each document's word frequencies.
@@ -588,7 +568,8 @@ def compute_corpus_measures(manifest: CorpusManifest, cfg: RunConfig,
         if known is not None and _covers(known, cfg, walk_sources):
             results[entry.doc_id] = _restrict_walks(known, cfg, walk_sources)
         elif (doc := doc or prepared(entry, raw)) is not None:
-            pending.append((doc, walk_sources, cfg, known, key, path))
+            sources = walk_sources if known is None else _with_walked(known, cfg, walk_sources)
+            pending.append((doc, sources, cfg, key, path))
 
     def finish(outcome) -> None:
         doc_id, dm, error = outcome

@@ -35,7 +35,6 @@ class TransitionMatrix:
     """The normalized exponential of the uniform-neighbor transition matrix."""
 
     walk_mixture: np.ndarray = field(repr=False)
-    isolated: np.ndarray = field(repr=False)
     row_sum_error: float = 0.0
 
 
@@ -171,7 +170,8 @@ def transition_matrix(net: WordNetwork) -> TransitionMatrix:
     there. Rows of exp(P) sum to e for row-stochastic P; the realized
     deviation is recorded in ``row_sum_error`` and rows are renormalized
     afterwards so the entropy in the generalized accessibility is taken over
-    a distribution. Isolated nodes (an all-zero row of P) are flagged.
+    a distribution. Isolated nodes (an all-zero row of P) are left out of
+    that deviation.
     """
     n = net.node_count
     k = net.degrees.astype(np.float64)
@@ -200,7 +200,7 @@ def transition_matrix(net: WordNetwork) -> TransitionMatrix:
     sums = w.sum(axis=1)
     err = float(np.abs(sums[~isolated] - math.e).max()) if (~isolated).any() else 0.0
     w /= sums[:, None]
-    return TransitionMatrix(w, isolated, err)
+    return TransitionMatrix(w, err)
 
 
 def generalized_accessibility(

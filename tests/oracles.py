@@ -1125,7 +1125,7 @@ def scipy_transition_matrix(net: WordNetwork) -> TransitionMatrix:
     w = scipy_expm(transition_probabilities(net))
     sums = w.sum(axis=1)
     err = float(np.abs(sums[~isolated] - math.e).max()) if (~isolated).any() else 0.0
-    return TransitionMatrix(w / sums[:, None], isolated, err)
+    return TransitionMatrix(w / sums[:, None], err)
 
 
 def repush_detect_communities(net: WordNetwork) -> CommunityAssignment:

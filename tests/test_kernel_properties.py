@@ -29,7 +29,7 @@ from oracles import (
     scipy_pagerank,
     scipy_transition_matrix,
 )
-from prosenet import graph, pipeline
+from prosenet import graph
 from prosenet.graph import (
     bfs_distances,
     build_network,
@@ -81,21 +81,20 @@ def test_geodesic_pass_is_the_same_for_every_block_size(net, data):
     rows = data.draw(st.integers(1, n))
 
     def blocked(per_block):
+        dist = np.empty((n, n), dtype=np.int32)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(graph, "BLOCK_BYTES", per_block * geodesic_row_bytes(net))
             assert next(row_blocks(np.full(n, geodesic_row_bytes(net)))) == slice(0, per_block)
-            return pipeline._geodesic_pass(net, True), betweenness(net)
+            return dist, betweenness(net, dist=dist), betweenness(net)
 
-    (dist, b), alone = blocked(rows)
-    (whole_dist, whole_b), whole_alone = blocked(n)
+    dist, b, alone = blocked(rows)
+    whole_dist, whole_b, whole_alone = blocked(n)
     assert np.array_equal(whole_dist, scipy_bfs_distances(net, np.arange(n)))
     same_measure(whole_b, scipy_betweenness(net))
     same_measure(whole_alone, whole_b)
     assert np.array_equal(dist, whole_dist)
     same_measure(b, whole_b)
     same_measure(alone, whole_b)
-    assert pipeline._geodesic_pass(net, False)[1] is None
-    assert np.array_equal(pipeline._geodesic_pass(net, False)[0], whole_dist)
 
 
 @PROPERTY
@@ -120,7 +119,8 @@ def test_blocks_add_betweenness_in_source_order(per_block):
     n = net.node_count
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(graph, "BLOCK_BYTES", per_block * geodesic_row_bytes(net))
-        dist, b = pipeline._geodesic_pass(net, True)
+        dist = np.empty((n, n), dtype=np.int32)
+        b = betweenness(net, dist=dist)
     same_measure(b, scipy_betweenness(net))
     assert np.array_equal(dist, scipy_bfs_distances(net, np.arange(n)))
 
@@ -134,11 +134,7 @@ def test_component_labels_match_csgraph(net):
 @PROPERTY
 @given(networks)
 def test_betweenness_matches_level_synchronous_brandes(net):
-    want = scipy_betweenness(net)
-    same_measure(betweenness(net), want)
-    levels = []
-    bfs_distances(net, np.arange(net.node_count), levels)
-    same_measure(betweenness(net, levels=levels), want)
+    same_measure(betweenness(net), scipy_betweenness(net))
 
 
 @PROPERTY

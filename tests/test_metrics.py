@@ -179,15 +179,16 @@ class TestSharedDistances:
             edges = {(u, v) for u, v in e1} | {(u + n1, v + n1) for u, v in e2}
             edges = {(min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in edges}
             net = net_from_edges(n, edges)
-            levels = []
-            dist = bfs_distances(net, np.arange(n), levels)
-            shared_pass = {betweenness: {"levels": levels},
+            dist = bfs_distances(net, np.arange(n))
+            filled = np.empty((n, n), dtype=np.int32)
+            shared_pass = {betweenness: {"dist": filled},
                            closeness: {"dist": dist}, eccentricity: {"dist": dist}}
             for fn, pass_args in shared_pass.items():
                 plain, shared = fn(net), fn(net, **pass_args)
                 assert np.array_equal(plain.values, shared.values), fn.__name__
                 assert np.array_equal(plain.missing, shared.missing), fn.__name__
                 assert plain.missing.sum() == n - max(n1, n2)
+            assert np.array_equal(filled, dist)  # betweenness ran the pass
             plain = closeness(net, reciprocal=True)
             shared = closeness(net, reciprocal=True, dist=dist)
             assert np.array_equal(plain.values, shared.values)

@@ -18,7 +18,7 @@ from prosenet.cli import main
 from prosenet.corpus import load_lemma_dictionary, load_manifest
 from prosenet.graph import build_network, geodesic_row_bytes
 from prosenet.learn import LEDGER_DTYPE, RelevanceReport, rank_subsets
-from prosenet.metrics import NodeMeasures
+from prosenet.metrics import NodeMeasures, betweenness
 from prosenet.pipeline import (
     RunConfig,
     cmd_baselines,
@@ -60,6 +60,28 @@ class TestConfig:
     def test_bad_strategy_rejected(self):
         with pytest.raises(ProsenetError):
             config_from_sources({}, {"strategy": "XX"})
+
+    @pytest.mark.parametrize("key, raw", [
+        ("top_k", "abc"), ("alpha", "high"), ("h_access", "2,x"), ("cumulative", "ture"),
+        ("gs_walks", ""),
+    ])
+    def test_a_value_that_does_not_parse_names_its_key(self, key, raw):
+        with pytest.raises(ProsenetError, match=f"'{key}'.*{raw!r}"):
+            config_from_sources({key: raw}, {})
+
+    @pytest.mark.parametrize("raw, value", [
+        ("1", True), ("true", True), ("Yes", True), ("0", False), ("FALSE", False),
+        ("no", False),
+    ])
+    def test_booleans_take_the_six_words(self, raw, value):
+        assert config_from_sources({"cumulative": raw}, {}).cumulative is value
+
+    def test_the_cli_reports_a_value_that_does_not_parse(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("top_k = abc\n", encoding="utf-8")
+        for flags in (["--h", "2,x"], ["--config", str(cfg_file)]):
+            assert main(["classify", "--manifest", "m.tsv", *flags]) == 1
+            assert capsys.readouterr().err.startswith("error: config key")
 
     def test_walk_depths_are_capped_where_the_walks_cap_them(self, monkeypatch):
         depths = (1, DEFAULT_DEPTH_CAP)
@@ -153,9 +175,9 @@ class TestSharedMeasureCache:
         calls = []
         real = pipeline.measure_document
 
-        def counted(doc, cfg, walk_sources, known=None):
-            calls.append((doc.id, known is not None))
-            return real(doc, cfg, walk_sources, known)
+        def counted(doc, cfg, walk_sources):
+            calls.append(doc.id)
+            return real(doc, cfg, walk_sources)
 
         monkeypatch.setattr(pipeline, "measure_document", counted)
         return calls
@@ -172,11 +194,12 @@ class TestSharedMeasureCache:
 
     @staticmethod
     def walked_cells(files):
-        """Nodes with an A2 value, over every measure CSV."""
-        return sum(1 for body in files.values() for line in body.decode().splitlines()
-                   if ",A2," in line and not line.endswith(","))
+        """(doc_id, label) of the nodes with an A2 value, over every measure CSV."""
+        return {tuple(line.split(",")[:2]) for body in files.values()
+                for line in body.decode().splitlines()
+                if ",A2," in line and not line.endswith(",")}
 
-    def test_gs_after_ls_walks_only_the_rest(self, corpus, tmp_path, monkeypatch):
+    def test_gs_after_ls_measures_each_document_once(self, corpus, tmp_path, monkeypatch):
         shared = tmp_path / "shared"
         by_ls = self.measure(corpus, shared, "LS")
         calls = self.count_calls(monkeypatch)
@@ -188,12 +211,32 @@ class TestSharedMeasureCache:
             return real_batch(net, sources, *args, **kwargs)
 
         monkeypatch.setattr(pipeline, "accessibility_batch", counted_batch)
-        merged = self.measure(corpus, shared, "GS")
-        assert sorted(calls) == [(doc_id, True) for doc_id in ("ima00", "ima01", "inf00", "inf01")]
-        assert 0 < self.walked_cells(by_ls)
-        assert sum(walked) == self.walked_cells(merged) - self.walked_cells(by_ls)
+        grown = self.measure(corpus, shared, "GS")
+        assert sorted(calls) == ["ima00", "ima01", "inf00", "inf01"]
+        assert set() < self.walked_cells(by_ls) < self.walked_cells(grown)
+        assert sum(walked) == len(self.walked_cells(grown))  # every node, once
         assert len(list((shared / "cache").glob("*.json"))) == 4
-        assert merged == self.measure(corpus, tmp_path / "fresh", "GS")
+        assert grown == self.measure(corpus, tmp_path / "fresh", "GS")
+
+    def test_an_entry_keeps_the_walks_of_an_earlier_word_list(self, corpus, tmp_path,
+                                                            monkeypatch):
+        # word lists A, then B, then A again: the entries B grows keep A's
+        # walks, so the last run measures nothing
+        def measure(out, fraction):
+            cfg = RunConfig(manifest=str(corpus), strategy="LS", out=str(out),
+                            word_list_size=3, min_doc_fraction=fraction)
+            return {p.name: p.read_bytes() for p in cmd_measure(cfg)}
+
+        shared = tmp_path / "shared"
+        by_a = measure(shared, 1.0)
+        by_b = measure(shared, 0.5)
+        a, b = self.walked_cells(by_a), self.walked_cells(by_b)
+        assert a - b and b - a  # neither list holds the other
+        calls = self.count_calls(monkeypatch)
+        assert measure(shared, 1.0) == by_a
+        assert calls == []
+        assert len(list((shared / "cache").glob("*.json"))) == 4
+        assert by_a == measure(tmp_path / "fresh", 1.0)
 
     def test_no_walk_request_is_served_by_any_entry(self, corpus, tmp_path, monkeypatch):
         shared = tmp_path / "shared"
@@ -265,9 +308,9 @@ class TestCacheEntryLayout:
         victim.write_bytes(bytes(data))
         calls = TestSharedMeasureCache.count_calls(monkeypatch)
         assert [p.read_bytes() for p in cmd_measure(cfg)] == written
-        assert calls == [(doc_id, False)]
+        assert calls == [doc_id]
         assert [p.read_bytes() for p in cmd_measure(cfg)] == written
-        assert calls == [(doc_id, False)]  # the rewritten entry is a hit
+        assert calls == [doc_id]  # the rewritten entry is a hit
 
     def test_sorted_json_entries_are_hits_and_other_layouts_misses(self, filled, monkeypatch):
         cfg, entries, written = filled
@@ -277,7 +320,7 @@ class TestCacheEntryLayout:
         entries[1].write_text(json.dumps(reindented, sort_keys=True, indent=1))
         calls = TestSharedMeasureCache.count_calls(monkeypatch)
         assert [p.read_bytes() for p in cmd_measure(cfg)] == written
-        assert calls == [(reindented["payload"]["doc_id"], False)]
+        assert calls == [reindented["payload"]["doc_id"]]
 
     def test_payload_round_trip_is_exact(self):
         dm = measure_document(make_doc("a b c a d e b f c g a h d".split()), RunConfig(), ["b"])
@@ -352,17 +395,6 @@ class TestResumableRuns:
 
 
 class TestMeasureDocument:
-    def test_known_measures_are_walked_only_where_missing(self):
-        doc = make_doc("a b c a d e b f c g a h d".split())
-        cfg = RunConfig(h_symmetry=(1, 2, 3))
-        full = measure_document(doc, cfg, None)
-        part = measure_document(doc, cfg, ["b", "d", "zzz"])
-        merged = measure_document(doc, cfg, None, known=part)
-        assert merged.measures.keys() == full.measures.keys()
-        for name, nm in full.measures.items():
-            assert np.array_equal(merged.measures[name].values, nm.values), name
-            assert np.array_equal(merged.measures[name].missing, nm.missing), name
-
     def test_absent_sources_with_many_symmetry_depths(self):
         depths = tuple(range(1, 10))
         dm = measure_document(make_doc(["a", "b", "c", "a"]),
@@ -390,7 +422,8 @@ class TestMeasurementMemory:
         assert n * geodesic_row_bytes(net) > budget  # one block would not fit
 
         def geodesic_pass():
-            return pipeline._geodesic_pass(net, True)
+            dist = np.empty((n, n), dtype=np.int32)
+            return dist, betweenness(net, dist=dist)
 
         blocked, peak = traced_peak(geodesic_pass)
         assert peak <= budget + dist_bytes
@@ -827,7 +860,7 @@ class TestFeatureCellIntegrity:
         checked = 0
         for row, doc_id in enumerate(fm.doc_ids):
             net = build_network(docs[doc_id])
-            index = net.node_index()
+            index = {label: i for i, label in enumerate(net.node_labels)}
             for measure, h, fn in [
                 ("A2", 2, None), ("A3", 3, None),
                 ("Sb2", 2, "backbone"), ("Sb3", 3, "backbone"), ("Sb4", 4, "backbone"),
