@@ -32,14 +32,8 @@ class DocumentMeasures:
     label: str
     node_labels: list[str]
     measures: dict[str, NodeMeasures]
-    vocabulary_size: int
     modularity_q: float
     word_frequencies: dict[str, int] = field(default_factory=dict)
-
-    def node_of(self, word: str) -> int | None:
-        if not hasattr(self, "_index"):
-            self._index = {w: i for i, w in enumerate(self.node_labels)}
-        return self._index.get(word)
 
 
 @dataclass
@@ -102,8 +96,8 @@ def global_features(doc_measures: list[DocumentMeasures]) -> FeatureMatrix:
     """Summary statistics of each measure plus vocabulary size and modularity.
 
     Per measure X the columns are mean(X), std(X) (population), median(X),
-    max(X), min(X), computed over nodes carrying a value. V and Q are appended
-    as their own columns.
+    max(X), min(X), computed over nodes carrying a value. V (the node count)
+    and Q are appended as their own columns.
     """
     measure_names = _ordered_measures(doc_measures[0].measures.keys())
     names = [f"{s}({m})" for m in measure_names for s in GLOBAL_STATS] + ["V", "Q"]
@@ -121,7 +115,7 @@ def global_features(doc_measures: list[DocumentMeasures]) -> FeatureMatrix:
                 vals.mean(), vals.std(), np.median(vals), vals.max(), vals.min(),
             )
             col += 5
-        rows[i, col] = dm.vocabulary_size
+        rows[i, col] = len(dm.node_labels)
         rows[i, col + 1] = dm.modularity_q
     return FeatureMatrix(
         [dm.doc_id for dm in doc_measures],
@@ -150,23 +144,16 @@ def select_word_list(
     return eligible[:size]
 
 
-def local_features(
-    doc_measures: list[DocumentMeasures],
-    word_list: list[str],
-    include_stopwords: bool = True,
-    stoplist: set[str] | None = None,
-) -> FeatureMatrix:
+def local_features(doc_measures: list[DocumentMeasures], word_list: list[str]) -> FeatureMatrix:
     """One column per (measure, word): the word's node value in each document.
 
-    A cell is missing when the word is absent from the document (or carries a
+    The word list is used as given: LS lists hold no stopwords because LS
+    documents are preprocessed without them, and LSS lists keep them. A cell
+    is missing when the word is absent from the document (or carries a
     missing marker there); missing cells are imputed with the column mean.
     """
     if not word_list:
         raise ValueError("word list is empty")
-    if not include_stopwords and stoplist:
-        word_list = [w for w in word_list if w not in stoplist]
-        if not word_list:
-            raise ValueError("word list is empty after stopword removal")
 
     measure_names = _ordered_measures(doc_measures[0].measures.keys())
     names = [f"{m}@{w}" for m in measure_names for w in word_list]
@@ -174,11 +161,12 @@ def local_features(
     values = np.zeros((n, f), dtype=np.float64)
     missing = np.ones((n, f), dtype=bool)
     for i, dm in enumerate(doc_measures):
+        index = {w: node for node, w in enumerate(dm.node_labels)}
         col = 0
         for m in measure_names:
             nm = dm.measures[m]
             for w in word_list:
-                node = dm.node_of(w)
+                node = index.get(w)
                 if node is not None and not nm.missing[node]:
                     values[i, col] = nm.values[node]
                     missing[i, col] = False

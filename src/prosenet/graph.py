@@ -37,7 +37,6 @@ class WordNetwork:
     indices: np.ndarray
     node_frequency: np.ndarray
     stopword_flag: np.ndarray
-    doc_id: str = ""
 
     @property
     def node_count(self) -> int:
@@ -120,7 +119,7 @@ def build_network(doc: Document, window: int = 1) -> WordNetwork:
     for tok, flag in zip(doc.tokens, doc.stopword_mask):
         if flag:
             stop[index[tok]] = True
-    return WordNetwork(labels, indptr, indices, freq, stop, doc.id)
+    return WordNetwork(labels, indptr, indices, freq, stop)
 
 
 def min_labels(size: int, heads: np.ndarray, tails: np.ndarray) -> np.ndarray:

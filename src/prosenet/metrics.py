@@ -32,12 +32,10 @@ from .graph import (GeodesicLevel, WordNetwork, bfs_distances, geodesic_row_byte
 
 @dataclass
 class NodeMeasures:
-    """Per-node values of one named measurement over one network."""
+    """Per-node values of one measurement over one network."""
 
-    measure_name: str
     values: np.ndarray
     missing: np.ndarray = field(repr=False)
-    doc_id: str = ""
 
     def __post_init__(self):
         if self.missing is None:
@@ -48,22 +46,20 @@ class NodeMeasures:
         return self.values[~self.missing]
 
 
-def _full(net: WordNetwork, name: str, values: np.ndarray) -> NodeMeasures:
-    return NodeMeasures(name, np.asarray(values, dtype=np.float64),
-                        np.zeros(net.node_count, dtype=bool), net.doc_id)
+def _full(values: np.ndarray) -> NodeMeasures:
+    return NodeMeasures(np.asarray(values, dtype=np.float64), np.zeros(len(values), dtype=bool))
 
 
-def _on_component(net: WordNetwork, name: str, comp: np.ndarray,
-                  comp_values: np.ndarray) -> NodeMeasures:
+def _on_component(net: WordNetwork, comp: np.ndarray, comp_values: np.ndarray) -> NodeMeasures:
     values = np.zeros(net.node_count, dtype=np.float64)
     missing = np.ones(net.node_count, dtype=bool)
     values[comp] = comp_values
     missing[comp] = False
-    return NodeMeasures(name, values, missing, net.doc_id)
+    return NodeMeasures(values, missing)
 
 
 def degree(net: WordNetwork) -> NodeMeasures:
-    return _full(net, "k", net.degrees.astype(np.float64))
+    return _full(net.degrees.astype(np.float64))
 
 
 def neighborhood_connectivity(net: WordNetwork, h: int, cumulative: bool = False,
@@ -77,7 +73,7 @@ def neighborhood_connectivity(net: WordNetwork, h: int, cumulative: bool = False
         counts = ((dist > 0) & (dist <= h)).sum(axis=1)
     else:
         counts = (dist == h).sum(axis=1)
-    return _full(net, f"N{h}", counts.astype(np.float64))
+    return _full(counts.astype(np.float64))
 
 
 def clustering_row_bytes(net: WordNetwork) -> int:
@@ -97,7 +93,7 @@ def clustering(net: WordNetwork) -> NodeMeasures:
     k = net.degrees.astype(np.float64)
     pairs = k * (k - 1.0) / 2.0
     cc = np.divide(triangles, pairs, out=np.zeros_like(triangles), where=pairs > 0)
-    return _full(net, "cc", cc)
+    return _full(cc)
 
 
 def _component_edges(net: WordNetwork) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -143,7 +139,7 @@ def betweenness(net: WordNetwork, dist: np.ndarray | None = None) -> NodeMeasure
         bfs_distances(net, sources, levels, out=None if dist is None else dist[part])
         if len(comp) > 2:
             total = _brandes(sources, levels, n, total)
-    return _on_component(net, "B", comp, total[comp])
+    return _on_component(net, comp, total[comp])
 
 
 def _brandes(sources: np.ndarray, levels: list[GeodesicLevel], n: int,
@@ -174,14 +170,14 @@ def closeness(net: WordNetwork, reciprocal: bool = False,
     mean_dist = _component_distances(net, comp, dist).mean(axis=1)
     if reciprocal:
         values = np.divide(1.0, mean_dist, out=np.zeros_like(mean_dist), where=mean_dist > 0)
-        return _on_component(net, "C", comp, values)
-    return _on_component(net, "C", comp, mean_dist)
+        return _on_component(net, comp, values)
+    return _on_component(net, comp, mean_dist)
 
 
 def eccentricity(net: WordNetwork, dist: np.ndarray | None = None) -> NodeMeasures:
     comp = largest_component_nodes(net)
     ecc = _component_distances(net, comp, dist).max(axis=1)
-    return _on_component(net, "E", comp, ecc.astype(np.float64))
+    return _on_component(net, comp, ecc.astype(np.float64))
 
 
 def eigenvector_centrality(net: WordNetwork, tol: float = 1e-10,
@@ -192,11 +188,11 @@ def eigenvector_centrality(net: WordNetwork, tol: float = 1e-10,
     comp, heads, tails = _component_edges(net)
     n = len(comp)
     if n == 1:
-        return _on_component(net, "Ec", comp, np.ones(1))
+        return _on_component(net, comp, np.ones(1))
     vec, _ = leading_eigenvector(
         lambda x: np.bincount(heads, weights=x[tails], minlength=n), n, tol=tol, max_iter=max_iter
     )
-    return _on_component(net, "Ec", comp, vec)
+    return _on_component(net, comp, vec)
 
 
 def pagerank(net: WordNetwork, alpha: float = 0.85, tol: float = 1e-12,
@@ -234,7 +230,7 @@ def pagerank(net: WordNetwork, alpha: float = 0.85, tol: float = 1e-12,
     residual = float(np.abs(step(pr) - pr).max())
     if residual >= tol:
         raise ConvergenceError("pagerank iteration did not converge", residual)
-    return _on_component(net, "Pr", comp, pr)
+    return _on_component(net, comp, pr)
 
 
 @dataclass

@@ -81,9 +81,8 @@ from .walks import (
 
 STRATEGIES = ("GS", "LS", "LSS")
 CLASSIFIERS = ("knn", "cart", "nb")
-# rows of one streamed block of the relevance ledger and omega CSVs
-RELEVANCE_BLOCK_ROWS = 4096
-OMEGA_FORMAT_ROWS = 256  # omega rows formatted from Python ints at once
+RELEVANCE_BLOCK_ROWS = 4096  # rows of one streamed block of the relevance ledger CSV
+OMEGA_FORMAT_ROWS = 256  # rows of one streamed block of the omega CSV
 
 
 @dataclass
@@ -126,6 +125,10 @@ class RunConfig:
             raise ProsenetError(f"walk depths (--h) must lie in 1..{DEFAULT_DEPTH_CAP}")
         if not self.h_symmetry or any(h < 1 for h in self.h_symmetry):
             raise ProsenetError("symmetry depths must be >= 1")
+        for name in ("h_access", "h_symmetry"):
+            depths = getattr(self, name)
+            if len(set(depths)) < len(depths):
+                raise ProsenetError(f"config key {name!r} repeats a walk depth: {list(depths)}")
         for name, ok, rule in (
             ("knn_k", self.knn_k >= 1, ">= 1"),
             ("top_k", self.top_k >= 2, ">= 2"),  # PCA projects onto two columns
@@ -247,7 +250,6 @@ def measure_document(doc: Document, cfg: RunConfig,
         label=doc.label,
         node_labels=list(net.node_labels),
         measures=_classic_measures(net, cfg, dist_all),
-        vocabulary_size=n,
         modularity_q=detect_communities(net).q,
         word_frequencies=word_frequencies(doc),
     )
@@ -264,7 +266,7 @@ def measure_document(doc: Document, cfg: RunConfig,
     for name, per_source in walks.items():
         values = np.zeros(n, dtype=np.float64)
         values[sources] = per_source
-        dm.measures[name] = NodeMeasures(name, values, ~requested, doc.id)
+        dm.measures[name] = NodeMeasures(values, ~requested)
     return dm
 
 
@@ -323,8 +325,7 @@ def _with_walked(dm: DocumentMeasures, cfg: RunConfig,
 def _restrict_walks(dm: DocumentMeasures, cfg: RunConfig,
                     walk_sources: list[str] | None) -> DocumentMeasures:
     """``dm`` as a fresh ``measure_document(..., walk_sources)`` returns it:
-    walk values only at the requested nodes, none at all for an empty list.
-    Measures come in name order."""
+    walk values only at the requested nodes, none at all for an empty list."""
     names = _walk_names(cfg)
     measures = {name: nm for name, nm in dm.measures.items() if name not in names}
     if walk_sources != []:
@@ -333,8 +334,8 @@ def _restrict_walks(dm: DocumentMeasures, cfg: RunConfig,
             values = np.zeros(len(requested), dtype=np.float64)
             if name in dm.measures:
                 values[requested] = dm.measures[name].values[requested]
-            measures[name] = NodeMeasures(name, values, ~requested, dm.doc_id)
-    return dataclasses.replace(dm, measures=dict(sorted(measures.items())))
+            measures[name] = NodeMeasures(values, ~requested)
+    return dataclasses.replace(dm, measures=measures)
 
 
 # ---------------------------------------------------------------------------
@@ -380,9 +381,7 @@ def _measure_cache_key(raw_text: str, cfg: RunConfig, dictionary_digest: str,
 def _measures_to_payload(dm: DocumentMeasures) -> dict:
     return {
         "doc_id": dm.doc_id,
-        "label": dm.label,
         "node_labels": dm.node_labels,
-        "vocabulary_size": dm.vocabulary_size,
         "modularity_q": repr(dm.modularity_q),
         "word_frequencies": dm.word_frequencies,
         "measures": {
@@ -403,33 +402,33 @@ def _from_b64(text: str, dtype: str) -> np.ndarray:
     return np.frombuffer(base64.b64decode(text, validate=True), dtype=dtype)
 
 
-def _measures_from_payload(data: dict) -> DocumentMeasures:
+def _measures_from_payload(data: dict, label: str) -> DocumentMeasures:
+    """The entry's measures, labelled ``label``: the key holds no label, so
+    the manifest's is the one that counts."""
     measures = {
         name: NodeMeasures(
-            name,
             _from_b64(block["values"], "<f8").astype(np.float64),
             _from_b64(block["missing"], "u1").astype(bool),
-            data["doc_id"],
         )
         for name, block in data["measures"].items()
     }
     return DocumentMeasures(
         doc_id=data["doc_id"],
-        label=data["label"],
+        label=label,
         node_labels=list(data["node_labels"]),
         measures=measures,
-        vocabulary_size=int(data["vocabulary_size"]),
         modularity_q=float(data["modularity_q"]),
         word_frequencies={k: int(v) for k, v in data["word_frequencies"].items()},
     )
 
 
-def _cache_load(path: Path, key: str) -> DocumentMeasures | None:
-    """The entry ``_cache_store`` wrote for ``key``, or None.
+def _cache_load(path: Path, key: str, label: str) -> DocumentMeasures | None:
+    """The entry ``_cache_store`` wrote for ``key``, labelled ``label``, or None.
 
     The checksum is checked against the payload bytes as stored; an entry
     without the exact ``{"checksum": ..., "key": ..., "payload": ...}``
-    layout is a miss."""
+    layout is a miss. Payload fields that are not read, such as the label
+    and node count earlier versions stored, are ignored."""
     try:
         data = path.read_bytes()
     except OSError:
@@ -443,7 +442,7 @@ def _cache_load(path: Path, key: str) -> DocumentMeasures | None:
     if hashlib.sha256(blob).hexdigest().encode("ascii") != checksum:
         return None
     try:
-        return _measures_from_payload(json.loads(blob))
+        return _measures_from_payload(json.loads(blob), label)
     except (ValueError, KeyError):
         return None
 
@@ -482,14 +481,8 @@ def atomic_write_blocks(path: Path, blocks: Iterable[str]) -> None:
 # corpus-level measurement with parallelism
 # ---------------------------------------------------------------------------
 
-_DICTIONARIES: dict[tuple[str, str], LemmaDictionary] = {}
-
-
 def _dictionary_for(cfg: RunConfig) -> LemmaDictionary:
-    key = (cfg.lemmas, cfg.stoplist)
-    if key not in _DICTIONARIES:
-        _DICTIONARIES[key] = load_lemma_dictionary(cfg.lemmas or None, cfg.stoplist or None)
-    return _DICTIONARIES[key]
+    return load_lemma_dictionary(cfg.lemmas or None, cfg.stoplist or None)
 
 
 def _measure_task(args) -> tuple[str, DocumentMeasures | None, str | None]:
@@ -500,15 +493,13 @@ def _measure_task(args) -> tuple[str, DocumentMeasures | None, str | None]:
         dm = measure_document(doc, cfg, sources)
     except Exception as exc:  # noqa: BLE001 - reported per document by the caller
         return doc.id, None, f"{type(exc).__name__}: {exc}"
-    if path is not None:
-        _cache_store(path, key, dm)
+    _cache_store(path, key, dm)
     return doc.id, dm, None
 
 
-def compute_corpus_measures(manifest: CorpusManifest, cfg: RunConfig,
-                            cache_dir: Path | None = None):
-    """Measure every document for ``cfg.strategy``, using the cache and
-    optional process pool.
+def compute_corpus_measures(manifest: CorpusManifest, cfg: RunConfig, cache_dir: Path):
+    """Measure every document for ``cfg.strategy``, through the cache in
+    ``cache_dir`` and an optional process pool.
 
     Each document is read and hashed once, then its cache entry is loaded. A
     cache entry belongs to one document's network and measure settings. It
@@ -518,8 +509,9 @@ def compute_corpus_measures(manifest: CorpusManifest, cfg: RunConfig,
     preprocessed and measured afresh, walked from the requested sources and
     from every node its entry had walked, so an entry only grows. Each entry
     is stored as soon as its document completes, which lets an interrupted
-    run resume from the documents it finished. LS and LSS walk from the word
-    list, taken from each document's word frequencies.
+    run resume from the documents it finished. A loaded entry takes its
+    label from the manifest. LS and LSS walk from the word list, taken from
+    each document's word frequencies.
 
     Returns (measures, failures, walk_sources): the DocumentMeasures in
     manifest order, with walk values at the requested sources only and
@@ -542,10 +534,9 @@ def compute_corpus_measures(manifest: CorpusManifest, cfg: RunConfig,
     for entry in manifest.entries:
         raw = entry.path.read_text(encoding="utf-8", errors="replace")
         key = _measure_cache_key(raw, cfg, dictionary_digest, keep_stopwords, entry.doc_id)
-        path = cache_dir / f"{key}.json" if cache_dir else None
-        known = _cache_load(path, key) if path else None
-        if known is not None:  # the key holds no label: the manifest's wins
-            known = dataclasses.replace(known, label=entry.label)
+        path = cache_dir / f"{key}.json"
+        known = _cache_load(path, key, entry.label)
+        if known is not None:
             read.append((entry, raw, key, path, known, None))
         elif (doc := prepared(entry, raw)) is not None:
             read.append((entry, None, key, path, None, doc))
@@ -609,27 +600,22 @@ def measures_to_csv(dm: DocumentMeasures) -> str:
         for node, label in enumerate(dm.node_labels):
             cell = "" if nm.missing[node] else repr(float(nm.values[node]))
             lines.append(f"{dm.doc_id},{label},{name},{cell}")
-    lines.append(f"{dm.doc_id},,V,{repr(float(dm.vocabulary_size))}")
+    lines.append(f"{dm.doc_id},,V,{repr(float(len(dm.node_labels)))}")
     lines.append(f"{dm.doc_id},,Q,{repr(float(dm.modularity_q))}")
     return "\n".join(lines) + "\n"
 
 
 def build_feature_matrix(
-    cfg: RunConfig, manifest: CorpusManifest, cache_dir: Path | None
+    cfg: RunConfig, manifest: CorpusManifest, cache_dir: Path
 ) -> tuple[FeatureMatrix, list[DocumentMeasures]]:
-    """Measure the corpus and assemble the configured strategy's features."""
+    """Measure the corpus through ``cache_dir`` and assemble the configured
+    strategy's features."""
     doc_measures, failures, sources = compute_corpus_measures(manifest, cfg, cache_dir)
     _raise_failures(failures)
     if cfg.strategy == "GS":
         fm = global_features(doc_measures)
     else:
-        dictionary = _dictionary_for(cfg)
-        fm = local_features(
-            doc_measures,
-            sources,
-            include_stopwords=cfg.strategy == "LSS",
-            stoplist=dictionary.stoplist,
-        )
+        fm = local_features(doc_measures, sources)
         frequencies = {dm.doc_id: dm.word_frequencies for dm in doc_measures}
         fm = frequency_decorrelation_filter(fm, frequencies, cfg.rho_max)
     return fm, doc_measures
@@ -743,22 +729,18 @@ def ledger_csv_blocks(report: RelevanceReport) -> Iterator[str]:
 
 
 def omega_csv_blocks(report: RelevanceReport) -> Iterator[str]:
-    """The omega CSV (one row per rank k) in blocks of ``RELEVANCE_BLOCK_ROWS`` rows.
+    """The omega CSV (one row per rank k) in blocks of ``OMEGA_FORMAT_ROWS`` rows.
 
-    The lines of ``OMEGA_FORMAT_ROWS`` rows are one %-format of their ranks
-    and counts, so only that many rows are Python ints at a time.
+    Each block is one %-format of its ranks and counts, so only that many
+    rows are Python ints at a time.
     """
-    rows, n_ranks = RELEVANCE_BLOCK_ROWS, report.omega.shape[1]
+    n_ranks = report.omega.shape[1]
     line = ",".join(["%d"] * (len(report.feature_names) + 1)) + "\n"
     yield "k," + ",".join(report.feature_names) + "\n"
-    for start in range(0, n_ranks, rows):
-        stop = min(start + rows, n_ranks)
-        parts = []
-        for lo in range(start, stop, OMEGA_FORMAT_ROWS):
-            hi = min(lo + OMEGA_FORMAT_ROWS, stop)
-            table = np.vstack([np.arange(lo + 1, hi + 1), report.omega[:, lo:hi]]).T
-            parts.append(line * (hi - lo) % tuple(table.ravel().tolist()))
-        yield "".join(parts)
+    for lo in range(0, n_ranks, OMEGA_FORMAT_ROWS):
+        hi = min(lo + OMEGA_FORMAT_ROWS, n_ranks)
+        table = np.vstack([np.arange(lo + 1, hi + 1), report.omega[:, lo:hi]]).T
+        yield line * (hi - lo) % tuple(table.ravel().tolist())
 
 
 def write_relevance(report: RelevanceReport, out: Path, strategy: str) -> None:

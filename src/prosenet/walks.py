@@ -221,7 +221,7 @@ def generalized_accessibility(
         good = sums > 0
         rows[good] /= sums[good, None]
         rows[~good] = 0.0
-    return NodeMeasures("Ag", _exp_entropy_rows(rows), np.zeros(len(rows), dtype=bool), net.doc_id)
+    return NodeMeasures(_exp_entropy_rows(rows), np.zeros(len(rows), dtype=bool))
 
 
 def merged_row_bytes(net: WordNetwork) -> int:

@@ -48,7 +48,7 @@ from prosenet.metrics import CommunityAssignment, NodeMeasures, _full, _on_compo
 from prosenet.walks import DEFAULT_DEPTH_CAP, TransitionMatrix
 
 
-def net_from_edges(n: int, edges: set[tuple[int, int]], doc_id: str = "t") -> WordNetwork:
+def net_from_edges(n: int, edges: set[tuple[int, int]]) -> WordNetwork:
     indptr, indices = _csr_from_edges(n, edges)
     return WordNetwork(
         [f"n{i}" for i in range(n)],
@@ -56,7 +56,6 @@ def net_from_edges(n: int, edges: set[tuple[int, int]], doc_id: str = "t") -> Wo
         indices,
         np.ones(n, dtype=np.int64),
         np.zeros(n, dtype=bool),
-        doc_id,
     )
 
 
@@ -673,7 +672,6 @@ def largest_component(net: WordNetwork) -> WordNetwork:
         indices,
         net.node_frequency[keep].copy(),
         net.stopword_flag[keep].copy(),
-        net.doc_id,
     )
 
 
@@ -1049,7 +1047,7 @@ def scipy_betweenness(net: WordNetwork) -> NodeMeasures:
     comp, adj = _sparse_component(net)
     n = len(comp)
     if n <= 2:
-        return _on_component(net, "B", comp, np.zeros(n))
+        return _on_component(net, comp, np.zeros(n))
 
     dist = scipy_bfs_distances(net, np.arange(net.node_count))[np.ix_(comp, comp)]
     max_level = int(dist.max())
@@ -1067,7 +1065,7 @@ def scipy_betweenness(net: WordNetwork) -> NodeMeasures:
         lower = dist == lev - 1
         delta[lower] += (spread * sigma)[lower]
     np.fill_diagonal(delta, 0.0)
-    return _on_component(net, "B", comp, delta.sum(axis=0))
+    return _on_component(net, comp, delta.sum(axis=0))
 
 
 def scipy_clustering(net: WordNetwork) -> NodeMeasures:
@@ -1077,7 +1075,7 @@ def scipy_clustering(net: WordNetwork) -> NodeMeasures:
     k = net.degrees.astype(np.float64)
     pairs = k * (k - 1.0) / 2.0
     cc = np.divide(triangles, pairs, out=np.zeros_like(triangles), where=pairs > 0)
-    return _full(net, "cc", cc)
+    return _full(cc)
 
 
 def scipy_eigenvector_centrality(net: WordNetwork, tol: float = 1e-10,
@@ -1087,9 +1085,9 @@ def scipy_eigenvector_centrality(net: WordNetwork, tol: float = 1e-10,
     comp, adj = _sparse_component(net)
     n = len(comp)
     if n == 1:
-        return _on_component(net, "Ec", comp, np.ones(1))
+        return _on_component(net, comp, np.ones(1))
     vec, _ = leading_eigenvector(lambda x: adj @ x, n, tol=tol, max_iter=max_iter)
-    return _on_component(net, "Ec", comp, vec)
+    return _on_component(net, comp, vec)
 
 
 def scipy_pagerank(net: WordNetwork, alpha: float = 0.85, tol: float = 1e-12,
@@ -1116,7 +1114,7 @@ def scipy_pagerank(net: WordNetwork, alpha: float = 0.85, tol: float = 1e-12,
     residual = float(np.abs(alpha * (adj @ (pr / kguard)) + 1.0 - pr).max())
     if residual >= tol:
         raise ConvergenceError("pagerank iteration did not converge", residual)
-    return _on_component(net, "Pr", comp, pr)
+    return _on_component(net, comp, pr)
 
 
 def scipy_transition_matrix(net: WordNetwork) -> TransitionMatrix:

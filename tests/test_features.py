@@ -26,14 +26,12 @@ from prosenet.corpus import word_frequencies
 from prosenet.metrics import NodeMeasures
 
 
-def doc_measures(doc_id, label, words, values_by_measure, v=None, q=0.0, freqs=None):
+def doc_measures(doc_id, label, words, values_by_measure, q=0.0, freqs=None):
     measures = {}
     for name, vals in values_by_measure.items():
         vals = np.asarray(vals, dtype=np.float64)
-        measures[name] = NodeMeasures(name, vals, np.zeros(len(vals), dtype=bool), doc_id)
-    return DocumentMeasures(
-        doc_id, label, list(words), measures, v or len(words), q, freqs or {}
-    )
+        measures[name] = NodeMeasures(vals, np.zeros(len(vals), dtype=bool))
+    return DocumentMeasures(doc_id, label, list(words), measures, q, freqs or {})
 
 
 class TestGlobalFeatures:
@@ -68,8 +66,8 @@ class TestGlobalFeatures:
         assert required <= names
 
     def test_missing_nodes_excluded_from_stats(self):
-        nm = NodeMeasures("B", np.array([1.0, 0.0]), np.array([False, True]), "d")
-        dm = DocumentMeasures("d", "informative", ["a", "b"], {"B": nm}, 2, 0.0, {})
+        nm = NodeMeasures(np.array([1.0, 0.0]), np.array([False, True]))
+        dm = DocumentMeasures("d", "informative", ["a", "b"], {"B": nm}, 0.0, {})
         fm = global_features([dm])
         row = dict(zip(fm.feature_names, fm.values[0]))
         assert row["mean(B)"] == 1.0 and row["min(B)"] == 1.0
@@ -114,12 +112,6 @@ class TestLocalFeatures:
     def test_empty_word_list_rejected(self):
         with pytest.raises(ValueError):
             local_features(self.two_docs(), [])
-
-    def test_stopword_exclusion_flag(self):
-        fm = local_features(
-            self.two_docs(), ["the", "cat"], include_stopwords=False, stoplist={"the"}
-        )
-        assert fm.feature_names == ["k@cat"]
 
     def test_column_naming_matches_selected_feature_style(self):
         d = doc_measures(

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import shutil
 import tempfile
@@ -92,6 +93,18 @@ class TestConfig:
         with pytest.raises(ProsenetError, match=f"1\\.\\.{DEFAULT_DEPTH_CAP - 1}"):
             config_from_sources({}, {"h_access": depths})
 
+    @pytest.mark.parametrize("key", ["h-access", "h_symmetry"])
+    def test_a_repeated_walk_depth_in_a_config_file_is_refused(self, key, tmp_path):
+        # a second column at one depth would overwrite the first's measure
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"{key} = 2,2,3\n", encoding="utf-8")
+        with pytest.raises(ProsenetError, match=f"'{key.replace('-', '_')}'.*repeats"):
+            config_from_sources(parse_config_file(cfg_file), {})
+
+    def test_the_cli_refuses_a_repeated_walk_depth(self, capsys):
+        assert main(["classify", "--manifest", "m.tsv", "--h", "2,3,2"]) == 1
+        assert "'h_access' repeats a walk depth" in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def measured(tmp_path_factory):
@@ -130,15 +143,13 @@ class TestMeasureCommand:
         manifest, out, cfg, written = measured
         victim = sorted((out / "cache").glob("*.json"))[0]
         entry = json.loads(victim.read_text())
-        entry["payload"]["vocabulary_size"] = 99999  # break checksum
+        entry["payload"]["modularity_q"] = "99999.0"  # break checksum
         victim.write_text(json.dumps(entry))
         before = {p: p.read_bytes() for p in written}
         cmd_measure(cfg)
         assert {p: p.read_bytes() for p in written} == before
         repaired = json.loads(victim.read_text())
         blob = json.dumps(repaired["payload"], sort_keys=True).encode()
-        import hashlib
-
         assert repaired["checksum"] == hashlib.sha256(blob).hexdigest()
 
 
@@ -155,6 +166,42 @@ class TestMeasureCacheKey:
                                       stoplist=str(stoplist)))
         assert any(",the,k," in p.read_text() for p in fresh)
         assert [p.read_bytes() for p in reused] == [p.read_bytes() for p in fresh]
+
+    def test_an_edited_stoplist_is_read_again(self, measured, tmp_path):
+        # one process, one stoplist path, its contents rewritten between runs
+        default = sorted(load_lemma_dictionary().stoplist)
+        edited = "\n".join(w for w in default if w not in ("that", "is", "was")) + "\n"
+        stoplist = tmp_path / "stop.txt"
+        stoplist.write_text("\n".join(default) + "\n", encoding="utf-8")
+        other = tmp_path / "other.txt"
+        other.write_text(edited, encoding="utf-8")
+        base = {"manifest": str(measured[0]), "strategy": "LS", "word_list_size": 10}
+
+        def classify(out, path):
+            cmd_classify(RunConfig(**base, out=str(tmp_path / out), stoplist=str(path)))
+            return {name: (tmp_path / out / f"{name}_LS.csv").read_bytes()
+                    for name in ("features", "ranking", "projection")}
+
+        first = classify("first", stoplist)
+        stoplist.write_text(edited, encoding="utf-8")
+        again = classify("again", stoplist)
+        assert again == classify("other", other)
+        assert again != first
+
+    def test_ls_word_lists_hold_no_stoplist_lemma(self, measured, tmp_path):
+        manifest = load_manifest(measured[0])
+        base = {"manifest": str(measured[0]), "strategy": "LS", "word_list_size": 10}
+        cache = tmp_path / "cache"
+        _, _, by_default = pipeline.compute_corpus_measures(manifest, RunConfig(**base), cache)
+        stops = load_lemma_dictionary().stoplist - {"that", "is", "was"} | set(by_default[:2])
+        stoplist = tmp_path / "stop.txt"
+        stoplist.write_text("\n".join(sorted(stops)) + "\n", encoding="utf-8")
+        cfg = RunConfig(**base, stoplist=str(stoplist))
+        _, _, words = pipeline.compute_corpus_measures(manifest, cfg, cache)
+        assert {"that", "is", "was"} & set(words)  # the custom list is in force
+        assert not stops & set(words)
+        fm, _ = pipeline.build_feature_matrix(cfg, manifest, cache)
+        assert not stops & {name.split("@", 1)[1] for name in fm.feature_names}
 
 
 class TestSharedMeasureCache:
@@ -312,6 +359,23 @@ class TestCacheEntryLayout:
         assert [p.read_bytes() for p in cmd_measure(cfg)] == written
         assert calls == [doc_id]  # the rewritten entry is a hit
 
+    def test_entries_with_the_fields_earlier_versions_stored_are_hits(self, filled,
+                                                                      monkeypatch):
+        # earlier payloads also held the label and the node count
+        cfg, entries, written = filled
+        labels = {e.doc_id: e.label for e in load_manifest(cfg.manifest).entries}
+        for path in entries:
+            entry = json.loads(path.read_text())
+            payload = entry["payload"]
+            payload["label"] = labels[payload["doc_id"]]
+            payload["vocabulary_size"] = len(payload["node_labels"])
+            blob = json.dumps(payload, sort_keys=True)
+            checksum, key = hashlib.sha256(blob.encode("utf-8")).hexdigest(), entry["key"]
+            path.write_text(f'{{"checksum": "{checksum}", "key": "{key}", "payload": {blob}}}')
+        calls = TestSharedMeasureCache.count_calls(monkeypatch)
+        assert [p.read_bytes() for p in cmd_measure(cfg)] == written
+        assert calls == []
+
     def test_sorted_json_entries_are_hits_and_other_layouts_misses(self, filled, monkeypatch):
         cfg, entries, written = filled
         for path in entries:  # the text earlier versions wrote
@@ -325,9 +389,9 @@ class TestCacheEntryLayout:
     def test_payload_round_trip_is_exact(self):
         dm = measure_document(make_doc("a b c a d e b f c g a h d".split()), RunConfig(), ["b"])
         odd = np.array([-0.0, 5e-324, np.finfo(float).max, 0.1, 1 / 3, -2.5e-300, 7.0, 1e16 + 2])
-        dm.measures["odd"] = NodeMeasures("odd", odd, odd < 0, dm.doc_id)
+        dm.measures["odd"] = NodeMeasures(odd, odd < 0)
         text = json.dumps(pipeline._measures_to_payload(dm), sort_keys=True)
-        back = pipeline._measures_from_payload(json.loads(text))
+        back = pipeline._measures_from_payload(json.loads(text), dm.label)
         assert back.measures.keys() == dm.measures.keys()
         for name, nm in dm.measures.items():
             assert back.measures[name].values.tobytes() == nm.values.tobytes(), name
@@ -484,7 +548,7 @@ class TestMeasurementMemory:
 
         _, peak = traced_peak(refused)
         assert peak < largest
-        assert measure_document(doc, cfg, []).vocabulary_size == net.node_count
+        assert len(measure_document(doc, cfg, []).node_labels) == net.node_count
 
     def test_over_budget_document_is_refused_before_any_n_by_n_array(self, monkeypatch):
         doc = zipf_doc(3000)
@@ -654,7 +718,8 @@ class TestRelevanceCsv:
         assert np.array_equal(report.omega, omega)
         assert report.r_index == r_index
         with tempfile.TemporaryDirectory() as tmp, \
-                mock.patch.object(pipeline, "RELEVANCE_BLOCK_ROWS", rows):
+                mock.patch.object(pipeline, "RELEVANCE_BLOCK_ROWS", rows), \
+                mock.patch.object(pipeline, "OMEGA_FORMAT_ROWS", rows):
             got = written_relevance(report, Path(tmp))
         assert got == [text.encode("utf-8") for text in relevance_csvs(report)]
 
@@ -848,7 +913,7 @@ class TestFeatureCellIntegrity:
         cfg = RunConfig(manifest=str(manifest_path), strategy="LSS",
                         out=str(tmp_path / "out"), word_list_size=8,
                         rho_max=10.0)  # keep every column for the comparison
-        fm, _ = build_feature_matrix(cfg, manifest, None)
+        fm, _ = build_feature_matrix(cfg, manifest, tmp_path / "out" / "cache")
 
         dictionary = load_lemma_dictionary()
         docs = {
