@@ -69,13 +69,6 @@ class FeatureMatrix:
         return "\n".join(lines) + "\n"
 
 
-@dataclass
-class FeatureRanking:
-    """(feature, information gain) pairs, best first."""
-
-    ranked: list[tuple[str, float]]
-
-
 def _ordered_measures(measure_names) -> list[str]:
     known = [m for m in MEASURE_ORDER if m in measure_names]
     extra = sorted(set(measure_names) - set(MEASURE_ORDER))
@@ -220,8 +213,8 @@ def _equal_frequency_bins(x: np.ndarray, bins: int = 10) -> np.ndarray:
     return np.count_nonzero((x[None] >= cuts[:, None]) | np.isnan(x)[None], axis=0)
 
 
-def rank_features(fm: FeatureMatrix, bins: int = 10) -> FeatureRanking:
-    """All columns ranked by information gain, descending; ties by name.
+def rank_features(fm: FeatureMatrix, bins: int = 10) -> list[tuple[str, float]]:
+    """All columns as (name, information gain) pairs, best first; ties by name.
 
     A column's gain is the plug-in mutual information (bits) between its
     equal-frequency bins and the label. Every column is binned and counted at
@@ -248,13 +241,11 @@ def rank_features(fm: FeatureMatrix, bins: int = 10) -> FeatureRanking:
     for cell in terms.reshape(f, bins * n_labels).T:  # absent cells add +0.0: no change
         total += cell
     gains = np.maximum(total, 0.0).tolist()
-    ranked = sorted(zip(fm.feature_names, gains), key=lambda t: (-t[1], t[0]))
-    return FeatureRanking(ranked)
+    return sorted(zip(fm.feature_names, gains), key=lambda t: (-t[1], t[0]))
 
 
 def select_top_k(fm: FeatureMatrix, k: int, bins: int = 10) -> FeatureMatrix:
     """Keep the k highest-gain columns, in ranking order."""
     if k > len(fm.feature_names):
         raise ValueError(f"k={k} exceeds the {len(fm.feature_names)} available columns")
-    ranking = rank_features(fm, bins)
-    return fm.subset([name for name, _ in ranking.ranked[:k]])
+    return fm.subset([name for name, _ in rank_features(fm, bins)[:k]])

@@ -1,8 +1,10 @@
 """Word-adjacency networks: construction, components, shortest-path distances.
 
-Networks are undirected, unweighted, simple graphs stored in CSR form
-(numpy ``indptr``/``indices`` arrays) so that per-source traversals and the
-heavier measurements can run vectorized.
+A network is an undirected, unweighted, simple graph and nothing more than
+its CSR arrays: the node labels, ``indptr`` and ``indices``. It is built from
+the document's token-id array with array operations (one sort of pair codes
+that also drops repeated pairs, and one ``np.bincount``), and every traversal
+and measurement reads the same arrays, so they run vectorized.
 
 Shortest-path structure comes from one frontier-expanding BFS over the CSR
 arrays. Besides the hop distances it yields every level's geodesic edges:
@@ -19,6 +21,7 @@ block's work is used and dropped before the next block starts.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -30,13 +33,13 @@ from .corpus import Document
 
 @dataclass
 class WordNetwork:
-    """Undirected unweighted graph over the distinct lemmas of one document."""
+    """Undirected unweighted graph over the distinct lemmas of one document,
+    in CSR form: node v's neighbours are ``indices[indptr[v]:indptr[v + 1]]``,
+    ascending."""
 
     node_labels: list[str]
     indptr: np.ndarray
     indices: np.ndarray
-    node_frequency: np.ndarray
-    stopword_flag: np.ndarray
 
     @property
     def node_count(self) -> int:
@@ -55,12 +58,9 @@ class WordNetwork:
 
     def edges(self) -> list[tuple[int, int]]:
         """Each undirected edge once, as (u, v) with u < v, sorted."""
-        out = []
-        for u in range(self.node_count):
-            for v in self.neighbors(u):
-                if u < v:
-                    out.append((u, int(v)))
-        return out
+        heads = self.heads()
+        upper = heads < self.indices
+        return list(zip(heads[upper].tolist(), self.indices[upper].tolist()))
 
     def heads(self) -> np.ndarray:
         """The head node of each CSR entry: edge e runs heads()[e] -> indices[e]."""
@@ -73,53 +73,50 @@ class WordNetwork:
         return adj
 
 
+def unique_codes(codes: np.ndarray) -> np.ndarray:
+    """The distinct values of non-negative integer ``codes``, ascending.
+
+    One sort and a mask of the first of each run: ``np.unique`` hashes first,
+    several times slower on these arrays, and numpy 2.4 imports ``numpy.ma``
+    for it, about a megabyte more in each process."""
+    codes = np.sort(codes)
+    return codes[np.diff(codes, prepend=-1) != 0]
+
+
+def _csr(n: int, heads: np.ndarray, tails: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric CSR arrays over ``n`` nodes with an edge heads[i] -- tails[i]
+    for each i, none a self-loop; a repeated edge counts once."""
+    codes = unique_codes(np.concatenate([heads * n + tails, tails * n + heads]))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(codes // n, minlength=n), out=indptr[1:])
+    return indptr, (codes % n).astype(np.int32)
+
+
 def _csr_from_edges(n: int, pairs: set[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
     """Symmetric CSR arrays from a set of (u, v) pairs with u != v."""
-    if pairs:
-        arr = np.array(sorted(pairs), dtype=np.int64)
-        heads = np.concatenate([arr[:, 0], arr[:, 1]])
-        tails = np.concatenate([arr[:, 1], arr[:, 0]])
-        order = np.lexsort((tails, heads))
-        heads, tails = heads[order], tails[order]
-    else:
-        heads = tails = np.empty(0, dtype=np.int64)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, heads + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return indptr, tails.astype(np.int32)
+    arr = np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
+    return _csr(n, arr[:, 0], arr[:, 1])
 
 
 def build_network(doc: Document, window: int = 1) -> WordNetwork:
-    """One node per distinct lemma; edges between tokens up to ``window`` apart.
+    """One node per distinct lemma, in order of first occurrence; edges
+    between tokens up to ``window`` apart.
 
-    Repeated pairs collapse to one edge; self-loops are dropped.
+    For each offset the token ids ``ids[:-off]`` pair with ``ids[off:]``;
+    self-pairs are dropped, and ``_csr`` keeps one edge per repeated pair.
     """
     if len(doc.tokens) < 2:
         raise ProsenetError(f"document {doc.id!r} has fewer than 2 tokens")
     if window < 1:
         raise ValueError("window must be >= 1")
 
-    labels: list[str] = []
-    index: dict[str, int] = {}
-    for tok in doc.tokens:
-        if tok not in index:
-            index[tok] = len(labels)
-            labels.append(tok)
+    index = {tok: i for i, tok in enumerate(dict.fromkeys(doc.tokens))}
     ids = np.array([index[t] for t in doc.tokens], dtype=np.int64)
-
-    pairs: set[tuple[int, int]] = set()
-    for off in range(1, window + 1):
-        for a, b in zip(ids[:-off], ids[off:]):
-            if a != b:
-                pairs.add((min(a, b), max(a, b)))
-
-    indptr, indices = _csr_from_edges(len(labels), pairs)
-    freq = np.bincount(ids, minlength=len(labels)).astype(np.int64)
-    stop = np.zeros(len(labels), dtype=bool)
-    for tok, flag in zip(doc.tokens, doc.stopword_mask):
-        if flag:
-            stop[index[tok]] = True
-    return WordNetwork(labels, indptr, indices, freq, stop)
+    a = np.concatenate([ids[:-off] for off in range(1, window + 1)])
+    b = np.concatenate([ids[off:] for off in range(1, window + 1)])
+    pair = a != b
+    indptr, indices = _csr(len(index), a[pair], b[pair])
+    return WordNetwork(list(index), indptr, indices)
 
 
 def min_labels(size: int, heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
@@ -238,17 +235,16 @@ def _expand(frontier: np.ndarray, n: int, indptr: np.ndarray, indices: np.ndarra
     return tails, heads
 
 
-def network_to_json(net: WordNetwork) -> str:
-    """Debug/plot export: nodes with metadata plus the deduplicated edge list."""
+def network_to_json(net: WordNetwork, doc: Document) -> str:
+    """Debug/plot export of ``net``, built from ``doc``: nodes with each
+    lemma's token count and stopword flag, read from the document, plus the
+    deduplicated edge list."""
+    frequency = Counter(doc.tokens)
+    stopwords = {tok for tok, flag in zip(doc.tokens, doc.stopword_mask) if flag}
     payload = {
         "nodes": [
-            {
-                "id": i,
-                "label": net.node_labels[i],
-                "frequency": int(net.node_frequency[i]),
-                "stopword": bool(net.stopword_flag[i]),
-            }
-            for i in range(net.node_count)
+            {"id": i, "label": label, "frequency": frequency[label], "stopword": label in stopwords}
+            for i, label in enumerate(net.node_labels)
         ],
         "edges": [[u, v] for u, v in net.edges()],
     }

@@ -38,8 +38,6 @@ class NodeMeasures:
     missing: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.missing is None:
-            self.missing = np.zeros(len(self.values), dtype=bool)
         assert not np.isnan(self.values).any(), "missing values use the mask, not NaN"
 
     def present_values(self) -> np.ndarray:
@@ -249,19 +247,12 @@ def modularity(net: WordNetwork, labels: np.ndarray) -> float:
     labels = np.asarray(labels)
     if len(labels) != net.node_count:
         raise ValueError("labels must cover every node")
-    k = net.degrees.astype(np.float64)
-    internal: dict[int, int] = {}
-    for u, v in net.edges():
-        if labels[u] == labels[v]:
-            internal[labels[u]] = internal.get(int(labels[u]), 0) + 1
-    degree_sums: dict[int, float] = {}
-    for node, lab in enumerate(labels):
-        degree_sums[int(lab)] = degree_sums.get(int(lab), 0.0) + k[node]
-    terms = [
-        internal.get(c, 0) / m - (degree_sums[c] / (2.0 * m)) ** 2
-        for c in sorted(degree_sums)
-    ]
-    return math.fsum(terms)
+    communities, comm = np.unique(labels, return_inverse=True)
+    head_comm = comm[net.heads()]
+    inside = head_comm == comm[net.indices]  # each internal edge twice, once per end
+    internal = np.bincount(head_comm[inside], minlength=len(communities)) // 2
+    degree_sums = np.bincount(comm, weights=net.degrees, minlength=len(communities))
+    return math.fsum((internal / m - (degree_sums / (2.0 * m)) ** 2).tolist())
 
 
 def detect_communities(net: WordNetwork) -> CommunityAssignment:
@@ -280,20 +271,15 @@ def detect_communities(net: WordNetwork) -> CommunityAssignment:
     two_m = 2.0 * m
     members: dict[int, list[int]] = {i: [i] for i in range(n)}
     ksum: dict[int, float] = {i: float(k[i]) for i in range(n)}
-    between: dict[int, dict[int, int]] = {i: {} for i in range(n)}
-    for u, v in net.edges():
-        between[u][v] = between[u].get(v, 0) + 1
-        between[v][u] = between[v].get(u, 0) + 1
+    # the network is simple: one edge between each linked pair
+    between = {i: dict.fromkeys(net.neighbors(i).tolist(), 1) for i in range(n)}
     epoch = {i: 0 for i in range(n)}
 
     def gain(a: int, b: int) -> float:
         return between[a][b] / m - 2.0 * ksum[a] * ksum[b] / (two_m * two_m)
 
-    heap: list[tuple[float, int, int, int, int]] = []
-    for a, nbrs in between.items():
-        for b in nbrs:
-            if a < b:
-                heapq.heappush(heap, (-gain(a, b), a, b, 0, 0))
+    heap = [(-gain(a, b), a, b, 0, 0) for a, b in net.edges()]
+    heapq.heapify(heap)  # keys are distinct, so the pop order does not depend on the layout
 
     deltas: list[float] = []
     while heap:

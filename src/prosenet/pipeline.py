@@ -605,9 +605,8 @@ def measures_to_csv(dm: DocumentMeasures) -> str:
     return "\n".join(lines) + "\n"
 
 
-def build_feature_matrix(
-    cfg: RunConfig, manifest: CorpusManifest, cache_dir: Path
-) -> tuple[FeatureMatrix, list[DocumentMeasures]]:
+def build_feature_matrix(cfg: RunConfig, manifest: CorpusManifest,
+                         cache_dir: Path) -> FeatureMatrix:
     """Measure the corpus through ``cache_dir`` and assemble the configured
     strategy's features."""
     doc_measures, failures, sources = compute_corpus_measures(manifest, cfg, cache_dir)
@@ -618,7 +617,7 @@ def build_feature_matrix(
         fm = local_features(doc_measures, sources)
         frequencies = {dm.doc_id: dm.word_frequencies for dm in doc_measures}
         fm = frequency_decorrelation_filter(fm, frequencies, cfg.rho_max)
-    return fm, doc_measures
+    return fm
 
 
 def cmd_measure(cfg: RunConfig) -> list[Path]:
@@ -663,15 +662,14 @@ def cmd_classify(cfg: RunConfig) -> dict[str, ClassificationReport]:
     """Features -> decorrelation (local) -> IG top-k -> LOO -> report + PCA."""
     manifest = load_manifest(cfg.manifest)
     out = Path(cfg.out)
-    fm, _ = build_feature_matrix(cfg, manifest, out / "cache")
+    fm = build_feature_matrix(cfg, manifest, out / "cache")
 
-    ranking = rank_features(fm)
+    ranked = rank_features(fm)
     atomic_write(
         out / f"ranking_{cfg.strategy}.csv",
-        "feature,information_gain\n"
-        + "".join(f"{n},{float(g)!r}\n" for n, g in ranking.ranked),
+        "feature,information_gain\n" + "".join(f"{n},{float(g)!r}\n" for n, g in ranked),
     )
-    top = fm.subset([name for name, _ in ranking.ranked[: cfg.top_k]])
+    top = fm.subset([name for name, _ in ranked[: cfg.top_k]])
     atomic_write(out / f"features_{cfg.strategy}.csv", top.to_csv())
 
     proj = pca_project(top)
@@ -756,7 +754,7 @@ def cmd_relevance(cfg: RunConfig) -> RelevanceReport:
     """Exhaustive subset sweep over the top-phi features of the strategy."""
     manifest = load_manifest(cfg.manifest)
     out = Path(cfg.out)
-    fm, _ = build_feature_matrix(cfg, manifest, out / "cache")
+    fm = build_feature_matrix(cfg, manifest, out / "cache")
     top = select_top_k(fm, min(cfg.phi, len(fm.feature_names)))
     spec = ClassifierSpec(cfg.classifier if cfg.classifier != "all" else "knn", knn_k=cfg.knn_k)
     report = relevance_index(top, spec)
@@ -805,7 +803,7 @@ def cmd_export_network(cfg: RunConfig, doc_id: str, keep_stopwords: bool) -> Pat
     doc = preprocess(raw, _dictionary_for(cfg), keep_stopwords, entry.doc_id, entry.label)
     net = build_network(doc, cfg.window)
     path = Path(cfg.out) / f"network_{doc_id}.json"
-    atomic_write(path, network_to_json(net) + "\n")
+    atomic_write(path, network_to_json(net, doc) + "\n")
     return path
 
 

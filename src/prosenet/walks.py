@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import WordNetwork, bfs_distances, component_labels, min_labels, row_blocks
+from .graph import (WordNetwork, bfs_distances, component_labels, min_labels, row_blocks,
+                    unique_codes)
 
 DEFAULT_DEPTH_CAP = 4
 
@@ -287,10 +288,8 @@ def _concentric_symmetry(
         if merge:
             group = min_labels(size, *_copy_edges(in_ball[:, heads] & (d_head == d_tail),
                                                   heads, tails, n))
-            # sort and drop repeats by hand: np.unique hashes first, ~20x slower here
-            key = np.sort(group[e_head] * size + group[e_tail])
-            uniq = key[np.r_[True, key[1:] != key[:-1]]] if len(key) else key
-            e_head, e_tail = uniq // size, uniq % size
+            key = unique_codes(group[e_head] * size + group[e_tail])
+            e_head, e_tail = key // size, key % size
             root = root & (group == np.arange(size))
         out_count = np.bincount(e_head, minlength=size)
 
@@ -309,11 +308,13 @@ def _concentric_symmetry(
             step = head_ring == r
             src = e_head[step]
             mass = np.bincount(e_tail[step], weights=mass[src] / out_count[src], minlength=size)
-            if level in h_values:
-                col = h_values.index(level)
+            cols = [col for col, h in enumerate(h_values) if h == level]
+            if cols:
                 ring = np.flatnonzero(ring_counts[:, level])
                 denom = ring_counts[ring, level] + eta_cum[ring, level - 1]
-                out[part.start + ring, col] = entropy(mass.reshape(copies, n)[ring]) / denom
+                values = entropy(mass.reshape(copies, n)[ring]) / denom
+                for col in cols:  # a depth listed twice fills both columns
+                    out[part.start + ring, col] = values
     return out
 
 

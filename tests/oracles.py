@@ -13,7 +13,7 @@ subset's distances at a time. The relevance ledger and omega come from a
 full subset-by-feature bit matrix, and its CSVs are whole strings built
 from one name string per mask, as ``prosenet.pipeline`` once built them.
 
-Two later sections hold earlier forms of package code. The per-source
+Three later sections hold earlier forms of package code. The per-source
 reference walks (SAW distributions, accessibility, the backbone and merged
 patterns, concentric symmetry, one ring entropy at a time) were the
 package's own slow paths, built on its BFS and on its earlier SAW enumerator
@@ -24,7 +24,8 @@ The scipy kernels (sparse-product BFS, Brandes betweenness, clustering,
 eigenvector, PageRank, component labels, ``scipy.linalg.expm``) and the
 greedy community search that re-pushes stale heap entries are what the
 numpy kernels replaced, kept to show the replacements give identical
-results.
+results. The network builder that collected token pairs in a Python set,
+and the edge list read one node at a time, do the same for the CSR builder.
 """
 
 from __future__ import annotations
@@ -50,13 +51,7 @@ from prosenet.walks import DEFAULT_DEPTH_CAP, TransitionMatrix
 
 def net_from_edges(n: int, edges: set[tuple[int, int]]) -> WordNetwork:
     indptr, indices = _csr_from_edges(n, edges)
-    return WordNetwork(
-        [f"n{i}" for i in range(n)],
-        indptr,
-        indices,
-        np.ones(n, dtype=np.int64),
-        np.zeros(n, dtype=bool),
-    )
+    return WordNetwork([f"n{i}" for i in range(n)], indptr, indices)
 
 
 def adjacency(n: int, edges: set[tuple[int, int]]) -> dict[int, list[int]]:
@@ -666,13 +661,7 @@ def largest_component(net: WordNetwork) -> WordNetwork:
         if remap[u] >= 0 and remap[v] >= 0
     }
     indptr, indices = _csr_from_edges(len(keep), pairs)
-    return WordNetwork(
-        [net.node_labels[i] for i in keep],
-        indptr,
-        indices,
-        net.node_frequency[keep].copy(),
-        net.stopword_flag[keep].copy(),
-    )
+    return WordNetwork([net.node_labels[i] for i in keep], indptr, indices)
 
 
 @dataclass
@@ -1195,3 +1184,48 @@ def repush_detect_communities(net: WordNetwork) -> CommunityAssignment:
         for node in members[cid]:
             labels[node] = new_id
     return CommunityAssignment(labels, q)
+
+
+# ---------------------------------------------------------------------------
+# the pair-set network builder and the per-node edge loop the CSR arrays replaced
+# ---------------------------------------------------------------------------
+
+def pairset_build_network(doc, window: int = 1) -> WordNetwork:
+    """``build_network`` as a Python set of (min, max) token-id pairs, turned
+    into CSR arrays by one lexsort and ``np.add.at`` on the row counts."""
+    labels: list[str] = []
+    index: dict[str, int] = {}
+    for tok in doc.tokens:
+        if tok not in index:
+            index[tok] = len(labels)
+            labels.append(tok)
+    ids = [index[t] for t in doc.tokens]
+    pairs: set[tuple[int, int]] = set()
+    for off in range(1, window + 1):
+        for a, b in zip(ids[:-off], ids[off:]):
+            if a != b:
+                pairs.add((min(a, b), max(a, b)))
+
+    n = len(labels)
+    if pairs:
+        arr = np.array(sorted(pairs), dtype=np.int64)
+        heads = np.concatenate([arr[:, 0], arr[:, 1]])
+        tails = np.concatenate([arr[:, 1], arr[:, 0]])
+        order = np.lexsort((tails, heads))
+        heads, tails = heads[order], tails[order]
+    else:
+        heads = tails = np.empty(0, dtype=np.int64)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(indptr, heads + 1, 1)
+    np.cumsum(indptr, out=indptr)
+    return WordNetwork(labels, indptr, tails.astype(np.int32))
+
+
+def loop_edges(net: WordNetwork) -> list[tuple[int, int]]:
+    """``WordNetwork.edges`` one node and one neighbour at a time."""
+    out = []
+    for u in range(net.node_count):
+        for v in net.neighbors(u):
+            if u < v:
+                out.append((u, int(v)))
+    return out

@@ -246,8 +246,7 @@ class TestSelection:
             ["bb", "aa"],
             values,
         )
-        ranking = rank_features(fm)
-        assert [name for name, _ in ranking.ranked] == ["aa", "bb"]
+        assert [name for name, _ in rank_features(fm)] == ["aa", "bb"]
 
 
 class TestCsv:
@@ -294,7 +293,7 @@ def ranking_cases(draw):
 ), 2))
 def test_ranking_matches_per_column_reference(case):
     fm, bins = case
-    ranked = rank_features(fm, bins).ranked
+    ranked = rank_features(fm, bins)
     expected = oracle_rank_features(fm, bins)
     assert [name for name, _ in ranked] == [name for name, _ in expected]
     assert [repr(float(g)) for _, g in ranked] == [repr(float(g)) for _, g in expected]

@@ -2,13 +2,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_doc
+from conftest import make_doc, networks
 from oracles import (
     adjacency,
     largest_component,
+    loop_edges,
     net_from_edges,
     oracle_distances,
+    pairset_build_network,
     random_connected_graph,
 )
 from prosenet import ProsenetError
@@ -60,9 +64,35 @@ class TestBuildNetwork:
 
     def test_frequency_and_stopword_flags(self):
         doc = make_doc(["the", "cat", "the"], stop_mask=[True, False, True])
-        net = build_network(doc)
-        assert net.node_frequency.tolist() == [2, 1]
-        assert net.stopword_flag.tolist() == [True, False]
+        nodes = json.loads(network_to_json(build_network(doc), doc))["nodes"]
+        assert [node["frequency"] for node in nodes] == [2, 1]
+        assert [node["stopword"] for node in nodes] == [True, False]
+
+
+@st.composite
+def token_runs(draw):
+    """Token lists built from runs of one token, so self-pairs and repeated
+    pairs are common."""
+    runs = draw(st.lists(st.tuples(st.integers(0, 8), st.integers(1, 4)), min_size=1, max_size=20))
+    tokens = [f"w{tok}" for tok, length in runs for _ in range(length)]
+    return tokens + ["w0"] * (2 - len(tokens))
+
+
+@settings(max_examples=150, deadline=None)
+@given(token_runs(), st.integers(1, 3))
+def test_build_network_matches_the_pair_set_builder(tokens, window):
+    doc = make_doc(tokens)
+    got, want = build_network(doc, window), pairset_build_network(doc, window)
+    assert got.node_labels == want.node_labels
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert got.indices.dtype == np.int32
+
+
+@settings(max_examples=80, deadline=None)
+@given(networks)
+def test_edges_match_the_per_node_loop(net):
+    assert net.edges() == loop_edges(net)
 
 
 class TestComponents:
@@ -148,7 +178,7 @@ class TestDistances:
 class TestExport:
     def test_json_roundtrip_fields(self):
         doc = make_doc(["the", "cat", "the"], stop_mask=[True, False, True])
-        payload = json.loads(network_to_json(build_network(doc)))
+        payload = json.loads(network_to_json(build_network(doc), doc))
         assert payload["edges"] == [[0, 1]]
         assert payload["nodes"][0] == {
             "frequency": 2, "id": 0, "label": "the", "stopword": True,

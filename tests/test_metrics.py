@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_doc
+from conftest import make_doc, networks
 from oracles import (
     adjacency,
+    loop_edges,
     net_from_edges,
     oracle_betweenness,
     oracle_clustering,
@@ -280,6 +283,23 @@ class TestModularity:
     def test_edgeless_rejected(self):
         with pytest.raises(ProsenetError):
             modularity(net_from_edges(3, set()), np.zeros(3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(networks, st.data())
+def test_modularity_matches_the_pairwise_sum(net, data):
+    n = net.node_count
+    labels = data.draw(st.one_of(
+        st.just(np.zeros(n)),
+        st.lists(st.integers(0, 3), min_size=n, max_size=n).map(np.array),
+        st.lists(st.sampled_from([-2.0, 0.0, 0.5, 1.5]), min_size=n, max_size=n).map(np.array),
+    ))
+    if net.edge_count == 0:
+        with pytest.raises(ProsenetError):
+            modularity(net, labels)
+    else:
+        want = oracle_modularity(n, set(loop_edges(net)), labels)
+        assert modularity(net, labels) == pytest.approx(want, abs=1e-12)
 
 
 class TestCommunities:

@@ -200,7 +200,7 @@ class TestMeasureCacheKey:
         _, _, words = pipeline.compute_corpus_measures(manifest, cfg, cache)
         assert {"that", "is", "was"} & set(words)  # the custom list is in force
         assert not stops & set(words)
-        fm, _ = pipeline.build_feature_matrix(cfg, manifest, cache)
+        fm = pipeline.build_feature_matrix(cfg, manifest, cache)
         assert not stops & {name.split("@", 1)[1] for name in fm.feature_names}
 
 
@@ -913,7 +913,7 @@ class TestFeatureCellIntegrity:
         cfg = RunConfig(manifest=str(manifest_path), strategy="LSS",
                         out=str(tmp_path / "out"), word_list_size=8,
                         rho_max=10.0)  # keep every column for the comparison
-        fm, _ = build_feature_matrix(cfg, manifest, tmp_path / "out" / "cache")
+        fm = build_feature_matrix(cfg, manifest, tmp_path / "out" / "cache")
 
         dictionary = load_lemma_dictionary()
         docs = {

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_doc
+from conftest import make_doc, zipf_doc
 from oracles import (
     accessibility,
     adjacency,
@@ -364,6 +364,16 @@ class TestSymmetry:
                     assert sm[i, col] == pytest.approx(
                         symmetry(net, i, h, "merged"), abs=1e-12
                     )
+
+    @pytest.mark.parametrize("batch", [backbone_symmetry_batch, merged_symmetry_batch])
+    def test_a_repeated_depth_fills_both_columns(self, batch):
+        net = build_network(zipf_doc(300))
+        sources = np.arange(net.node_count)
+        got = batch(net, sources, (2, 2))
+        once = batch(net, sources, (2,))
+        assert np.array_equal(got[:, 1], got[:, 0])
+        assert np.array_equal(got[:, :1], once)
+        assert got[:, 0].any()
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
