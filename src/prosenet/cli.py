@@ -2,7 +2,9 @@
 
 Commands: measure, classify, relevance, baselines, export-network,
 prepare-manifest. Options may come from a key=value config file (--config);
-command-line flags override it.
+command-line flags override it. ``prosenet.pipeline``, and with it numpy and
+the measuring and learning layers, is imported only by the commands that
+measure or learn; prepare-manifest needs ``prosenet.corpus`` alone.
 """
 
 from __future__ import annotations
@@ -11,16 +13,7 @@ import argparse
 import sys
 
 from . import ProsenetError
-from .pipeline import (
-    cmd_baselines,
-    cmd_classify,
-    cmd_export_network,
-    cmd_measure,
-    cmd_relevance,
-    config_from_sources,
-    parse_config_file,
-    prepare_manifest,
-)
+from .corpus import load_lemma_dictionary, prepare_manifest
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -52,12 +45,13 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_config(args: argparse.Namespace):
+    from .pipeline import config_from_sources, parse_config_file
+
     file_values = parse_config_file(args.config) if args.config else {}
-    skip = {"command", "config", "doc_id", "keep_stopwords", "source_manifest",
-            "out_manifest", "length_metric", "strip_pos", "texts_dir"}
-    overrides = {k: v for k, v in vars(args).items() if k not in skip}
+    overrides = {k: v for k, v in vars(args).items()
+                 if k not in ("command", "config", "doc_id", "keep_stopwords")}
     cfg = config_from_sources(file_values, overrides)
-    if not cfg.manifest and args.command != "prepare-manifest":
+    if not cfg.manifest:
         raise ProsenetError("--manifest (or a config file with manifest=) is required")
     return cfg
 
@@ -98,18 +92,24 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "prepare-manifest":
-            overrides = {"lemmas": args.lemmas, "stoplist": args.stoplist}
-            cfg = config_from_sources({}, overrides)
             count = prepare_manifest(
                 args.source_manifest,
                 args.out_manifest,
                 args.length_metric,
                 args.strip_pos,
                 args.texts_dir,
-                cfg,
+                load_lemma_dictionary(args.lemmas or None, args.stoplist or None),
             )
             print(f"wrote {args.out_manifest} with {count} documents")
             return 0
+
+        from .pipeline import (
+            cmd_baselines,
+            cmd_classify,
+            cmd_export_network,
+            cmd_measure,
+            cmd_relevance,
+        )
 
         cfg = _build_config(args)
         if args.command == "measure":

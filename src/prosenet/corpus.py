@@ -1,20 +1,32 @@
-"""Corpus ingestion: manifests, tokenization, lemmatization, stopword handling.
+"""Corpus ingestion: manifests, tokenization, lemmatization, stopword
+handling, manifest balancing and the atomic file write.
 
 Preprocessing keeps a single deterministic rule set: lowercase, split on any
 non-alphabetic character, look each token up in a plain surface-to-lemma
 dictionary (unknown forms map to themselves), then optionally drop stopwords.
+This module needs no numpy, so ``prosenet prepare-manifest``, which only
+reads, counts and writes, loads nothing of the measuring and learning layers.
 """
 
 from __future__ import annotations
 
 import logging
+import os
 import re
+import tempfile
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from . import DuplicateIdError, EmptyDocumentError, UnknownLabelError, UnreadablePathError
+from . import (
+    DuplicateIdError,
+    EmptyDocumentError,
+    ProsenetError,
+    UnknownLabelError,
+    UnreadablePathError,
+)
 
 log = logging.getLogger(__name__)
 
@@ -192,3 +204,80 @@ def _nonempty(doc: Document) -> Document:
 def word_frequencies(doc: Document) -> dict[str, int]:
     """Lemma occurrence counts; values sum to len(doc.tokens)."""
     return dict(Counter(doc.tokens))
+
+
+def atomic_write(path: Path, text: str) -> None:
+    atomic_write_blocks(path, (text,))
+
+
+def atomic_write_blocks(path: Path, blocks: Iterable[str]) -> None:
+    """Write the concatenated ``blocks`` to ``path`` through a temporary file
+    renamed over it, so a reader never sees a partial file."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            for block in blocks:
+                fh.write(block)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def prepare_manifest(
+    source_manifest: str | Path,
+    out_path: str | Path,
+    length_metric: str = "raw",
+    strip_pos: bool = False,
+    texts_dir: str | Path | None = None,
+    dictionary: LemmaDictionary | None = None,
+) -> int:
+    """Balance a labeled corpus: keep the minority class whole and only the
+    longest majority-class documents.
+
+    ``length_metric`` picks the ordering: 'raw' counts every token before
+    preprocessing, 'preprocessed' counts the lemmas of ``dictionary`` (the
+    shipped one by default) that are not stopwords, so a text of stopwords
+    alone has length 0. ``strip_pos`` rewrites word/TAG formatted files as
+    plain text under ``texts_dir``.
+    """
+    if length_metric not in ("raw", "preprocessed"):
+        raise ProsenetError("length_metric must be 'raw' or 'preprocessed'")
+    manifest = load_manifest(source_manifest)
+    if dictionary is None:
+        dictionary = load_lemma_dictionary()
+
+    records = []
+    for entry in manifest.entries:
+        text = entry.path.read_text(encoding="utf-8", errors="replace")
+        if strip_pos:
+            text = " ".join(tok.rsplit("/", 1)[0] for tok in text.split())
+            if texts_dir is None:
+                raise ProsenetError("strip_pos requires texts_dir")
+            target = Path(texts_dir) / f"{entry.doc_id}.txt"
+            atomic_write(target, text + "\n")
+            doc_path = target
+        else:
+            doc_path = entry.path
+        surfaces = tokenize(text)
+        if length_metric == "raw":
+            length = len(surfaces)
+        else:
+            length = sum(not dictionary.is_stopword(dictionary.lemma(s)) for s in surfaces)
+        records.append((entry.doc_id, entry.label, doc_path.resolve(), length))
+
+    by_label: dict[str, list] = {}
+    for rec in records:
+        by_label.setdefault(rec[1], []).append(rec)
+    smallest = min(len(v) for v in by_label.values())
+    selected = []
+    for label in sorted(by_label):
+        group = sorted(by_label[label], key=lambda r: (-r[3], r[0]))[:smallest]
+        selected.extend(group)
+    selected.sort(key=lambda r: r[0])
+
+    lines = [f"{doc_id}\t{label}\t{path}" for doc_id, label, path, _ in selected]
+    atomic_write(Path(out_path), "\n".join(lines) + "\n")
+    return len(selected)

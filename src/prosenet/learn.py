@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -213,12 +212,15 @@ def nb_classify(model: _NbModel, row: np.ndarray) -> str:
 # ---------------------------------------------------------------------------
 
 def significance(accuracy: float, n: int) -> float:
-    """Exact one-sided binomial tail P(X >= round(accuracy*n)) at p = 1/2."""
+    """Exact one-sided binomial tail P(X >= round(accuracy*n)) at p = 1/2.
+
+    int / int true division rounds the exact quotient correctly, so this is
+    the nearest float to the tail without a Fraction."""
     if n < 1:
         raise ValueError("n must be >= 1")
     hits = round(accuracy * n)
     numer = sum(math.comb(n, k) for k in range(hits, n + 1))
-    return float(Fraction(numer, 2**n))
+    return numer / 2**n
 
 
 def _loo_fold_weights(x: np.ndarray) -> np.ndarray:

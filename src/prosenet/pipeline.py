@@ -12,10 +12,7 @@ import base64
 import dataclasses
 import hashlib
 import json
-import os
-import tempfile
-from collections.abc import Iterable, Iterator
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,11 +23,12 @@ from .corpus import (
     CorpusManifest,
     Document,
     LemmaDictionary,
+    atomic_write,
+    atomic_write_blocks,
     content_words,
     load_lemma_dictionary,
     load_manifest,
     preprocess,
-    tokenize,
     word_frequencies,
 )
 from .features import (
@@ -457,26 +455,6 @@ def _cache_store(path: Path, key: str, dm: DocumentMeasures) -> None:
     atomic_write(path, f'{{"checksum": "{checksum}", "key": "{key}", "payload": {blob}}}')
 
 
-def atomic_write(path: Path, text: str) -> None:
-    atomic_write_blocks(path, (text,))
-
-
-def atomic_write_blocks(path: Path, blocks: Iterable[str]) -> None:
-    """Write the concatenated ``blocks`` to ``path`` through a temporary file
-    renamed over it, so a reader never sees a partial file."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            for block in blocks:
-                fh.write(block)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 # ---------------------------------------------------------------------------
 # corpus-level measurement with parallelism
 # ---------------------------------------------------------------------------
@@ -570,6 +548,9 @@ def compute_corpus_measures(manifest: CorpusManifest, cfg: RunConfig, cache_dir:
             results[doc_id] = _restrict_walks(dm, cfg, walk_sources)
 
     if pending and cfg.jobs > 1:
+        # imported here: a run that starts no pool skips multiprocessing
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             for future in as_completed([pool.submit(_measure_task, task) for task in pending]):
                 finish(future.result())
@@ -806,57 +787,3 @@ def cmd_export_network(cfg: RunConfig, doc_id: str, keep_stopwords: bool) -> Pat
     atomic_write(path, network_to_json(net, doc) + "\n")
     return path
 
-
-def prepare_manifest(
-    source_manifest: str | Path,
-    out_path: str | Path,
-    length_metric: str = "raw",
-    strip_pos: bool = False,
-    texts_dir: str | Path | None = None,
-    cfg: RunConfig | None = None,
-) -> int:
-    """Balance a labeled corpus: keep the minority class whole and only the
-    longest majority-class documents.
-
-    ``length_metric`` picks the ordering: 'raw' counts every token before
-    preprocessing, 'preprocessed' counts the lemmas that survive it with
-    stopwords removed. ``strip_pos`` rewrites word/TAG formatted files as
-    plain text under ``texts_dir``.
-    """
-    if length_metric not in ("raw", "preprocessed"):
-        raise ProsenetError("length_metric must be 'raw' or 'preprocessed'")
-    cfg = cfg or RunConfig()
-    manifest = load_manifest(source_manifest)
-    dictionary = _dictionary_for(cfg)
-
-    records = []
-    for entry in manifest.entries:
-        text = entry.path.read_text(encoding="utf-8", errors="replace")
-        if strip_pos:
-            text = " ".join(tok.rsplit("/", 1)[0] for tok in text.split())
-            if texts_dir is None:
-                raise ProsenetError("strip_pos requires texts_dir")
-            target = Path(texts_dir) / f"{entry.doc_id}.txt"
-            atomic_write(target, text + "\n")
-            doc_path = target
-        else:
-            doc_path = entry.path
-        if length_metric == "raw":
-            length = len(tokenize(text))
-        else:
-            length = len(preprocess(text, dictionary, False, entry.doc_id, entry.label).tokens)
-        records.append((entry.doc_id, entry.label, doc_path.resolve(), length))
-
-    by_label: dict[str, list] = {}
-    for rec in records:
-        by_label.setdefault(rec[1], []).append(rec)
-    smallest = min(len(v) for v in by_label.values())
-    selected = []
-    for label in sorted(by_label):
-        group = sorted(by_label[label], key=lambda r: (-r[3], r[0]))[:smallest]
-        selected.extend(group)
-    selected.sort(key=lambda r: r[0])
-
-    lines = [f"{doc_id}\t{label}\t{path}" for doc_id, label, path, _ in selected]
-    atomic_write(Path(out_path), "\n".join(lines) + "\n")
-    return len(selected)

@@ -12,6 +12,7 @@ masks the rows once per threshold, and a relevance sweep that sums one
 subset's distances at a time. The relevance ledger and omega come from a
 full subset-by-feature bit matrix, and its CSVs are whole strings built
 from one name string per mask, as ``prosenet.pipeline`` once built them.
+The binomial significance is the Fraction it was once rounded from.
 
 Three later sections hold earlier forms of package code. The per-source
 reference walks (SAW distributions, accessibility, the backbone and merged
@@ -619,6 +620,12 @@ def relevance_csvs(report: RelevanceReport) -> tuple[str, str, str]:
         "\n".join(index_lines) + "\n",
         "\n".join(omega_lines) + "\n",
     )
+
+
+def fraction_significance(accuracy: float, n: int) -> float:
+    """P(X >= round(accuracy*n)) at p = 1/2, rounded once from the exact Fraction."""
+    hits = round(accuracy * n)
+    return float(Fraction(sum(math.comb(n, k) for k in range(hits, n + 1)), 2**n))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Start-up cost: no command imports scipy, neither one served from the
-cache nor one that measures networks, and every name the benchmark's tracer
-wraps still resolves."""
+cache nor one that measures networks; prepare-manifest imports neither numpy
+nor the pipeline; a run that starts no process pool imports no
+multiprocessing; and every name the benchmark's tracer wraps still resolves."""
 
 import importlib
 import json
@@ -9,8 +10,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from conftest import write_toy_corpus
 from prosenet.cli import main
+from prosenet.corpus import load_manifest
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -18,18 +22,28 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import tracer  # noqa: E402
 
 
-def scipy_modules_after(code: str) -> list[str]:
-    """The scipy modules a fresh interpreter holds after running ``code``."""
+POOL = ("concurrent.futures.process", "multiprocessing")
+
+
+def modules_after(code: str, *prefixes: str) -> list[str]:
+    """The modules named by, or inside, any of ``prefixes`` that a fresh
+    interpreter holds after running ``code``."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     script = code + ("\nimport json, sys\n"
-                     "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+                     f"prefixes = {prefixes!r}\n"
+                     "print(json.dumps(sorted(m for m in sys.modules\n"
+                     "                        if any(m == p or m.startswith(p + '.') for p in prefixes))))")
     run = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True, check=True)
     return json.loads(run.stdout.splitlines()[-1])
 
 
+def cli_code(args: list[str]) -> str:
+    return f"from prosenet.cli import main\nassert main({args!r}) == 0"
+
+
 def test_importing_the_cli_leaves_scipy_out():
-    assert scipy_modules_after("import prosenet.cli") == []
+    assert modules_after("import prosenet.cli", "scipy") == []
 
 
 def test_classify_served_from_the_cache_leaves_scipy_out(tmp_path):
@@ -38,8 +52,7 @@ def test_classify_served_from_the_cache_leaves_scipy_out(tmp_path):
             "--word-list-size", "10", "--out", str(tmp_path / "out")]
     assert main(args) == 0  # fills the cache
     stamps = sorted(p.stat().st_mtime_ns for p in (tmp_path / "out" / "cache").iterdir())
-    code = f"from prosenet.cli import main\nassert main({args!r}) == 0"
-    assert scipy_modules_after(code) == []
+    assert modules_after(cli_code(args), "scipy") == []
     assert sorted(p.stat().st_mtime_ns for p in (tmp_path / "out" / "cache").iterdir()) == stamps
 
 
@@ -49,9 +62,38 @@ def test_cold_measure_leaves_scipy_out(tmp_path):
         out = tmp_path / strategy
         args = ["measure", "--manifest", str(manifest), "--strategy", strategy,
                 "--word-list-size", "10", "--out", str(out)]
-        code = f"from prosenet.cli import main\nassert main({args!r}) == 0"
-        assert scipy_modules_after(code) == []
+        assert modules_after(cli_code(args), "scipy") == []
         assert len(list((out / "cache").iterdir())) == 4  # every document measured
+
+
+@pytest.mark.parametrize("options", [["--length-metric", "raw"],
+                                     ["--length-metric", "preprocessed"],
+                                     ["--strip-pos", "--texts-dir", "texts"]],
+                         ids=["raw", "preprocessed", "strip-pos"])
+def test_prepare_manifest_leaves_numpy_and_the_pipeline_out(tmp_path, options):
+    manifest = write_toy_corpus(tmp_path / "corpus", n_per_class=2, tokens=60)
+    options = [str(tmp_path / o) if o == "texts" else o for o in options]
+    args = ["prepare-manifest", "--source-manifest", str(manifest),
+            "--out-manifest", str(tmp_path / "balanced.tsv"), *options]
+    assert modules_after(cli_code(args), "numpy", "prosenet.pipeline") == []
+    assert len(load_manifest(tmp_path / "balanced.tsv")) == 4
+
+
+def test_cold_measure_at_one_job_leaves_the_pool_out(tmp_path):
+    manifest = write_toy_corpus(tmp_path / "corpus", n_per_class=2, tokens=240)
+    args = ["measure", "--manifest", str(manifest), "--strategy", "LSS", "--jobs", "1",
+            "--word-list-size", "10", "--out", str(tmp_path / "out")]
+    assert modules_after(cli_code(args), *POOL) == []
+    assert len(list((tmp_path / "out" / "cache").iterdir())) == 4  # every document measured
+
+
+def test_classify_served_from_the_cache_leaves_the_pool_out(tmp_path):
+    """Even at --jobs 2: a pool starts only for documents left to measure."""
+    manifest = write_toy_corpus(tmp_path / "corpus", n_per_class=3, tokens=240)
+    args = ["classify", "--manifest", str(manifest), "--strategy", "LS",
+            "--word-list-size", "10", "--out", str(tmp_path / "out")]
+    assert main(args) == 0  # fills the cache
+    assert modules_after(cli_code(args + ["--jobs", "2"]), *POOL) == []
 
 
 def test_every_traced_name_resolves():

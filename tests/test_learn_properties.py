@@ -6,14 +6,15 @@ columns and adjacent floats, whose midpoints can round onto the upper value.
 Relevance sweep: the blocked subset sweep gives every subset exactly the
 accuracy of the one-subset-at-a-time reference, across block sizes, K and
 duplicate rows (distance ties). LOO-KNN on a feature set scores exactly the
-accuracy the sweep gives that set.
+accuracy the sweep gives that set. The significance, an int quotient, is
+the float the exact Fraction rounds to, bit for bit.
 """
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_cart_train, oracle_knn_subset_accuracies
+from oracles import fraction_significance, oracle_cart_train, oracle_knn_subset_accuracies
 from prosenet.features import FeatureMatrix
 from prosenet.learn import (
     ClassifierSpec,
@@ -21,6 +22,7 @@ from prosenet.learn import (
     cart_train,
     loo_evaluate,
     relevance_index,
+    significance,
 )
 
 PROPERTY = settings(max_examples=80, deadline=None)
@@ -150,3 +152,12 @@ def test_loo_knn_scores_the_ledgers_full_subset_accuracy(case):
     spec = ClassifierSpec("knn", knn_k=k)
     ledger = dict(relevance_index(fm, spec).ledger.tolist())
     assert loo_evaluate(fm, spec).accuracy == ledger[2**phi - 1]
+
+
+@PROPERTY
+@given(st.integers(1, 2000), st.floats(0.0, 1.0))
+@example(1074, 1.0)  # 2^-1074, the smallest subnormal
+@example(1075, 1.0)  # 2^-1075 rounds to 0 at the half-way tie
+@example(1100, 0.5)
+def test_significance_matches_the_rounded_fraction(n, accuracy):
+    assert significance(accuracy, n).hex() == fraction_significance(accuracy, n).hex()

@@ -16,7 +16,7 @@ from conftest import make_doc, write_toy_corpus, zipf_doc
 from oracles import oracle_rank_subsets, relevance_csvs
 from prosenet import CostGuardError, ProsenetError, graph, pipeline
 from prosenet.cli import main
-from prosenet.corpus import load_lemma_dictionary, load_manifest
+from prosenet.corpus import load_lemma_dictionary, load_manifest, prepare_manifest
 from prosenet.graph import build_network, geodesic_row_bytes
 from prosenet.learn import LEDGER_DTYPE, RelevanceReport, rank_subsets
 from prosenet.metrics import NodeMeasures, betweenness
@@ -29,7 +29,6 @@ from prosenet.pipeline import (
     config_from_sources,
     measure_document,
     parse_config_file,
-    prepare_manifest,
     write_relevance,
 )
 from prosenet.walks import (
@@ -897,6 +896,19 @@ class TestPrepareManifest:
         prepare_manifest(src, pre_manifest, length_metric="preprocessed")
         text = pre_manifest.read_text()
         assert "b\t" in text and "a\t" not in text  # 30 content tokens beats 5
+
+    def test_a_text_of_stopwords_alone_has_preprocessed_length_zero(self, tmp_path):
+        src = self.build_source(tmp_path, [
+            ("informative", 30), ("informative", 20), ("informative", 10),
+            ("imaginative", 25), ("imaginative", 15), ("imaginative", 2), ("imaginative", 40),
+        ])
+        (tmp_path / "ima04.txt").write_text("the and of a to")  # 5 raw tokens, 0 content
+        for metric, dropped in (("raw", "ima05"), ("preprocessed", "ima04")):
+            out = tmp_path / f"balanced_{metric}.tsv"
+            assert main(["prepare-manifest", "--source-manifest", str(src),
+                         "--out-manifest", str(out), "--length-metric", metric]) == 0
+            ids = [e.doc_id for e in load_manifest(out).entries]
+            assert len(ids) == 6 and dropped not in ids, metric
 
 
 class TestFeatureCellIntegrity:
