@@ -132,31 +132,37 @@ def load_manifest(path: str | Path) -> CorpusManifest:
     return manifest
 
 
-def _read_resource(name: str) -> str:
-    return resources.files("prosenet.data").joinpath(name).read_text(encoding="utf-8")
+def _read_data(path: str | Path | None, shipped: str, what: str) -> str:
+    """The text of ``path``, or of the shipped data file when it is None."""
+    if path is None:
+        return resources.files("prosenet.data").joinpath(shipped).read_text(encoding="utf-8")
+    if not Path(path).is_file():
+        raise UnreadablePathError(f"{what} {path} does not exist")
+    return Path(path).read_text(encoding="utf-8")
 
 
 def load_lemma_dictionary(
     lemmas_path: str | Path | None = None,
     stoplist_path: str | Path | None = None,
 ) -> LemmaDictionary:
-    """Load the lemma map and stoplist, defaulting to the shipped data files."""
-    if lemmas_path is None:
-        lemma_text = _read_resource("lemmas.tsv")
-    else:
-        lemma_text = Path(lemmas_path).read_text(encoding="utf-8")
+    """Load the lemma map and stoplist, defaulting to the shipped data files.
+
+    Raises UnreadablePathError for a file that does not exist and
+    ProsenetError for a lemma line that is not surface<TAB>lemma.
+    """
+    lemma_text = _read_data(lemmas_path, "lemmas.tsv", "lemma dictionary")
     mapping: dict[str, str] = {}
-    for line in lemma_text.splitlines():
+    for lineno, line in enumerate(lemma_text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        surface, lemma = line.split("\t")
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ProsenetError(f"{lemmas_path}:{lineno}: expected surface<TAB>lemma")
+        surface, lemma = parts
         mapping[surface] = lemma
 
-    if stoplist_path is None:
-        stop_text = _read_resource("stopwords.txt")
-    else:
-        stop_text = Path(stoplist_path).read_text(encoding="utf-8")
+    stop_text = _read_data(stoplist_path, "stopwords.txt", "stoplist")
     stoplist = {w.strip() for w in stop_text.splitlines() if w.strip() and not w.startswith("#")}
     return LemmaDictionary(mapping, stoplist)
 

@@ -92,12 +92,6 @@ def _csr(n: int, heads: np.ndarray, tails: np.ndarray) -> tuple[np.ndarray, np.n
     return indptr, (codes % n).astype(np.int32)
 
 
-def _csr_from_edges(n: int, pairs: set[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric CSR arrays from a set of (u, v) pairs with u != v."""
-    arr = np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
-    return _csr(n, arr[:, 0], arr[:, 1])
-
-
 def build_network(doc: Document, window: int = 1) -> WordNetwork:
     """One node per distinct lemma, in order of first occurrence; edges
     between tokens up to ``window`` apart.

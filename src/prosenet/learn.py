@@ -5,11 +5,18 @@ All classifiers are deterministic. Features are z-scored inside each
 leave-one-out fold from the training rows only; a zero-variance feature keeps
 scale 1. KNN distance ties keep every neighbor at the K-th radius and label
 ties resolve toward the lexicographically smaller class.
+
+PCA and the word-LSA baseline take their eigenvectors from
+``top_eigenpairs_sym``, power iteration with deflation. The three baselines
+build their relative-frequency tables from per-document counts with
+``_frequency_features``.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +24,6 @@ import numpy as np
 from . import CostGuardError
 from .corpus import Document, tokenize
 from .features import FeatureMatrix, select_top_k
-from .linalg import top_eigenpairs_sym
 
 RELEVANCE_MAX_FEATURES = 15
 LEDGER_DTYPE = np.dtype([("mask", np.int64), ("accuracy", np.float64)])
@@ -415,6 +421,42 @@ def rank_subsets(feature_names: list[str], accuracies: np.ndarray) -> RelevanceR
     return RelevanceReport(phi, feature_names, ledger, omega, r_index)
 
 
+def top_eigenpairs_sym(m: np.ndarray, k: int, tol: float = 1e-12, max_iter: int = 100_000):
+    """Largest-k eigenpairs of a symmetric PSD matrix by power iteration + deflation.
+
+    Eigenvector signs follow the convention that the largest-magnitude entry
+    is positive. Returns (values, vectors) with vectors in columns.
+    """
+    m = np.asarray(m, dtype=np.float64)
+    n = m.shape[0]
+    values = []
+    vectors = []
+    work = m.copy()
+    for _ in range(k):
+        # deterministic generic start direction
+        x = 1.0 / np.arange(1.0, n + 1.0)
+        x /= np.linalg.norm(x)
+        lam = 0.0
+        for _ in range(max_iter):
+            y = work @ x
+            ny = np.linalg.norm(y)
+            if ny == 0.0:  # operator annihilates the start vector
+                break
+            y /= ny
+            lam = float(y @ (work @ y))
+            if np.linalg.norm(work @ y - lam * y) < tol * max(1.0, abs(lam)):
+                x = y
+                break
+            x = y
+        pivot = int(np.argmax(np.abs(x)))
+        if x[pivot] < 0:
+            x = -x
+        values.append(lam)
+        vectors.append(x)
+        work = work - lam * np.outer(x, x)
+    return np.array(values), np.column_stack(vectors)
+
+
 def pca_project(fm: FeatureMatrix, dims: int = 2) -> PcaProjection:
     """Project documents onto the top principal components of the columns."""
     if len(fm.feature_names) < dims:
@@ -429,17 +471,17 @@ def pca_project(fm: FeatureMatrix, dims: int = 2) -> PcaProjection:
 # traditional baselines
 # ---------------------------------------------------------------------------
 
-def _relative_frequency_matrix(docs: list[Document], vocabulary: list[str]) -> np.ndarray:
-    rows = np.zeros((len(docs), len(vocabulary)), dtype=np.float64)
-    index = {w: j for j, w in enumerate(vocabulary)}
-    for i, doc in enumerate(docs):
-        for tok in doc.tokens:
-            j = index.get(tok)
-            if j is not None:
-                rows[i, j] += 1.0
-        if doc.tokens:
-            rows[i] /= len(doc.tokens)
-    return rows
+def _frequency_features(counts: list[Mapping[str, int]], vocabulary: list[str],
+                        totals: list[int]) -> np.ndarray:
+    """Relative frequencies: counts[i][w] / totals[i] per document i and
+    vocabulary word w, a row of zeros where a total is 0.
+
+    Counts and totals are integers, so each cell is their correctly rounded
+    quotient, whatever order the counts were taken in.
+    """
+    rows = np.array([[c.get(w, 0) for w in vocabulary] for c in counts], dtype=np.float64)
+    rows = rows.reshape(len(counts), len(vocabulary))
+    return rows / np.maximum(np.array(totals, dtype=np.float64), 1.0)[:, None]
 
 
 def baseline_word_lsa(
@@ -450,12 +492,10 @@ def baseline_word_lsa(
     ``docs`` should be stopword-free so the vocabulary is content words.
     Returns the feature matrix and the documents' rank-2 coordinates.
     """
-    totals: dict[str, int] = {}
-    for doc in docs:
-        for tok in doc.tokens:
-            totals[tok] = totals.get(tok, 0) + 1
-    vocab = sorted(totals, key=lambda w: (-totals[w], w))[:n_words]
-    rows = _relative_frequency_matrix(docs, vocab)
+    per_doc = [Counter(doc.tokens) for doc in docs]
+    corpus = Counter(tok for doc in docs for tok in doc.tokens)
+    vocab = sorted(corpus, key=lambda w: (-corpus[w], w))[:n_words]
+    rows = _frequency_features(per_doc, vocab, [len(doc.tokens) for doc in docs])
     fm = FeatureMatrix([d.id for d in docs], [d.label for d in docs], list(vocab), rows)
     gram = rows.T @ rows
     _, vectors = top_eigenpairs_sym(gram, 2)
@@ -473,10 +513,11 @@ def baseline_stopword_frequency(
     ``docs`` must retain stopwords. Stopword columns are ranked by
     information gain and the top_k survive into a leave-one-out run.
     """
-    present = sorted({tok for doc in docs for tok in doc.tokens if tok in stoplist})
+    per_doc = [Counter(doc.tokens) for doc in docs]
+    present = sorted({tok for counts in per_doc for tok in counts if tok in stoplist})
     if not present:
         raise ValueError("no stopwords present in the corpus")
-    rows = _relative_frequency_matrix(docs, present)
+    rows = _frequency_features(per_doc, present, [len(doc.tokens) for doc in docs])
     fm = FeatureMatrix([d.id for d in docs], [d.label for d in docs], present, rows)
     fm = select_top_k(fm, min(top_k, len(present)))
     report = loo_evaluate(fm, spec or ClassifierSpec())
@@ -486,12 +527,7 @@ def baseline_stopword_frequency(
 
 def char_bigram_counts(raw_text: str) -> dict[str, int]:
     """Word-internal character bigram counts over lowercased alphabetic runs."""
-    counts: dict[str, int] = {}
-    for word in tokenize(raw_text):
-        for a, b in zip(word[:-1], word[1:]):
-            bg = a + b
-            counts[bg] = counts.get(bg, 0) + 1
-    return counts
+    return Counter(a + b for word in tokenize(raw_text) for a, b in zip(word, word[1:]))
 
 
 def baseline_char_bigrams(
@@ -506,14 +542,7 @@ def baseline_char_bigrams(
     """
     per_doc = [char_bigram_counts(text) for _, _, text in raw_docs]
     vocab = sorted({bg for counts in per_doc for bg in counts})
-    rows = np.zeros((len(raw_docs), len(vocab)), dtype=np.float64)
-    index = {bg: j for j, bg in enumerate(vocab)}
-    for i, counts in enumerate(per_doc):
-        for bg, c in counts.items():
-            rows[i, index[bg]] = c
-        total = rows[i].sum()
-        if total > 0:
-            rows[i] /= total
+    rows = _frequency_features(per_doc, vocab, [sum(counts.values()) for counts in per_doc])
     fm = FeatureMatrix(
         [d[0] for d in raw_docs], [d[1] for d in raw_docs], vocab, rows
     )

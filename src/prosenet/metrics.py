@@ -14,7 +14,8 @@ for closeness, eccentricity and neighbourhood counts, with Brandes
 accumulation over each block's geodesic edges; the iterative centralities
 multiply by the adjacency with ``np.bincount`` (each row summed in ascending
 neighbour order, as a CSR product sums it), and clustering counts common
-neighbours by intersecting boolean adjacency rows.
+neighbours by intersecting boolean adjacency rows. Eigenvector centrality is
+``leading_eigenvector``: power iteration on the shifted operator A + I.
 """
 
 from __future__ import annotations
@@ -178,11 +179,36 @@ def eccentricity(net: WordNetwork, dist: np.ndarray | None = None) -> NodeMeasur
     return _on_component(net, comp, ecc.astype(np.float64))
 
 
+def leading_eigenvector(
+    matvec,
+    n: int,
+    tol: float = 1e-10,
+    max_iter: int = 10_000,
+) -> tuple[np.ndarray, float]:
+    """Nonnegative leading eigenvector (sum 1) of a nonnegative operator.
+
+    Power iteration on the shifted operator x -> A x + x, which keeps
+    convergence monotone on bipartite graphs. ``matvec`` applies A.
+    Returns (vector, eigenvalue); raises ConvergenceError with the residual
+    when the eigen-residual stays above ``tol``.
+    """
+    x = np.full(n, 1.0 / n)
+    residual = np.inf
+    for _ in range(max_iter):
+        ax = matvec(x)
+        lam = float(x @ ax) / float(x @ x)
+        residual = float(np.abs(ax - lam * x).sum())
+        if residual < tol:
+            x = x / x.sum()
+            return x, lam
+        y = ax + x
+        x = y / y.sum()
+    raise ConvergenceError("power iteration did not converge", residual)
+
+
 def eigenvector_centrality(net: WordNetwork, tol: float = 1e-10,
                            max_iter: int = 10_000) -> NodeMeasures:
     """Leading adjacency eigenvector, nonnegative and normalized to sum 1."""
-    from .linalg import leading_eigenvector
-
     comp, heads, tails = _component_edges(net)
     n = len(comp)
     if n == 1:
@@ -284,10 +310,9 @@ def detect_communities(net: WordNetwork) -> CommunityAssignment:
     deltas: list[float] = []
     while heap:
         neg_dq, a, b, ea, eb = heapq.heappop(heap)
-        if a not in members or b not in members:
-            continue
-        if epoch[a] != ea or epoch[b] != eb:
-            # stale: the merge that bumped an epoch pushed this pair afresh
+        if epoch.get(a) != ea or epoch.get(b) != eb:
+            # stale: a side was merged away (its epoch popped), or the merge
+            # that bumped an epoch pushed this pair afresh
             continue
         if -neg_dq <= 0:
             break

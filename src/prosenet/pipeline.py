@@ -18,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import CostGuardError, EmptyDocumentError, ProsenetError, __version__
+from . import (CostGuardError, EmptyDocumentError, ProsenetError, UnreadablePathError,
+               __version__)
 from .corpus import (
     CorpusManifest,
     Document,
@@ -152,8 +153,11 @@ class RunConfig:
 
 def parse_config_file(path: str | Path) -> dict:
     """Flat key=value file; '#' starts a comment."""
+    path = Path(path)
+    if not path.is_file():
+        raise UnreadablePathError(f"config file {path} does not exist")
     values: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -540,23 +544,19 @@ def compute_corpus_measures(manifest: CorpusManifest, cfg: RunConfig, cache_dir:
             sources = walk_sources if known is None else _with_walked(known, cfg, walk_sources)
             pending.append((doc, sources, cfg, key, path))
 
-    def finish(outcome) -> None:
-        doc_id, dm, error = outcome
+    if pending and cfg.jobs > 1:
+        # imported here: a run that starts no pool skips multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+            outcomes = list(pool.map(_measure_task, pending))
+    else:
+        outcomes = map(_measure_task, pending)
+    for doc_id, dm, error in outcomes:
         if error is not None:
             errors[doc_id] = error
         else:
             results[doc_id] = _restrict_walks(dm, cfg, walk_sources)
-
-    if pending and cfg.jobs > 1:
-        # imported here: a run that starts no pool skips multiprocessing
-        from concurrent.futures import ProcessPoolExecutor, as_completed
-
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            for future in as_completed([pool.submit(_measure_task, task) for task in pending]):
-                finish(future.result())
-    else:
-        for task in pending:
-            finish(_measure_task(task))
 
     ordered = [results[e.doc_id] for e in manifest.entries if e.doc_id in results]
     failures = [(e.doc_id, errors[e.doc_id]) for e in manifest.entries if e.doc_id in errors]
@@ -632,13 +632,6 @@ def _report_json(report: ClassificationReport, cfg: RunConfig) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
-def projection_csv(doc_ids, labels, coords) -> str:
-    lines = ["doc_id,label,pc1,pc2"]
-    for doc_id, label, row in zip(doc_ids, labels, coords):
-        lines.append(f"{doc_id},{label},{float(row[0])!r},{float(row[1])!r}")
-    return "\n".join(lines) + "\n"
-
-
 def cmd_classify(cfg: RunConfig) -> dict[str, ClassificationReport]:
     """Features -> decorrelation (local) -> IG top-k -> LOO -> report + PCA."""
     manifest = load_manifest(cfg.manifest)
@@ -654,10 +647,8 @@ def cmd_classify(cfg: RunConfig) -> dict[str, ClassificationReport]:
     atomic_write(out / f"features_{cfg.strategy}.csv", top.to_csv())
 
     proj = pca_project(top)
-    atomic_write(
-        out / f"projection_{cfg.strategy}.csv",
-        projection_csv(top.doc_ids, top.labels, proj.coords),
-    )
+    projection = FeatureMatrix(top.doc_ids, top.labels, ["pc1", "pc2"], proj.coords)
+    atomic_write(out / f"projection_{cfg.strategy}.csv", projection.to_csv())
 
     names = CLASSIFIERS if cfg.classifier == "all" else (cfg.classifier,)
     reports = {}
@@ -765,10 +756,8 @@ def cmd_baselines(cfg: RunConfig) -> dict[str, ClassificationReport]:
 
     lsa_fm, lsa_coords = baseline_word_lsa(docs_content)
     atomic_write(out / "lsa_features.csv", lsa_fm.to_csv())
-    atomic_write(
-        out / "lsa_projection.csv",
-        projection_csv(lsa_fm.doc_ids, lsa_fm.labels, lsa_coords),
-    )
+    lsa_projection = FeatureMatrix(lsa_fm.doc_ids, lsa_fm.labels, ["pc1", "pc2"], lsa_coords)
+    atomic_write(out / "lsa_projection.csv", lsa_projection.to_csv())
     atomic_write(out / "baseline_stopwords.json", _report_json(stop_report, cfg))
     atomic_write(out / "baseline_bigrams.json", _report_json(bigram_report, cfg))
     return {"stopwords": stop_report, "bigrams": bigram_report}

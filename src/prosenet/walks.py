@@ -27,6 +27,7 @@ import numpy as np
 
 from .graph import (WordNetwork, bfs_distances, component_labels, min_labels, row_blocks,
                     unique_codes)
+from .metrics import NodeMeasures
 
 DEFAULT_DEPTH_CAP = 4
 
@@ -210,8 +211,6 @@ def generalized_accessibility(
     tm: TransitionMatrix | None = None,
 ):
     """Per-node exp-entropy of the walk-mixture rows (all walk lengths at once)."""
-    from .metrics import NodeMeasures
-
     if tm is None:
         tm = transition_matrix(net)
     rows = tm.walk_mixture

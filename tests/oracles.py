@@ -12,7 +12,10 @@ masks the rows once per threshold, and a relevance sweep that sums one
 subset's distances at a time. The relevance ledger and omega come from a
 full subset-by-feature bit matrix, and its CSVs are whole strings built
 from one name string per mask, as ``prosenet.pipeline`` once built them.
-The binomial significance is the Fraction it was once rounded from.
+The binomial significance is the Fraction it was once rounded from, and the
+baselines' relative-frequency tables are counted one token and one
+character bigram at a time. Test networks are built from edge sets through
+``prosenet.graph._csr``.
 
 Three later sections hold earlier forms of package code. The per-source
 reference walks (SAW distributions, accessibility, the backbone and merged
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,15 +47,22 @@ from scipy.sparse import csgraph
 
 from prosenet import ConvergenceError
 from prosenet.features import FeatureMatrix
-from prosenet.graph import (GeodesicLevel, WordNetwork, _csr_from_edges, bfs_distances,
+from prosenet.graph import (GeodesicLevel, WordNetwork, _csr, bfs_distances,
                             largest_component_nodes)
 from prosenet.learn import RelevanceReport, _CartNode
-from prosenet.metrics import CommunityAssignment, NodeMeasures, _full, _on_component
+from prosenet.metrics import (CommunityAssignment, NodeMeasures, _full, _on_component,
+                              leading_eigenvector)
 from prosenet.walks import DEFAULT_DEPTH_CAP, TransitionMatrix
 
 
+def csr_from_edges(n: int, pairs: set[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric CSR arrays from a set of (u, v) pairs with u != v."""
+    arr = np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
+    return _csr(n, arr[:, 0], arr[:, 1])
+
+
 def net_from_edges(n: int, edges: set[tuple[int, int]]) -> WordNetwork:
-    indptr, indices = _csr_from_edges(n, edges)
+    indptr, indices = csr_from_edges(n, edges)
     return WordNetwork([f"n{i}" for i in range(n)], indptr, indices)
 
 
@@ -628,6 +639,38 @@ def fraction_significance(accuracy: float, n: int) -> float:
     return float(Fraction(sum(math.comb(n, k) for k in range(hits, n + 1)), 2**n))
 
 
+def relative_frequency_matrix(docs, vocabulary: list[str]) -> np.ndarray:
+    """Each document's relative frequency of each vocabulary word, one token
+    at a time: a row of zeros for an empty document."""
+    rows = np.zeros((len(docs), len(vocabulary)), dtype=np.float64)
+    index = {w: j for j, w in enumerate(vocabulary)}
+    for i, doc in enumerate(docs):
+        for tok in doc.tokens:
+            j = index.get(tok)
+            if j is not None:
+                rows[i, j] += 1.0
+        if doc.tokens:
+            rows[i] /= len(doc.tokens)
+    return rows
+
+
+def bigram_frequency_matrix(texts: list[str], vocabulary: list[str]) -> np.ndarray:
+    """Each text's relative frequency of each word-internal character bigram
+    in ``vocabulary``, which must hold every bigram of the texts, counted one
+    bigram at a time: a row of zeros for a text without bigrams."""
+    rows = np.zeros((len(texts), len(vocabulary)), dtype=np.float64)
+    index = {bg: j for j, bg in enumerate(vocabulary)}
+    for i, text in enumerate(texts):
+        total = 0
+        for word in re.findall(r"[a-z]+", text.lower()):
+            for a, b in zip(word[:-1], word[1:]):
+                rows[i, index[a + b]] += 1.0
+                total += 1
+        if total:
+            rows[i] /= total
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # per-source reference walks, formerly prosenet.walks
 # ---------------------------------------------------------------------------
@@ -667,7 +710,7 @@ def largest_component(net: WordNetwork) -> WordNetwork:
         for u, v in net.edges()
         if remap[u] >= 0 and remap[v] >= 0
     }
-    indptr, indices = _csr_from_edges(len(keep), pairs)
+    indptr, indices = csr_from_edges(len(keep), pairs)
     return WordNetwork([net.node_labels[i] for i in keep], indptr, indices)
 
 
@@ -882,7 +925,7 @@ def _pattern_from_layers(
                 edges.add((min(a, b), max(a, b)))
 
     n_pat = len(members)
-    indptr, indices = _csr_from_edges(n_pat, edges)
+    indptr, indices = csr_from_edges(n_pat, edges)
     rings = []
     for r in range(h + 1):
         ring = np.array(
@@ -1076,8 +1119,6 @@ def scipy_clustering(net: WordNetwork) -> NodeMeasures:
 
 def scipy_eigenvector_centrality(net: WordNetwork, tol: float = 1e-10,
                                  max_iter: int = 10_000) -> NodeMeasures:
-    from prosenet.linalg import leading_eigenvector
-
     comp, adj = _sparse_component(net)
     n = len(comp)
     if n == 1:

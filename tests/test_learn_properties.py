@@ -7,18 +7,29 @@ Relevance sweep: the blocked subset sweep gives every subset exactly the
 accuracy of the one-subset-at-a-time reference, across block sizes, K and
 duplicate rows (distance ties). LOO-KNN on a feature set scores exactly the
 accuracy the sweep gives that set. The significance, an int quotient, is
-the float the exact Fraction rounds to, bit for bit.
+the float the exact Fraction rounds to, bit for bit. The baselines'
+frequency tables, built from per-document counts, equal the per-token and
+per-bigram references bit for bit, empty documents included.
 """
 
+from collections import Counter
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import fraction_significance, oracle_cart_train, oracle_knn_subset_accuracies
+from conftest import make_doc
+from oracles import (bigram_frequency_matrix, fraction_significance, oracle_cart_train,
+                     oracle_knn_subset_accuracies, relative_frequency_matrix)
 from prosenet.features import FeatureMatrix
 from prosenet.learn import (
     ClassifierSpec,
+    _frequency_features,
     _knn_subset_accuracies,
+    baseline_char_bigrams,
+    baseline_stopword_frequency,
     cart_train,
     loo_evaluate,
     relevance_index,
@@ -161,3 +172,49 @@ def test_loo_knn_scores_the_ledgers_full_subset_accuracy(case):
 @example(1100, 0.5)
 def test_significance_matches_the_rounded_fraction(n, accuracy):
     assert significance(accuracy, n).hex() == fraction_significance(accuracy, n).hex()
+
+
+WORDS = ["the", "of", "a", "cat", "sea", "ran", "blue"]
+STOPS = {"the", "of", "a"}
+
+
+class Captured(Exception):
+    """Carries the feature table a baseline hands to ``select_top_k``."""
+
+
+def baseline_table(baseline, *args) -> FeatureMatrix:
+    """The relative-frequency table ``baseline`` builds, before selection."""
+    def capture(fm, k):
+        raise Captured(fm)
+
+    with mock.patch("prosenet.learn.select_top_k", capture), pytest.raises(Captured) as info:
+        baseline(*args)
+    return info.value.args[0]
+
+
+@PROPERTY
+@given(st.lists(st.lists(st.sampled_from(WORDS), max_size=40), min_size=1, max_size=6),
+       st.lists(st.sampled_from(WORDS + ["absent"]), unique=True))
+@example([[], ["the", "cat", "the"]], ["cat", "the", "absent"])
+def test_frequency_features_match_the_per_token_reference(token_lists, vocabulary):
+    docs = [make_doc(tokens, doc_id=f"d{i}") for i, tokens in enumerate(token_lists)]
+    got = _frequency_features([Counter(tokens) for tokens in token_lists], vocabulary,
+                              [len(tokens) for tokens in token_lists])
+    assert np.array_equal(got, relative_frequency_matrix(docs, vocabulary))
+
+    present = sorted({tok for tokens in token_lists for tok in tokens} & STOPS)
+    if present:  # the baseline refuses a corpus without stopwords
+        table = baseline_table(baseline_stopword_frequency, docs, STOPS)
+        assert table.feature_names == present
+        assert np.array_equal(table.values, relative_frequency_matrix(docs, present))
+
+
+@PROPERTY
+@given(st.lists(st.text(alphabet="abcAB .'", max_size=40), min_size=1, max_size=6))
+@example(["", "a b", "abAB bab."])  # ab is 3 of 5 bigrams: 3/5 is not 3 * (1/5)
+def test_bigram_table_matches_the_per_bigram_reference(texts):
+    table = baseline_table(baseline_char_bigrams, [(f"d{i}", "x", t) for i, t in enumerate(texts)])
+    # the reference counts every bigram of the texts into the table's columns
+    assert table.feature_names == sorted(table.feature_names)
+    assert np.array_equal(table.values, bigram_frequency_matrix(texts, table.feature_names))
+    assert (table.values.sum(axis=0) > 0).all()  # no column for an absent bigram

@@ -801,6 +801,27 @@ class TestCli:
         assert err.startswith(f"error: {flag} must be")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("case", ["config", "lemmas", "stoplist", "lemma-line-measure",
+                                      "lemma-line-prepare-manifest"])
+    def test_a_bad_input_file_is_an_error_line(self, case, toy_manifest, tmp_path, capsys):
+        bad = tmp_path / "missing.txt"
+        if case.startswith("lemma-line"):
+            bad = tmp_path / "lemmas.tsv"
+            bad.write_text("walked\twalk\nran run\n", encoding="utf-8")
+        flag = {"config": "--config", "stoplist": "--stoplist"}.get(case, "--lemmas")
+        if case == "lemma-line-prepare-manifest":
+            args = ["prepare-manifest", "--source-manifest", str(toy_manifest),
+                    "--out-manifest", str(tmp_path / "balanced.tsv")]
+        else:
+            args = ["measure", "--manifest", str(toy_manifest), "--out", str(tmp_path / "out")]
+        rc = main(args + [flag, str(bad)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and str(bad) in err
+        if case.startswith("lemma-line"):
+            assert f"{bad}:2: expected surface<TAB>lemma" in err
+        assert "Traceback" not in err
+
     def test_config_file_flag(self, toy_manifest, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(
