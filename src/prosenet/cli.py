@@ -124,10 +124,9 @@ def main(argv: list[str] | None = None) -> int:
                 )
         elif args.command == "relevance":
             report = cmd_relevance(cfg)
-            order = sorted(report.r_index, key=lambda f: (-report.r_index[f], f))
-            print(f"relevance over phi={report.phi} features ({cfg.strategy}):")
-            for feat in order:
-                print(f"  R({feat}) = {report.r_index[feat]}")
+            print(f"relevance over phi={len(report.feature_names)} features ({cfg.strategy}):")
+            for feat, r in report.r_index.items():
+                print(f"  R({feat}) = {r}")
         elif args.command == "baselines":
             reports = cmd_baselines(cfg)
             for name, report in sorted(reports.items()):

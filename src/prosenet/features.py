@@ -9,6 +9,7 @@ frequency, and ranks columns by information gain.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,11 +45,6 @@ class FeatureMatrix:
     labels: list[str]
     feature_names: list[str]
     values: np.ndarray
-    missing: np.ndarray = None
-
-    def __post_init__(self):
-        if self.missing is None:
-            self.missing = np.zeros(self.values.shape, dtype=bool)
 
     @property
     def n_documents(self) -> int:
@@ -56,10 +52,7 @@ class FeatureMatrix:
 
     def subset(self, names: list[str]) -> "FeatureMatrix":
         idx = [self.feature_names.index(n) for n in names]
-        return FeatureMatrix(
-            self.doc_ids, self.labels, list(names),
-            self.values[:, idx].copy(), self.missing[:, idx].copy(),
-        )
+        return FeatureMatrix(self.doc_ids, self.labels, list(names), self.values[:, idx].copy())
 
     def to_csv(self) -> str:
         lines = ["doc_id,label," + ",".join(self.feature_names)]
@@ -125,12 +118,10 @@ def select_word_list(
 ) -> list[str]:
     """The most frequent lemmas appearing in at least min_doc_fraction of the
     documents, from each document's lemma counts (``word_frequencies``)."""
-    totals: dict[str, int] = {}
-    coverage: dict[str, int] = {}
+    totals, coverage = Counter(), Counter()
     for counts in frequencies:
-        for tok, count in counts.items():
-            totals[tok] = totals.get(tok, 0) + count
-            coverage[tok] = coverage.get(tok, 0) + 1
+        totals.update(counts)
+        coverage.update(counts.keys())
     threshold = min_doc_fraction * len(frequencies)
     eligible = [w for w, c in coverage.items() if c >= threshold]
     eligible.sort(key=lambda w: (-totals[w], w))
@@ -169,7 +160,6 @@ def local_features(doc_measures: list[DocumentMeasures], word_list: list[str]) -
         [dm.label for dm in doc_measures],
         names,
         _impute_column_means(values, missing),
-        missing,
     )
 
 

@@ -6,10 +6,10 @@ leave-one-out fold from the training rows only; a zero-variance feature keeps
 scale 1. KNN distance ties keep every neighbor at the K-th radius and label
 ties resolve toward the lexicographically smaller class.
 
-PCA and the word-LSA baseline take their eigenvectors from
-``top_eigenpairs_sym``, power iteration with deflation. The three baselines
-build their relative-frequency tables from per-document counts with
-``_frequency_features``.
+PCA returns the documents' coordinates on the top two principal components;
+it and the word-LSA baseline take their eigenvectors from
+``top_eigenpairs_sym``, power iteration with deflation. The baselines build
+their relative-frequency tables with ``_frequency_features``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import CostGuardError
+from . import CostGuardError, ProsenetError
 from .corpus import Document, tokenize
 from .features import FeatureMatrix, select_top_k
 
@@ -57,33 +57,19 @@ class RelevanceReport:
     ``ledger`` is a ``LEDGER_DTYPE`` array of (bitmask, accuracy) records
     sorted best-first (ties: smaller subset, then smaller bitmask).
     ``omega[i, k-1]`` counts appearances of feature i among the k best
-    subsets, for k up to 2**(phi-1); ``r_index`` is its sum per feature.
+    subsets, for k up to 2**(phi-1); ``r_index`` sums it per feature,
+    highest first, ties by name.
     """
 
-    phi: int
     feature_names: list[str]
     ledger: np.ndarray
     omega: np.ndarray
     r_index: dict[str, int]
 
 
-@dataclass
-class PcaProjection:
-    coords: np.ndarray
-    explained_variance: np.ndarray
-    components: np.ndarray
-
-
 # ---------------------------------------------------------------------------
 # classifiers
 # ---------------------------------------------------------------------------
-
-def _zscore_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mean = x.mean(axis=0)
-    std = x.std(axis=0)
-    std = np.where(std > 0, std, 1.0)
-    return mean, std
-
 
 @dataclass
 class _CartNode:
@@ -300,7 +286,8 @@ def loo_evaluate(fm: FeatureMatrix, spec: ClassifierSpec) -> ClassificationRepor
         for i in range(n):
             mask = np.ones(n, dtype=bool)
             mask[i] = False
-            mean, std = _zscore_stats(x[mask])
+            mean, std = x[mask].mean(axis=0), x[mask].std(axis=0)
+            std = np.where(std > 0, std, 1.0)
             train = (x[mask] - mean) / std
             test = (x[i] - mean) / std
             train_y = [y[j] for j in range(n) if mask[j]]
@@ -417,8 +404,8 @@ def rank_subsets(feature_names: list[str], accuracies: np.ndarray) -> RelevanceR
     omega = np.empty((phi, len(top)), dtype=np.int64)
     for f in range(phi):
         np.cumsum(top >> f & 1, out=omega[f])
-    r_index = {feature_names[f]: int(omega[f].sum()) for f in range(phi)}
-    return RelevanceReport(phi, feature_names, ledger, omega, r_index)
+    r_index = sorted(zip(feature_names, omega.sum(axis=1).tolist()), key=lambda t: (-t[1], t[0]))
+    return RelevanceReport(feature_names, ledger, omega, dict(r_index))
 
 
 def top_eigenpairs_sym(m: np.ndarray, k: int, tol: float = 1e-12, max_iter: int = 100_000):
@@ -457,14 +444,13 @@ def top_eigenpairs_sym(m: np.ndarray, k: int, tol: float = 1e-12, max_iter: int 
     return np.array(values), np.column_stack(vectors)
 
 
-def pca_project(fm: FeatureMatrix, dims: int = 2) -> PcaProjection:
-    """Project documents onto the top principal components of the columns."""
-    if len(fm.feature_names) < dims:
-        raise ValueError("need at least as many features as projection dims")
+def pca_project(fm: FeatureMatrix) -> np.ndarray:
+    """The documents' (n, 2) coordinates on the columns' top two principal components."""
+    if len(fm.feature_names) < 2:
+        raise ValueError("PCA needs at least two feature columns")
     centered = fm.values - fm.values.mean(axis=0)
-    cov = centered.T @ centered / len(centered)
-    values, vectors = top_eigenpairs_sym(cov, dims)
-    return PcaProjection(centered @ vectors, values, vectors)
+    _, vectors = top_eigenpairs_sym(centered.T @ centered / len(centered), 2)
+    return centered @ vectors
 
 
 # ---------------------------------------------------------------------------
@@ -502,6 +488,22 @@ def baseline_word_lsa(
     return fm, rows @ vectors
 
 
+def _frequency_baseline(
+    ids: list[str], labels: list[str], counts: list[Mapping[str, int]], vocabulary: list[str],
+    totals: list[int], top_k: int, spec: ClassifierSpec | None, tag: str, unit: str,
+) -> ClassificationReport:
+    """Leave-one-out on the top_k relative-frequency columns of ``vocabulary``
+    by information gain, tagged as baseline ``tag``; a baseline left without
+    columns (no ``unit`` in the corpus) is a ``ProsenetError``."""
+    rows = _frequency_features(counts, vocabulary, totals)
+    fm = select_top_k(FeatureMatrix(ids, labels, vocabulary, rows), min(top_k, len(vocabulary)))
+    if not fm.feature_names:
+        raise ProsenetError(f"the {tag} baseline has no columns: no {unit} occurs in the corpus")
+    report = loo_evaluate(fm, spec or ClassifierSpec())
+    report.config["baseline"] = tag
+    return report
+
+
 def baseline_stopword_frequency(
     docs: list[Document],
     stoplist: set[str],
@@ -515,14 +517,10 @@ def baseline_stopword_frequency(
     """
     per_doc = [Counter(doc.tokens) for doc in docs]
     present = sorted({tok for counts in per_doc for tok in counts if tok in stoplist})
-    if not present:
-        raise ValueError("no stopwords present in the corpus")
-    rows = _frequency_features(per_doc, present, [len(doc.tokens) for doc in docs])
-    fm = FeatureMatrix([d.id for d in docs], [d.label for d in docs], present, rows)
-    fm = select_top_k(fm, min(top_k, len(present)))
-    report = loo_evaluate(fm, spec or ClassifierSpec())
-    report.config["baseline"] = "stopword-frequency"
-    return report
+    return _frequency_baseline(
+        [d.id for d in docs], [d.label for d in docs], per_doc, present,
+        [len(doc.tokens) for doc in docs], top_k, spec, "stopword-frequency", "stoplist word",
+    )
 
 
 def char_bigram_counts(raw_text: str) -> dict[str, int]:
@@ -542,11 +540,8 @@ def baseline_char_bigrams(
     """
     per_doc = [char_bigram_counts(text) for _, _, text in raw_docs]
     vocab = sorted({bg for counts in per_doc for bg in counts})
-    rows = _frequency_features(per_doc, vocab, [sum(counts.values()) for counts in per_doc])
-    fm = FeatureMatrix(
-        [d[0] for d in raw_docs], [d[1] for d in raw_docs], vocab, rows
+    return _frequency_baseline(
+        [d[0] for d in raw_docs], [d[1] for d in raw_docs], per_doc, vocab,
+        [sum(counts.values()) for counts in per_doc], top_k, spec, "char-bigrams",
+        "character bigram",
     )
-    fm = select_top_k(fm, min(top_k, len(vocab)))
-    report = loo_evaluate(fm, spec or ClassifierSpec())
-    report.config["baseline"] = "char-bigrams"
-    return report

@@ -144,11 +144,7 @@ class RunConfig:
                 raise ProsenetError(f"{flag} must be {rule}, got {getattr(self, name)!r}")
 
     def as_dict(self) -> dict:
-        data = dataclasses.asdict(self)
-        data["h_access"] = list(self.h_access)
-        data["h_symmetry"] = list(self.h_symmetry)
-        data["version"] = __version__
-        return data
+        return {**dataclasses.asdict(self), "version": __version__}
 
 
 def parse_config_file(path: str | Path) -> dict:
@@ -309,8 +305,6 @@ def _walked(dm: DocumentMeasures, cfg: RunConfig) -> np.ndarray:
 
 
 def _covers(dm: DocumentMeasures, cfg: RunConfig, walk_sources: list[str] | None) -> bool:
-    if walk_sources == []:
-        return True
     return not (_source_mask(dm.node_labels, walk_sources) & ~_walked(dm, cfg)).any()
 
 
@@ -586,19 +580,35 @@ def measures_to_csv(dm: DocumentMeasures) -> str:
     return "\n".join(lines) + "\n"
 
 
-def build_feature_matrix(cfg: RunConfig, manifest: CorpusManifest,
-                         cache_dir: Path) -> FeatureMatrix:
+def build_feature_matrix(cfg: RunConfig, manifest: CorpusManifest, cache_dir: Path,
+                         need: int = 1) -> FeatureMatrix:
     """Measure the corpus through ``cache_dir`` and assemble the configured
-    strategy's features."""
+    strategy's features. Fewer than ``need`` columns left by the
+    decorrelation filter (GS always has more) is a ``ProsenetError``."""
     doc_measures, failures, sources = compute_corpus_measures(manifest, cfg, cache_dir)
     _raise_failures(failures)
     if cfg.strategy == "GS":
-        fm = global_features(doc_measures)
-    else:
-        fm = local_features(doc_measures, sources)
-        frequencies = {dm.doc_id: dm.word_frequencies for dm in doc_measures}
-        fm = frequency_decorrelation_filter(fm, frequencies, cfg.rho_max)
+        return global_features(doc_measures)
+    fm = local_features(doc_measures, sources)
+    frequencies = {dm.doc_id: dm.word_frequencies for dm in doc_measures}
+    fm = frequency_decorrelation_filter(fm, frequencies, cfg.rho_max)
+    if len(fm.feature_names) < need:
+        raise ProsenetError(
+            f"--rho-max {cfg.rho_max} leaves {len(fm.feature_names)} {cfg.strategy} feature "
+            f"column(s); this command needs at least {need}"
+        )
     return fm
+
+
+def _refuse_lone_nb_class(manifest: CorpusManifest, classifiers: tuple[str, ...]) -> None:
+    """Naive Bayes cannot score the leave-one-out fold of a class's only
+    document: that fold trains without the class."""
+    lone = [label for label, count in manifest.class_counts().items() if count == 1]
+    if "nb" in classifiers and lone:
+        raise ProsenetError(
+            f"naive Bayes leave-one-out needs at least two documents per class; "
+            f"class {lone[0]!r} has one (use --classifier knn or cart)"
+        )
 
 
 def cmd_measure(cfg: RunConfig) -> list[Path]:
@@ -635,8 +645,10 @@ def _report_json(report: ClassificationReport, cfg: RunConfig) -> str:
 def cmd_classify(cfg: RunConfig) -> dict[str, ClassificationReport]:
     """Features -> decorrelation (local) -> IG top-k -> LOO -> report + PCA."""
     manifest = load_manifest(cfg.manifest)
+    names = CLASSIFIERS if cfg.classifier == "all" else (cfg.classifier,)
+    _refuse_lone_nb_class(manifest, names)
     out = Path(cfg.out)
-    fm = build_feature_matrix(cfg, manifest, out / "cache")
+    fm = build_feature_matrix(cfg, manifest, out / "cache", need=2)
 
     ranked = rank_features(fm)
     atomic_write(
@@ -646,11 +658,9 @@ def cmd_classify(cfg: RunConfig) -> dict[str, ClassificationReport]:
     top = fm.subset([name for name, _ in ranked[: cfg.top_k]])
     atomic_write(out / f"features_{cfg.strategy}.csv", top.to_csv())
 
-    proj = pca_project(top)
-    projection = FeatureMatrix(top.doc_ids, top.labels, ["pc1", "pc2"], proj.coords)
+    projection = FeatureMatrix(top.doc_ids, top.labels, ["pc1", "pc2"], pca_project(top))
     atomic_write(out / f"projection_{cfg.strategy}.csv", projection.to_csv())
 
-    names = CLASSIFIERS if cfg.classifier == "all" else (cfg.classifier,)
     reports = {}
     for name in names:
         spec = ClassifierSpec(name, knn_k=cfg.knn_k)
@@ -679,7 +689,7 @@ def ledger_csv_blocks(report: RelevanceReport) -> Iterator[str]:
     block is formatted once.
     """
     rows = RELEVANCE_BLOCK_ROWS
-    split = report.phi // 2
+    split = len(report.feature_names) // 2
     low_names = _mask_names(report.feature_names[:split])
     high_names = _mask_names(report.feature_names[split:])
     high_tails = [""] + [f";{name}" for name in high_names[1:]]
@@ -716,8 +726,7 @@ def omega_csv_blocks(report: RelevanceReport) -> Iterator[str]:
 def write_relevance(report: RelevanceReport, out: Path, strategy: str) -> None:
     """The ledger, index and omega CSVs; the ledger and omega are streamed."""
     atomic_write_blocks(out / f"relevance_ledger_{strategy}.csv", ledger_csv_blocks(report))
-    order = sorted(report.r_index, key=lambda f: (-report.r_index[f], f))
-    index = [f"{f},{report.r_index[f]}\n" for f in order]
+    index = [f"{f},{r}\n" for f, r in report.r_index.items()]
     atomic_write(out / f"relevance_index_{strategy}.csv", "".join(["feature,r_index\n"] + index))
     atomic_write_blocks(out / f"relevance_omega_{strategy}.csv", omega_csv_blocks(report))
 
@@ -725,10 +734,11 @@ def write_relevance(report: RelevanceReport, out: Path, strategy: str) -> None:
 def cmd_relevance(cfg: RunConfig) -> RelevanceReport:
     """Exhaustive subset sweep over the top-phi features of the strategy."""
     manifest = load_manifest(cfg.manifest)
+    spec = ClassifierSpec(cfg.classifier if cfg.classifier != "all" else "knn", knn_k=cfg.knn_k)
+    _refuse_lone_nb_class(manifest, (spec.name,))
     out = Path(cfg.out)
     fm = build_feature_matrix(cfg, manifest, out / "cache")
     top = select_top_k(fm, min(cfg.phi, len(fm.feature_names)))
-    spec = ClassifierSpec(cfg.classifier if cfg.classifier != "all" else "knn", knn_k=cfg.knn_k)
     report = relevance_index(top, spec)
     write_relevance(report, out, cfg.strategy)
     return report

@@ -612,7 +612,7 @@ def relevance_csvs(report: RelevanceReport) -> tuple[str, str, str]:
     """The ledger, index and omega CSVs as whole strings, with one joined
     name string per mask."""
     feats = [""]
-    for mask in range(1, 2**report.phi):
+    for mask in range(1, 2 ** len(report.feature_names)):
         low = mask & -mask
         name = report.feature_names[low.bit_length() - 1]
         feats.append(name if mask == low else f"{name};{feats[mask ^ low]}")

@@ -101,12 +101,10 @@ class TestLocalFeatures:
         fm = local_features(self.two_docs(), ["the"])
         assert fm.feature_names == ["k@the"]
         assert fm.values[:, 0].tolist() == [3.0, 5.0]
-        assert not fm.missing.any()
 
     def test_absent_word_imputed_with_column_mean(self):
         fm = local_features(self.two_docs(), ["the", "cat"])
         col = fm.feature_names.index("k@cat")
-        assert fm.missing[1, col]
         assert fm.values[1, col] == 1.0  # column mean over present rows
 
     def test_empty_word_list_rejected(self):

@@ -657,7 +657,7 @@ class TestRelevanceCommand:
         cfg = RunConfig(manifest=str(toy_manifest), strategy="LSS", out=str(tmp_path),
                         phi=3, word_list_size=12)
         report = cmd_relevance(cfg)
-        assert report.phi == 3
+        assert len(report.feature_names) == 3
         assert len(report.ledger) == 7
         ledger = (tmp_path / "relevance_ledger_LSS.csv").read_text().splitlines()
         assert len(ledger) == 8  # header + 7 subsets
@@ -698,7 +698,7 @@ class TestRelevanceCsv:
         names = [f"m{j}@w{j}" for j in range(phi)]
         masks = rng.permutation(np.arange(1, 2**phi)).tolist()
         ledger = list(zip(masks, rng.random(len(masks)).tolist()))
-        report = RelevanceReport(phi, names, np.array(ledger, dtype=LEDGER_DTYPE),
+        report = RelevanceReport(names, np.array(ledger, dtype=LEDGER_DTYPE),
                                  np.zeros((phi, 1), dtype=np.int64), {})
         expected = ["rank,bitmask,features,accuracy"] + [
             f"{rank},{mask},{';'.join(names[f] for f in range(phi) if mask >> f & 1)},{acc!r}"
@@ -848,6 +848,58 @@ class TestCli:
         assert cfg["h_access"] == [2]
         header = (tmp_path / "features_GS.csv").read_text().splitlines()[0]
         assert "N3" not in header  # only h=2 was measured
+
+    @staticmethod
+    def assert_refused(rc, err, out: Path, *phrases):
+        """Exit 1 with an error: line naming ``phrases``, no traceback, and
+        no result file (the measure cache is not one)."""
+        errors = [line for line in err.splitlines() if line.startswith("error: ")]
+        assert rc == 1 and errors, err
+        assert all(phrase in errors[0] for phrase in phrases), errors[0]
+        assert "Traceback" not in err
+        assert not [p.name for p in out.glob("*") if p.name != "cache"]
+
+    @pytest.mark.parametrize("command, need", [("classify", 2), ("relevance", 1)])
+    def test_too_few_decorrelated_columns_are_refused(self, command, need, toy_manifest,
+                                                      tmp_path, capsys):
+        # at --rho-max 0 every LS column that tracks its word's frequency at all goes
+        rc = main([command, "--manifest", str(toy_manifest), "--strategy", "LS",
+                   "--rho-max", "0", "--out", str(tmp_path)])
+        self.assert_refused(rc, capsys.readouterr().err, tmp_path,
+                            "--rho-max 0.0 leaves", f"needs at least {need}")
+
+    @pytest.mark.parametrize("command", ["classify", "relevance"])
+    def test_naive_bayes_on_a_class_of_one_is_refused(self, command, toy_manifest,
+                                                      tmp_path, capsys):
+        entries = load_manifest(toy_manifest).entries
+        kept = [e for e in entries if e.label == "informative"][:3]
+        kept += [e for e in entries if e.label == "imaginative"][:1]
+        manifest = tmp_path / "lone.tsv"
+        manifest.write_text("".join(f"{e.doc_id}\t{e.label}\t{e.path}\n" for e in kept))
+        out = tmp_path / "out"
+        args = [command, "--manifest", str(manifest), "--strategy", "GS", "--out", str(out)]
+        rc = main(args + ["--classifier", "nb"])
+        self.assert_refused(rc, capsys.readouterr().err, out, "naive Bayes", "'imaginative'")
+        assert main(args + ["--classifier", "knn"]) == 0
+
+    @pytest.mark.parametrize("case", ["stoplist", "one-letter-words"])
+    def test_a_frequency_baseline_without_columns_is_refused(self, case, toy_manifest,
+                                                             tmp_path, capsys):
+        manifest, extra, phrase = toy_manifest, [], "stopword-frequency"
+        if case == "stoplist":
+            stoplist = tmp_path / "stoplist.txt"
+            stoplist.write_text("zyzzyva\nquokka\n")
+            extra = ["--stoplist", str(stoplist)]
+        else:
+            manifest, phrase = tmp_path / "manifest.tsv", "char-bigrams"
+            rows = []
+            for i, label in enumerate(["informative", "imaginative"] * 2):
+                (tmp_path / f"d{i}.txt").write_text("a b c i o u x y z " * (i + 3))
+                rows.append(f"d{i}\t{label}\td{i}.txt\n")
+            manifest.write_text("".join(rows))
+        out = tmp_path / "out"
+        rc = main(["baselines", "--manifest", str(manifest), "--out", str(out)] + extra)
+        self.assert_refused(rc, capsys.readouterr().err, out, phrase, "has no columns")
 
 
 class TestPrepareManifest:
