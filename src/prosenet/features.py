@@ -33,7 +33,7 @@ class DocumentMeasures:
     label: str
     node_labels: list[str]
     measures: dict[str, NodeMeasures]
-    modularity_q: float
+    modularity_q: float | None  # None when not measured
     word_frequencies: dict[str, int] = field(default_factory=dict)
 
 

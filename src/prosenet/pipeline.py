@@ -76,6 +76,7 @@ from .walks import (
     merged_row_bytes,
     merged_symmetry_batch,
     saw_row_bytes,
+    taylor_row_bytes,
 )
 
 STRATEGIES = ("GS", "LS", "LSS")
@@ -209,24 +210,38 @@ def config_from_sources(file_values: dict, overrides: dict) -> RunConfig:
 MEASURE_BUDGET = 1 << 30  # bytes one document's measurement may take at its peak
 
 
-def measurement_bytes(net: WordNetwork, sources: np.ndarray, h_access: tuple[int, ...]) -> int:
+def measurement_bytes(net: WordNetwork, sources: np.ndarray, h_access: tuple[int, ...],
+                      ag_rows: bool = False) -> int:
     """Estimated peak bytes of measuring ``net`` and walking from
     ``sources``: the int32 distances from every node, the eigendecomposition
-    behind ``Ag`` (about five float64 n x n arrays) and the largest single
-    row of any batched kernel, which a block exceeds only when that row is
-    a block alone."""
+    behind an all-node ``Ag`` (about five float64 n x n arrays; none when
+    ``ag_rows`` takes ``Ag`` at the sources by Taylor rows) and the largest
+    single row of any batched kernel, which a block exceeds only when that
+    row is a block alone."""
     n = net.node_count
     rows = [geodesic_row_bytes(net), clustering_row_bytes(net), ENTROPY_CELL_BYTES * n,
             merged_row_bytes(net), saw_row_bytes(net, sources, max(h_access)).max(initial=0)]
-    return 4 * n * n + 5 * 8 * n * n + int(max(rows))
+    if ag_rows:
+        rows.append(taylor_row_bytes(net))
+    return 4 * n * n + (0 if ag_rows else 5 * 8 * n * n) + int(max(rows))
 
 
-def measure_document(doc: Document, cfg: RunConfig,
-                     walk_sources: list[str] | None) -> DocumentMeasures:
+def _ag_at_sources(cfg: RunConfig) -> bool:
+    """Whether ``Ag`` is a walk measure, taken at the walk sources only, by
+    the Taylor rows of exp(P): on LSS networks, which keep stopwords, so no
+    GS or LS entry ever holds one. GS and LS share entries and keep the
+    all-node eigendecomposition, so a cached value never depends on which
+    command made its entry."""
+    return cfg.strategy == "LSS"
+
+
+def measure_document(doc: Document, cfg: RunConfig, walk_sources: list[str] | None,
+                     need_q: bool = True) -> DocumentMeasures:
     """All measures for one document's network.
 
-    ``walk_sources`` limits the expensive walk measures (A, Sb, Sm) to the
-    named words; None measures every node and an empty list omits them. One
+    ``walk_sources`` limits the expensive walk measures (A, Sb, Sm, and Ag
+    on LSS networks) to the named words; None measures every node and an
+    empty list omits them. ``Q`` is left out (None) unless ``need_q``. One
     geodesic pass from every node, run by ``betweenness``, feeds every
     distance-based measure. A network whose estimated peak exceeds
     ``MEASURE_BUDGET`` is refused with ``CostGuardError`` before anything
@@ -236,7 +251,7 @@ def measure_document(doc: Document, cfg: RunConfig,
     n = net.node_count
     requested = _source_mask(net.node_labels, walk_sources)
     sources = np.flatnonzero(requested)
-    need = measurement_bytes(net, sources, cfg.h_access)
+    need = measurement_bytes(net, sources, cfg.h_access, _ag_at_sources(cfg))
     if need > MEASURE_BUDGET:
         raise CostGuardError(
             f"document {doc.id!r}: measuring its {n}-node network needs about "
@@ -248,7 +263,7 @@ def measure_document(doc: Document, cfg: RunConfig,
         label=doc.label,
         node_labels=list(net.node_labels),
         measures=_classic_measures(net, cfg, dist_all),
-        modularity_q=detect_communities(net).q,
+        modularity_q=detect_communities(net).q if need_q else None,
         word_frequencies=word_frequencies(doc),
     )
     if walk_sources == []:
@@ -265,6 +280,8 @@ def measure_document(doc: Document, cfg: RunConfig,
         values = np.zeros(n, dtype=np.float64)
         values[sources] = per_source
         dm.measures[name] = NodeMeasures(values, ~requested)
+    if _ag_at_sources(cfg):
+        dm.measures["Ag"] = generalized_accessibility(net, cfg.ag_exclude_self, rows=sources)
     return dm
 
 
@@ -281,13 +298,14 @@ def _classic_measures(net: WordNetwork, cfg: RunConfig, dist_all: np.ndarray) ->
     measures["E"] = eccentricity(net, dist=dist_all)
     measures["Ec"] = eigenvector_centrality(net)
     measures["Pr"] = pagerank(net, cfg.alpha)
-    measures["Ag"] = generalized_accessibility(net, cfg.ag_exclude_self)
+    if not _ag_at_sources(cfg):
+        measures["Ag"] = generalized_accessibility(net, cfg.ag_exclude_self)
     return measures
 
 
 def _walk_names(cfg: RunConfig) -> list[str]:
     return ([f"A{h}" for h in cfg.h_access] + [f"Sb{h}" for h in cfg.h_symmetry]
-            + [f"Sm{h}" for h in cfg.h_symmetry])
+            + [f"Sm{h}" for h in cfg.h_symmetry] + (["Ag"] if _ag_at_sources(cfg) else []))
 
 
 def _source_mask(node_labels: list[str], walk_sources: list[str] | None) -> np.ndarray:
@@ -304,7 +322,10 @@ def _walked(dm: DocumentMeasures, cfg: RunConfig) -> np.ndarray:
     return np.zeros(len(dm.node_labels), dtype=bool) if first is None else ~first.missing
 
 
-def _covers(dm: DocumentMeasures, cfg: RunConfig, walk_sources: list[str] | None) -> bool:
+def _covers(dm: DocumentMeasures, cfg: RunConfig, walk_sources: list[str] | None,
+            need_q: bool) -> bool:
+    if need_q and dm.modularity_q is None:
+        return False
     return not (_source_mask(dm.node_labels, walk_sources) & ~_walked(dm, cfg)).any()
 
 
@@ -318,20 +339,27 @@ def _with_walked(dm: DocumentMeasures, cfg: RunConfig,
     return walk_sources + walked
 
 
-def _restrict_walks(dm: DocumentMeasures, cfg: RunConfig,
-                    walk_sources: list[str] | None) -> DocumentMeasures:
-    """``dm`` as a fresh ``measure_document(..., walk_sources)`` returns it:
-    walk values only at the requested nodes, none at all for an empty list."""
+def _restrict(dm: DocumentMeasures, cfg: RunConfig, walk_sources: list[str] | None,
+              need_q: bool) -> DocumentMeasures:
+    """``dm`` as a fresh ``measure_document(..., walk_sources, need_q)``
+    returns it: walk values only at the requested nodes, none at all for an
+    empty list, and ``Q`` only if needed. A walk measure taken at exactly the
+    requested nodes is shared, not copied: the cache-hit commands hold every
+    document's measures at once."""
     names = _walk_names(cfg)
     measures = {name: nm for name, nm in dm.measures.items() if name not in names}
     if walk_sources != []:
         requested = _source_mask(dm.node_labels, walk_sources)
         for name in names:
-            values = np.zeros(len(requested), dtype=np.float64)
-            if name in dm.measures:
-                values[requested] = dm.measures[name].values[requested]
-            measures[name] = NodeMeasures(values, ~requested)
-    return dataclasses.replace(dm, measures=measures)
+            nm = dm.measures.get(name)
+            if nm is None or not np.array_equal(nm.missing, ~requested):
+                values = np.zeros(len(requested), dtype=np.float64)
+                if nm is not None:
+                    values[requested] = nm.values[requested]
+                nm = NodeMeasures(values, ~requested)
+            measures[name] = nm
+    return dataclasses.replace(dm, measures=measures,
+                               modularity_q=dm.modularity_q if need_q else None)
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +373,9 @@ def _dictionary_digest(dictionary: LemmaDictionary) -> str:
 
 
 # measure values as base64 of little-endian float64, missing masks as
-# base64 of one byte per node; part of the key, so other layouts miss
-CACHE_LAYOUT = "b64-f8le"
+# base64 of one byte per node, Q absent when not measured, and LSS Ag at the
+# walk sources by Taylor rows; part of the key, so other layouts miss
+CACHE_LAYOUT = "b64-f8le/lss-ag-rows"
 
 
 def _measure_cache_key(raw_text: str, cfg: RunConfig, dictionary_digest: str,
@@ -375,10 +404,9 @@ def _measure_cache_key(raw_text: str, cfg: RunConfig, dictionary_digest: str,
 
 
 def _measures_to_payload(dm: DocumentMeasures) -> dict:
-    return {
+    payload = {
         "doc_id": dm.doc_id,
         "node_labels": dm.node_labels,
-        "modularity_q": repr(dm.modularity_q),
         "word_frequencies": dm.word_frequencies,
         "measures": {
             name: {
@@ -388,6 +416,9 @@ def _measures_to_payload(dm: DocumentMeasures) -> dict:
             for name, nm in sorted(dm.measures.items())
         },
     }
+    if dm.modularity_q is not None:
+        payload["modularity_q"] = repr(dm.modularity_q)
+    return payload
 
 
 def _b64(values: np.ndarray) -> str:
@@ -413,7 +444,7 @@ def _measures_from_payload(data: dict, label: str) -> DocumentMeasures:
         label=label,
         node_labels=list(data["node_labels"]),
         measures=measures,
-        modularity_q=float(data["modularity_q"]),
+        modularity_q=float(data["modularity_q"]) if "modularity_q" in data else None,
         word_frequencies={k: int(v) for k, v in data["word_frequencies"].items()},
     )
 
@@ -464,35 +495,38 @@ def _dictionary_for(cfg: RunConfig) -> LemmaDictionary:
 def _measure_task(args) -> tuple[str, DocumentMeasures | None, str | None]:
     """(doc_id, measures, error or None); a measured document's entry is
     stored at once, so an interrupted run resumes from it."""
-    doc, sources, cfg, key, path = args
+    doc, sources, need_q, cfg, key, path = args
     try:
-        dm = measure_document(doc, cfg, sources)
+        dm = measure_document(doc, cfg, sources, need_q)
     except Exception as exc:  # noqa: BLE001 - reported per document by the caller
         return doc.id, None, f"{type(exc).__name__}: {exc}"
     _cache_store(path, key, dm)
     return doc.id, dm, None
 
 
-def compute_corpus_measures(manifest: CorpusManifest, cfg: RunConfig, cache_dir: Path):
+def compute_corpus_measures(manifest: CorpusManifest, cfg: RunConfig, cache_dir: Path,
+                            need_q: bool = True):
     """Measure every document for ``cfg.strategy``, through the cache in
-    ``cache_dir`` and an optional process pool.
+    ``cache_dir`` and an optional process pool; ``Q`` only if ``need_q``.
 
     Each document is read and hashed once, then its cache entry is loaded. A
     cache entry belongs to one document's network and measure settings. It
-    holds the classic measures, the word frequencies and the walk values of
-    every node walked so far, so an entry that covers the requested sources
-    is served without preprocessing or measuring; otherwise the document is
-    preprocessed and measured afresh, walked from the requested sources and
-    from every node its entry had walked, so an entry only grows. Each entry
-    is stored as soon as its document completes, which lets an interrupted
-    run resume from the documents it finished. A loaded entry takes its
-    label from the manifest. LS and LSS walk from the word list, taken from
-    each document's word frequencies.
+    holds the classic measures, the word frequencies, the walk values of
+    every node walked so far and ``Q`` once any run needed it, so an entry
+    that covers the requested sources and parts is served without
+    preprocessing or measuring; otherwise the document is preprocessed and
+    measured afresh, walked from the requested sources and from every node
+    its entry had walked, with ``Q`` if needed or held, so an entry only
+    grows. Each entry is stored as soon as its document completes, which
+    lets an interrupted run resume from the documents it finished. A loaded
+    entry takes its label from the manifest. LS and LSS walk from the word
+    list, taken from each document's word frequencies.
 
     Returns (measures, failures, walk_sources): the DocumentMeasures in
-    manifest order, with walk values at the requested sources only and
-    without the failed documents; (doc_id, error) pairs in manifest order;
-    and the sources walked (None for every node, [] for none).
+    manifest order, with walk values at the requested sources only, ``Q``
+    only if needed, and without the failed documents; (doc_id, error) pairs
+    in manifest order; and the sources walked (None for every node, [] for
+    none).
     """
     keep_stopwords = cfg.strategy == "LSS"
     dictionary = _dictionary_for(cfg)
@@ -532,11 +566,12 @@ def compute_corpus_measures(manifest: CorpusManifest, cfg: RunConfig, cache_dir:
     results: dict[str, DocumentMeasures] = {}
     pending = []
     for entry, raw, key, path, known, doc in read:
-        if known is not None and _covers(known, cfg, walk_sources):
-            results[entry.doc_id] = _restrict_walks(known, cfg, walk_sources)
+        if known is not None and _covers(known, cfg, walk_sources, need_q):
+            results[entry.doc_id] = _restrict(known, cfg, walk_sources, need_q)
         elif (doc := doc or prepared(entry, raw)) is not None:
             sources = walk_sources if known is None else _with_walked(known, cfg, walk_sources)
-            pending.append((doc, sources, cfg, key, path))
+            with_q = need_q or (known is not None and known.modularity_q is not None)
+            pending.append((doc, sources, with_q, cfg, key, path))
 
     if pending and cfg.jobs > 1:
         # imported here: a run that starts no pool skips multiprocessing
@@ -550,7 +585,7 @@ def compute_corpus_measures(manifest: CorpusManifest, cfg: RunConfig, cache_dir:
         if error is not None:
             errors[doc_id] = error
         else:
-            results[doc_id] = _restrict_walks(dm, cfg, walk_sources)
+            results[doc_id] = _restrict(dm, cfg, walk_sources, need_q)
 
     ordered = [results[e.doc_id] for e in manifest.entries if e.doc_id in results]
     failures = [(e.doc_id, errors[e.doc_id]) for e in manifest.entries if e.doc_id in errors]
@@ -585,7 +620,8 @@ def build_feature_matrix(cfg: RunConfig, manifest: CorpusManifest, cache_dir: Pa
     """Measure the corpus through ``cache_dir`` and assemble the configured
     strategy's features. Fewer than ``need`` columns left by the
     decorrelation filter (GS always has more) is a ``ProsenetError``."""
-    doc_measures, failures, sources = compute_corpus_measures(manifest, cfg, cache_dir)
+    doc_measures, failures, sources = compute_corpus_measures(
+        manifest, cfg, cache_dir, need_q=cfg.strategy == "GS")  # Q is a GS column
     _raise_failures(failures)
     if cfg.strategy == "GS":
         return global_features(doc_measures)

@@ -205,23 +205,86 @@ def transition_matrix(net: WordNetwork) -> TransitionMatrix:
     return TransitionMatrix(w, err)
 
 
+TAYLOR_TERMS = 18  # K: for a stochastic P the tail sum of 1/k! over k > K is below 3e-17
+
+
+def taylor_row_bytes(net: WordNetwork) -> int:
+    """An upper bound on one row's bytes in a block of ``generalized_accessibility``
+    at given rows: per CSR entry, the flat head and tail ids and the mass
+    carried along the edge; per node, the sum, the term, its share per
+    neighbour, the next term, the copy ``exclude_self`` takes and the entropy
+    cells."""
+    return 24 * len(net.indices) + (40 + ENTROPY_CELL_BYTES) * net.node_count
+
+
+def _taylor_mixture_rows(net: WordNetwork, nodes: np.ndarray) -> np.ndarray:
+    """Rows ``nodes`` of exp(P), P_vw = a_vw / k_v, as the sum of
+    e_i^T P^k / k! for k = 0..TAYLOR_TERMS (Moler & Van Loan, SIAM Rev. 2003).
+
+    Each step is one ``np.bincount`` over the CSR edges of every row of the
+    block (row i's copy of node v is i*n + v), which adds each cell's
+    contributions in CSR order whatever rows share the block. A walk never
+    leaves its component, and an isolated node's row stays e_i."""
+    n = net.node_count
+    copies = np.arange(len(nodes), dtype=np.int64)[:, None] * n
+    heads = (copies + net.heads()).ravel()
+    tails = (copies + net.indices).ravel()
+    del copies
+    share = np.maximum(net.degrees, 1).astype(np.float64)
+    term = np.zeros((len(nodes), n), dtype=np.float64)
+    term[np.arange(len(nodes)), nodes] = 1.0
+    total = term.copy()
+    for k in range(1, TAYLOR_TERMS + 1):
+        moved = (term / share).ravel()[heads]
+        term = np.bincount(tails, weights=moved, minlength=term.size).reshape(term.shape) / k
+        del moved
+        total += term
+    return total
+
+
+def _mixture_entropies(mixture: np.ndarray, nodes: np.ndarray, exclude_self: bool) -> np.ndarray:
+    """Ag of the normalized walk-mixture rows of ``nodes``. With
+    ``exclude_self`` each row drops its own node and is renormalized; a row
+    left without mass gets 0."""
+    if exclude_self:
+        mixture = mixture.copy()
+        mixture[np.arange(len(nodes)), nodes] = 0.0
+        sums = mixture.sum(axis=1)
+        good = sums > 0
+        mixture[good] /= sums[good, None]
+        mixture[~good] = 0.0
+    return _exp_entropy_rows(mixture)
+
+
 def generalized_accessibility(
     net: WordNetwork,
     exclude_self: bool = False,
     tm: TransitionMatrix | None = None,
+    rows: np.ndarray | None = None,
 ):
-    """Per-node exp-entropy of the walk-mixture rows (all walk lengths at once)."""
-    if tm is None:
-        tm = transition_matrix(net)
-    rows = tm.walk_mixture
-    if exclude_self:
-        rows = rows.copy()
-        np.fill_diagonal(rows, 0.0)
-        sums = rows.sum(axis=1)
-        good = sums > 0
-        rows[good] /= sums[good, None]
-        rows[~good] = 0.0
-    return NodeMeasures(_exp_entropy_rows(rows), np.zeros(len(rows), dtype=bool))
+    """Per-node exp-entropy of the walk-mixture rows (all walk lengths at once).
+
+    Without ``rows`` every node's row comes from ``tm`` (``transition_matrix``
+    when None). With ``rows``, only those nodes are measured, each row of
+    exp(P) by its truncated Taylor series in ``row_blocks`` of
+    ``taylor_row_bytes``, and the other nodes are missing; a row's bits do
+    not depend on which rows share its block."""
+    n = net.node_count
+    if rows is None:
+        if tm is None:
+            tm = transition_matrix(net)
+        everyone = np.arange(n)
+        return NodeMeasures(_mixture_entropies(tm.walk_mixture, everyone, exclude_self),
+                            np.zeros(n, dtype=bool))
+    rows = np.asarray(rows, dtype=np.int64)
+    values = np.zeros(n, dtype=np.float64)
+    missing = np.ones(n, dtype=bool)
+    missing[rows] = False
+    for part in row_blocks(np.full(len(rows), taylor_row_bytes(net))):
+        mixture = _taylor_mixture_rows(net, rows[part])
+        mixture /= mixture.sum(axis=1)[:, None]
+        values[rows[part]] = _mixture_entropies(mixture, rows[part], exclude_self)
+    return NodeMeasures(values, missing)
 
 
 def merged_row_bytes(net: WordNetwork) -> int:

@@ -9,7 +9,9 @@ of the blocked geodesic pass for every block size, which ``row_blocks`` cuts
 greedily within the budget, and the backbone symmetry of the one
 concentric-walk kernel and of the walk over the BFS's geodesic levels that it
 replaced, for any budget; ``Ag``, now from a symmetric eigendecomposition
-instead of ``scipy.linalg.expm``, within 1e-12 relative.
+instead of ``scipy.linalg.expm``, within 1e-12 relative, and ``Ag`` at given
+rows, from the truncated Taylor series of exp(P), within 1e-13 relative (its
+normalized rows within 1e-14 absolute).
 """
 
 import numpy as np
@@ -44,7 +46,12 @@ from prosenet.metrics import (
     eigenvector_centrality,
     pagerank,
 )
-from prosenet.walks import backbone_symmetry_batch, generalized_accessibility, merged_row_bytes
+from prosenet.walks import (
+    _taylor_mixture_rows,
+    backbone_symmetry_batch,
+    generalized_accessibility,
+    merged_row_bytes,
+)
 
 PROPERTY = settings(max_examples=80, deadline=None)
 
@@ -162,6 +169,23 @@ def test_ag_within_1e12_of_scipy_expm(net):
         got = generalized_accessibility(net, exclude_self).values
         want = generalized_accessibility(net, exclude_self, tm=oracle).values
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+@PROPERTY
+@given(networks, st.data())
+def test_ag_rows_by_taylor_within_1e13_of_scipy_expm(net, data):
+    n = net.node_count
+    rows = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1)))), dtype=np.int64)
+    oracle = scipy_transition_matrix(net)
+    mixture = _taylor_mixture_rows(net, rows)
+    mixture /= mixture.sum(axis=1)[:, None]
+    assert np.all(np.abs(mixture - oracle.walk_mixture[rows]) <= 1e-14)
+    for exclude_self in (False, True):
+        got = generalized_accessibility(net, exclude_self, rows=rows)
+        want = generalized_accessibility(net, exclude_self, tm=oracle).values[rows]
+        assert np.array_equal(np.flatnonzero(~got.missing), rows)
+        assert not got.values[got.missing].any()
+        assert np.all(np.abs(got.values[rows] - want) <= 1e-13 * np.abs(want))
 
 
 @PROPERTY

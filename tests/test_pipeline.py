@@ -221,9 +221,9 @@ class TestSharedMeasureCache:
         calls = []
         real = pipeline.measure_document
 
-        def counted(doc, cfg, walk_sources):
+        def counted(doc, *args):
             calls.append(doc.id)
-            return real(doc, cfg, walk_sources)
+            return real(doc, *args)
 
         monkeypatch.setattr(pipeline, "measure_document", counted)
         return calls
@@ -295,6 +295,89 @@ class TestSharedMeasureCache:
                           out=str(tmp_path / "fresh"))
         assert reused == [p.read_bytes() for p in cmd_measure(fresh)]
         assert not any(b",A2," in body for body in reused)
+
+
+class TestRequestedParts:
+    """LSS takes Ag at the word list only, and Q is measured only where it
+    is read: by ``measure`` and by GS."""
+
+    @pytest.fixture
+    def corpus(self, tmp_path):
+        return write_toy_corpus(tmp_path / "corpus", n_per_class=2, tokens=240)
+
+    @staticmethod
+    def lss(manifest, out):
+        return RunConfig(manifest=str(manifest), strategy="LSS", out=str(out),
+                         word_list_size=10, classifier="knn")
+
+    def measure(self, manifest, out):
+        return {p.name: p.read_bytes() for p in cmd_measure(self.lss(manifest, out))}
+
+    def test_classify_after_measure_is_all_cache_hits(self, corpus, tmp_path, monkeypatch):
+        shared = tmp_path / "shared"
+        self.measure(corpus, shared)
+        calls = TestSharedMeasureCache.count_calls(monkeypatch)
+        cmd_classify(self.lss(corpus, shared))
+        assert calls == []
+        cmd_classify(self.lss(corpus, tmp_path / "fresh"))
+        for name in ("features_LSS.csv", "ranking_LSS.csv", "report_LSS_knn.json"):
+            fresh = (tmp_path / "fresh" / name).read_text()
+            assert (shared / name).read_text() == fresh.replace(str(tmp_path / "fresh"),
+                                                                str(shared))
+
+    def test_measure_after_classify_equals_a_fresh_measure(self, corpus, tmp_path,
+                                                            monkeypatch):
+        shared = tmp_path / "shared"
+        cmd_classify(self.lss(corpus, shared))
+        calls = TestSharedMeasureCache.count_calls(monkeypatch)
+        grown = self.measure(corpus, shared)
+        assert sorted(calls) == ["ima00", "ima01", "inf00", "inf01"]  # Q was missing
+        assert grown == self.measure(corpus, tmp_path / "fresh")
+        calls.clear()
+        cmd_classify(self.lss(corpus, shared))
+        assert calls == []
+
+    def test_lss_measure_writes_ag_at_the_word_list_only(self, corpus, tmp_path):
+        files = self.measure(corpus, tmp_path / "out")
+        for body in files.values():
+            lines = [line.split(",") for line in body.decode().splitlines()[1:]]
+            walked = {label for _, label, name, cell in lines if name == "A2" and cell}
+            ag = {label for _, label, name, cell in lines if name == "Ag" and cell}
+            assert ag == walked
+            assert 0 < len(ag) <= 10 < sum(name == "Ag" for _, _, name, _ in lines)
+
+    def test_cold_classify_runs_communities_only_for_gs(self, corpus, tmp_path, monkeypatch):
+        calls = []
+        real = pipeline.detect_communities
+
+        def counted(net):
+            calls.append(net.node_count)
+            return real(net)
+
+        monkeypatch.setattr(pipeline, "detect_communities", counted)
+        for strategy in ("LSS", "LS"):
+            cmd_classify(RunConfig(manifest=str(corpus), strategy=strategy, word_list_size=10,
+                                   classifier="knn", out=str(tmp_path / strategy)))
+            cmd_relevance(RunConfig(manifest=str(corpus), strategy=strategy, word_list_size=10,
+                                    phi=3, out=str(tmp_path / f"{strategy}-relevance")))
+        assert calls == []
+        cmd_classify(RunConfig(manifest=str(corpus), strategy="GS", classifier="knn",
+                               out=str(tmp_path / "GS")))
+        assert len(calls) == 4
+
+    def test_lss_estimate_drops_the_eigendecomposition(self, monkeypatch):
+        doc = zipf_doc(500, words=400)
+        net = build_network(doc)
+        n, everyone = net.node_count, np.arange(net.node_count)
+        gs = pipeline.measurement_bytes(net, everyone, (2, 3))
+        lss = pipeline.measurement_bytes(net, everyone, (2, 3), ag_rows=True)
+        assert gs - lss == 40 * n * n
+        monkeypatch.setattr(pipeline, "MEASURE_BUDGET", lss - 1)
+        with pytest.raises(CostGuardError, match=f"{n}-node network"):
+            measure_document(doc, RunConfig(strategy="LSS", h_access=(2, 3)), None)
+        monkeypatch.setattr(pipeline, "MEASURE_BUDGET", lss)
+        dm = measure_document(doc, RunConfig(strategy="LSS", h_access=(2, 3)), None)
+        assert not dm.measures["Ag"].missing.any()
 
 
 class TestOneReadPerDocument:
@@ -397,10 +480,20 @@ class TestCacheEntryLayout:
             assert np.array_equal(back.measures[name].missing, nm.missing), name
         assert dataclasses.replace(back, measures={}) == dataclasses.replace(dm, measures={})
 
-    def test_layout_is_part_of_the_key(self, monkeypatch):
+    def test_layout_is_part_of_the_key(self, monkeypatch, tmp_path):
         key = pipeline._measure_cache_key("text", RunConfig(), "digest", False, "d")
         monkeypatch.setattr(pipeline, "CACHE_LAYOUT", "repr-lists")
         assert pipeline._measure_cache_key("text", RunConfig(), "digest", False, "d") != key
+        # an entry under the tag of the layout that held LSS Ag from eigh misses
+        manifest = write_toy_corpus(tmp_path / "corpus", n_per_class=1, tokens=200)
+        cfg = RunConfig(manifest=str(manifest), strategy="LSS", word_list_size=10,
+                        out=str(tmp_path / "out"))
+        monkeypatch.setattr(pipeline, "CACHE_LAYOUT", "b64-f8le")
+        cmd_measure(cfg)
+        monkeypatch.undo()
+        calls = TestSharedMeasureCache.count_calls(monkeypatch)
+        cmd_measure(cfg)
+        assert calls == ["ima00", "inf00"]
 
 
 class TestCachedLabels:
@@ -535,7 +628,7 @@ class TestMeasurementMemory:
     def test_walk_sources_over_budget_are_refused_before_the_enumeration(self, monkeypatch):
         doc = zipf_doc(500, words=400)
         net = build_network(doc)
-        cfg = RunConfig(h_access=(2, 3, 4))
+        cfg = RunConfig(strategy="GS", h_access=(2, 3, 4))  # Ag by the n x n eigh
         largest = saw_row_bytes(net, np.arange(net.node_count), 4).max()
         need = pipeline.measurement_bytes(net, np.arange(net.node_count), cfg.h_access)
         assert need == 44 * net.node_count**2 + largest  # the SAW row is the largest

@@ -5,7 +5,8 @@ isolated nodes and a hub joined to many nodes) or a token sequence read with
 a window of 1 to 3. Every batch kernel matches its per-source reference,
 and a kernel's rows for any subset of sources, blocked by any budget, are
 exactly the rows of an all-node call, which is what lets a cache entry
-gather walk values node by node. The SAW enumerator matches its earlier
+gather walk values node by node; so are the Taylor rows of ``Ag``. The SAW
+enumerator matches its earlier
 form, which also tracked the dead-end mass, and the non-backtracking walk
 counts behind its byte bound match a brute-force count and are at least the
 SAW prefix counts (equal up to two steps). Merged symmetry's ring entropies,
@@ -39,10 +40,12 @@ from prosenet.walks import (
     _saw_levels,
     accessibility_batch,
     backbone_symmetry_batch,
+    generalized_accessibility,
     merged_row_bytes,
     merged_symmetry_batch,
     nonbacktracking_walks,
     saw_row_bytes,
+    taylor_row_bytes,
 )
 
 H_ACCESS = (1, 2, 3, 4)
@@ -89,6 +92,22 @@ def test_subset_rows_equal_all_node_rows(net, data):
     full = backbone_symmetry_batch(net, everyone, H_SYMMETRY, dist=dist_all)
     part = backbone_symmetry_batch(net, subset, H_SYMMETRY, dist=dist)
     assert np.array_equal(part, full[subset])
+
+
+@PROPERTY
+@given(networks, st.data())
+def test_ag_rows_do_not_depend_on_the_rows_sharing_their_block(net, data):
+    n = net.node_count
+    subset = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1)))), dtype=np.int64)
+    # from one row per block (0) to every row in one block
+    budget = data.draw(st.integers(0, n * taylor_row_bytes(net)))
+    for exclude_self in (False, True):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graph, "BLOCK_BYTES", n * taylor_row_bytes(net))
+            full = generalized_accessibility(net, exclude_self, rows=np.arange(n))
+            patch.setattr(graph, "BLOCK_BYTES", budget)
+            part = generalized_accessibility(net, exclude_self, rows=subset)
+        assert np.array_equal(part.values[subset], full.values[subset])
 
 
 @PROPERTY
