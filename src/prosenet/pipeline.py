@@ -322,10 +322,8 @@ def _walked(dm: DocumentMeasures, cfg: RunConfig) -> np.ndarray:
     return np.zeros(len(dm.node_labels), dtype=bool) if first is None else ~first.missing
 
 
-def _covers(dm: DocumentMeasures, cfg: RunConfig, walk_sources: list[str] | None,
-            need_q: bool) -> bool:
-    if need_q and dm.modularity_q is None:
-        return False
+def _covers(dm: DocumentMeasures, cfg: RunConfig, walk_sources: list[str] | None) -> bool:
+    """Whether ``dm`` holds walk values at every requested node."""
     return not (_source_mask(dm.node_labels, walk_sources) & ~_walked(dm, cfg)).any()
 
 
@@ -494,10 +492,16 @@ def _dictionary_for(cfg: RunConfig) -> LemmaDictionary:
 
 def _measure_task(args) -> tuple[str, DocumentMeasures | None, str | None]:
     """(doc_id, measures, error or None); a measured document's entry is
-    stored at once, so an interrupted run resumes from it."""
-    doc, sources, need_q, cfg, key, path = args
+    stored at once, so an interrupted run resumes from it. Given an entry
+    ``held`` that lacks only ``Q``, the task adds ``Q`` to it and measures
+    nothing else."""
+    doc, sources, need_q, cfg, key, path, held = args
     try:
-        dm = measure_document(doc, cfg, sources, need_q)
+        if held is not None:
+            dm = dataclasses.replace(
+                held, modularity_q=detect_communities(build_network(doc, cfg.window)).q)
+        else:
+            dm = measure_document(doc, cfg, sources, need_q)
     except Exception as exc:  # noqa: BLE001 - reported per document by the caller
         return doc.id, None, f"{type(exc).__name__}: {exc}"
     _cache_store(path, key, dm)
@@ -514,11 +518,13 @@ def compute_corpus_measures(manifest: CorpusManifest, cfg: RunConfig, cache_dir:
     holds the classic measures, the word frequencies, the walk values of
     every node walked so far and ``Q`` once any run needed it, so an entry
     that covers the requested sources and parts is served without
-    preprocessing or measuring; otherwise the document is preprocessed and
-    measured afresh, walked from the requested sources and from every node
-    its entry had walked, with ``Q`` if needed or held, so an entry only
-    grows. Each entry is stored as soon as its document completes, which
-    lets an interrupted run resume from the documents it finished. A loaded
+    preprocessing or measuring. An entry that lacks only ``Q`` gets ``Q``
+    from the rebuilt network and nothing else. Otherwise the document is
+    preprocessed and measured afresh, walked from the requested sources and
+    from every node its entry had walked, with ``Q`` if needed or held, so
+    an entry only grows. Each entry is stored as soon as its document
+    completes, which lets an interrupted run resume from the documents it
+    finished. A loaded
     entry takes its label from the manifest. LS and LSS walk from the word
     list, taken from each document's word frequencies.
 
@@ -566,12 +572,17 @@ def compute_corpus_measures(manifest: CorpusManifest, cfg: RunConfig, cache_dir:
     results: dict[str, DocumentMeasures] = {}
     pending = []
     for entry, raw, key, path, known, doc in read:
-        if known is not None and _covers(known, cfg, walk_sources, need_q):
+        walked = known is not None and _covers(known, cfg, walk_sources)
+        if walked and (known.modularity_q is not None or not need_q):
             results[entry.doc_id] = _restrict(known, cfg, walk_sources, need_q)
         elif (doc := doc or prepared(entry, raw)) is not None:
-            sources = walk_sources if known is None else _with_walked(known, cfg, walk_sources)
-            with_q = need_q or (known is not None and known.modularity_q is not None)
-            pending.append((doc, sources, with_q, cfg, key, path))
+            if walked:  # only Q is missing
+                pending.append((doc, None, True, cfg, key, path, known))
+            else:
+                sources = walk_sources if known is None else _with_walked(known, cfg,
+                                                                          walk_sources)
+                with_q = need_q or (known is not None and known.modularity_q is not None)
+                pending.append((doc, sources, with_q, cfg, key, path, None))
 
     if pending and cfg.jobs > 1:
         # imported here: a run that starts no pool skips multiprocessing
@@ -621,7 +632,9 @@ def build_feature_matrix(cfg: RunConfig, manifest: CorpusManifest, cache_dir: Pa
     strategy's features. Fewer than ``need`` columns left by the
     decorrelation filter (GS always has more) is a ``ProsenetError``."""
     doc_measures, failures, sources = compute_corpus_measures(
-        manifest, cfg, cache_dir, need_q=cfg.strategy == "GS")  # Q is a GS column
+        manifest, cfg, cache_dir, need_q=cfg.strategy != "LSS")
+    # Q is a GS column; LS networks are GS networks and their entries keep Q
+    # for GS, while no LSS feature reads it
     _raise_failures(failures)
     if cfg.strategy == "GS":
         return global_features(doc_measures)

@@ -296,10 +296,40 @@ class TestSharedMeasureCache:
         assert reused == [p.read_bytes() for p in cmd_measure(fresh)]
         assert not any(b",A2," in body for body in reused)
 
+    def test_gs_after_ls_classify_measures_nothing(self, corpus, tmp_path, monkeypatch):
+        # LS classify stores Q with its entries, so a GS request without walks
+        # and an LS measure are served from them
+        shared = tmp_path / "shared"
+        cmd_classify(RunConfig(manifest=str(corpus), strategy="LS", word_list_size=10,
+                               classifier="knn", out=str(shared)))
+        calls = self.count_calls(monkeypatch)
+        gs = RunConfig(manifest=str(corpus), strategy="GS", gs_walks=False, classifier="knn")
+        cmd_classify(dataclasses.replace(gs, out=str(shared)))
+        reused = [p.read_bytes() for p in cmd_measure(dataclasses.replace(gs, out=str(shared)))]
+        by_ls = self.measure(corpus, shared, "LS")
+        assert calls == []
+        fresh = [p.read_bytes() for p in cmd_measure(dataclasses.replace(
+            gs, out=str(tmp_path / "fresh")))]
+        assert reused == fresh
+        assert by_ls == self.measure(corpus, tmp_path / "fresh-ls", "LS")
+
+
+def count_communities(monkeypatch):
+    """Node counts of the networks ``detect_communities`` is called on."""
+    calls = []
+    real = pipeline.detect_communities
+
+    def counted(net):
+        calls.append(net.node_count)
+        return real(net)
+
+    monkeypatch.setattr(pipeline, "detect_communities", counted)
+    return calls
+
 
 class TestRequestedParts:
-    """LSS takes Ag at the word list only, and Q is measured only where it
-    is read: by ``measure`` and by GS."""
+    """LSS takes Ag at the word list only and no Q, which no LSS feature
+    reads; GS and LS share entries, which keep Q."""
 
     @pytest.fixture
     def corpus(self, tmp_path):
@@ -325,17 +355,19 @@ class TestRequestedParts:
             assert (shared / name).read_text() == fresh.replace(str(tmp_path / "fresh"),
                                                                 str(shared))
 
-    def test_measure_after_classify_equals_a_fresh_measure(self, corpus, tmp_path,
-                                                            monkeypatch):
+    def test_measure_after_classify_adds_only_q(self, corpus, tmp_path, monkeypatch):
         shared = tmp_path / "shared"
         cmd_classify(self.lss(corpus, shared))
         calls = TestSharedMeasureCache.count_calls(monkeypatch)
+        communities = count_communities(monkeypatch)
         grown = self.measure(corpus, shared)
-        assert sorted(calls) == ["ima00", "ima01", "inf00", "inf01"]  # Q was missing
+        assert calls == [] and len(communities) == 4  # Q was missing, nothing else
         assert grown == self.measure(corpus, tmp_path / "fresh")
         calls.clear()
+        communities.clear()
+        assert self.measure(corpus, shared) == grown
         cmd_classify(self.lss(corpus, shared))
-        assert calls == []
+        assert calls == [] and communities == []
 
     def test_lss_measure_writes_ag_at_the_word_list_only(self, corpus, tmp_path):
         files = self.measure(corpus, tmp_path / "out")
@@ -346,24 +378,23 @@ class TestRequestedParts:
             assert ag == walked
             assert 0 < len(ag) <= 10 < sum(name == "Ag" for _, _, name, _ in lines)
 
-    def test_cold_classify_runs_communities_only_for_gs(self, corpus, tmp_path, monkeypatch):
-        calls = []
-        real = pipeline.detect_communities
-
-        def counted(net):
-            calls.append(net.node_count)
-            return real(net)
-
-        monkeypatch.setattr(pipeline, "detect_communities", counted)
-        for strategy in ("LSS", "LS"):
+    def test_cold_classify_skips_communities_only_for_lss(self, corpus, tmp_path,
+                                                          monkeypatch):
+        calls = count_communities(monkeypatch)
+        cmd_classify(RunConfig(manifest=str(corpus), strategy="LSS", word_list_size=10,
+                               classifier="knn", out=str(tmp_path / "LSS")))
+        cmd_relevance(RunConfig(manifest=str(corpus), strategy="LSS", word_list_size=10,
+                                phi=3, out=str(tmp_path / "LSS-relevance")))
+        assert calls == []
+        for strategy in ("GS", "LS"):
             cmd_classify(RunConfig(manifest=str(corpus), strategy=strategy, word_list_size=10,
                                    classifier="knn", out=str(tmp_path / strategy)))
+            assert len(calls) == 4
+            calls.clear()
             cmd_relevance(RunConfig(manifest=str(corpus), strategy=strategy, word_list_size=10,
                                     phi=3, out=str(tmp_path / f"{strategy}-relevance")))
-        assert calls == []
-        cmd_classify(RunConfig(manifest=str(corpus), strategy="GS", classifier="knn",
-                               out=str(tmp_path / "GS")))
-        assert len(calls) == 4
+            assert len(calls) == 4
+            calls.clear()
 
     def test_lss_estimate_drops_the_eigendecomposition(self, monkeypatch):
         doc = zipf_doc(500, words=400)
