@@ -27,7 +27,8 @@ from .features import FeatureMatrix, select_top_k
 
 RELEVANCE_MAX_FEATURES = 15
 LEDGER_DTYPE = np.dtype([("mask", np.int64), ("accuracy", np.float64)])
-# cells of one (subsets, n, n) distance block in the relevance sweep
+# cells of one (subsets, n, n) distance block in the relevance sweep; its
+# depth-first stack of these blocks sets the memory peak of `relevance`
 SWEEP_BLOCK_CELLS = 1 << 16
 
 
@@ -229,25 +230,43 @@ def _loo_fold_weights(x: np.ndarray) -> np.ndarray:
 
 def _knn_term(x: np.ndarray, w: np.ndarray, f: int) -> np.ndarray:
     """Feature f's squared-distance terms w[i, f] * (x[i, f] - x[j, f])^2 of
-    leave-one-out fold i, laid out [j, i]."""
+    leave-one-out fold i, laid out [j, i], with +inf on the diagonal so that
+    every sum of terms keeps fold i out of its own neighbours."""
     col = x[:, f]
-    return w[:, f] * (col[:, None] - col[None, :]) ** 2
+    term = w[:, f] * (col[:, None] - col[None, :]) ** 2
+    np.fill_diagonal(term, np.inf)
+    return term
 
 
-def _knn_vote(blocks: np.ndarray, y01: np.ndarray, k: int, voters: np.ndarray) -> np.ndarray:
+def _knn_tally(y01: np.ndarray) -> np.ndarray:
+    """[label-1 voters, all voters] weights per neighbour, float32 (2, n)."""
+    return np.stack([y01 == 1, np.ones(len(y01), dtype=bool)]).astype(np.float32)
+
+
+def _knn_vote(blocks: np.ndarray, tally: np.ndarray, k: int, voters: np.ndarray) -> np.ndarray:
     """LOO KNN predictions (0 or 1) per [subset, i] from [subset, j, i]
-    blocks of squared distances, whose diagonals are overwritten. Every
-    neighbour within the K-th radius votes; ``voters`` is float32 scratch of
-    the blocks' shape (float32 sums of 0/1 are exact below 2^24 rows)."""
-    n = len(y01)
-    kk = min(k, n - 1)
-    diag = np.arange(n)
-    blocks[:, diag, diag] = np.inf
-    kth = np.partition(blocks, kk - 1, axis=1)[:, kk - 1]
+    blocks of squared distances with +inf diagonals. Every neighbour within
+    the K-th radius votes, K clamped to n - 1; ``tally`` is ``_knn_tally``'s
+    and ``voters`` float32 scratch of the blocks' shape (float32 sums of 0/1
+    are exact below 2^24 rows).
+
+    The radius starts as each lane [s, i]'s nearest distance, one minimum
+    over the contiguous rows j. A lane with at least K voters there is done:
+    its K-th smallest distance is that minimum. Only the lanes left short are
+    gathered and sorted for their K-th distance, and the block is voted
+    again; at K = 1 no lane is short.
+    """
+    kk = min(k, tally.shape[1] - 1)
+    kth = blocks.min(axis=1)
     np.less_equal(blocks, kth[:, None, :], out=voters)
-    # [label-1 voters, all voters] per row
-    tally = np.stack([y01 == 1, np.ones(n, dtype=bool)]).astype(np.float32)
     ones, total = (tally @ voters).transpose(1, 0, 2)
+    s, i = np.nonzero(total < kk)
+    if len(s):
+        lanes = blocks[s, :, i]
+        lanes.sort(axis=1)
+        kth[s, i] = lanes[:, kk - 1]
+        np.less_equal(blocks, kth[:, None, :], out=voters)
+        ones, total = (tally @ voters).transpose(1, 0, 2)
     return ones > total - ones  # tie -> smaller (index 0) label
 
 
@@ -265,7 +284,8 @@ def _loo_knn_predictions(x: np.ndarray, y01: np.ndarray, k: int) -> np.ndarray:
     d2 = np.zeros((1, n, n), dtype=np.float64)
     for f in range(phi):
         d2[0] += _knn_term(x, w, f)
-    return _knn_vote(d2, y01, k, np.empty(d2.shape, dtype=np.float32))[0].astype(np.int64)
+    voters = np.empty(d2.shape, dtype=np.float32)
+    return _knn_vote(d2, _knn_tally(y01), k, voters)[0].astype(np.int64)
 
 
 def loo_evaluate(fm: FeatureMatrix, spec: ClassifierSpec) -> ClassificationReport:
@@ -327,9 +347,12 @@ def _knn_subset_accuracies(
     2^L n^2 within ``block_cells`` (at least 0). Each subset of the higher
     features adds its highest feature's term to its parent's block (the same
     subset without that feature), depth first, so phi - L + 1 blocks are live
-    at most; each block's 2^L subsets are voted on at once. Blocks are laid
-    out [subset, j, i] so every reduction over the neighbours j runs along
-    contiguous rows.
+    at most; each block's 2^L subsets are voted on at once by ``_knn_vote``.
+    Blocks are laid out [subset, j, i] so the nearest-radius minimum and the
+    vote over the neighbours j run along contiguous rows; only the lanes that
+    K nearest neighbours do not tie at that radius are gathered and sorted.
+    The diagonal and the vote tally are the same for every block, so the
+    terms carry the +inf diagonal and the tally is built once.
     """
     n, phi = x.shape
     w = _loo_fold_weights(x)
@@ -343,17 +366,30 @@ def _knn_subset_accuracies(
         blocks[0, mask] = blocks[0, mask ^ 1 << top] + terms[top]
 
     voters = np.empty(blocks.shape[1:], dtype=np.float32)
+    tally = _knn_tally(y01)
     accuracies = np.empty(2**phi, dtype=np.float64)
 
     def descend(high: int, depth: int) -> None:
-        preds = _knn_vote(blocks[depth], y01, k, voters)
+        preds = _knn_vote(blocks[depth], tally, k, voters)
         accuracies[high << low:(high + 1) << low] = (preds == y01).mean(axis=1)
         for f in range(high.bit_length(), phi - low):
             np.add(blocks[depth], terms[low + f], out=blocks[depth + 1])
             descend(high | 1 << f, depth + 1)
 
     descend(0, 0)
+    # descend's closure holds itself, a cycle that would keep the blocks
+    # alive until the next garbage collection; break it to free them now
+    del descend
     return accuracies[1:]
+
+
+def refuse_large_sweep(phi: int) -> None:
+    """Raise ``CostGuardError`` if a sweep over phi features passes the guard."""
+    if phi > RELEVANCE_MAX_FEATURES:
+        raise CostGuardError(
+            f"relevance sweep over {phi} features needs 2^{phi} evaluations; "
+            f"the guard allows at most {RELEVANCE_MAX_FEATURES}"
+        )
 
 
 def relevance_index(fm: FeatureMatrix, spec: ClassifierSpec | None = None) -> RelevanceReport:
@@ -365,11 +401,7 @@ def relevance_index(fm: FeatureMatrix, spec: ClassifierSpec | None = None) -> Re
     """
     spec = spec or ClassifierSpec()
     phi = len(fm.feature_names)
-    if phi > RELEVANCE_MAX_FEATURES:
-        raise CostGuardError(
-            f"relevance sweep over {phi} features needs 2^{phi} evaluations; "
-            f"the guard allows at most {RELEVANCE_MAX_FEATURES}"
-        )
+    refuse_large_sweep(phi)
     labels_sorted = sorted(set(fm.labels))
     y01 = np.array([labels_sorted.index(lab) for lab in fm.labels])
     x = fm.values

@@ -52,6 +52,7 @@ from .learn import (
     baseline_word_lsa,
     loo_evaluate,
     pca_project,
+    refuse_large_sweep,
     relevance_index,
 )
 from .metrics import (
@@ -782,6 +783,7 @@ def write_relevance(report: RelevanceReport, out: Path, strategy: str) -> None:
 
 def cmd_relevance(cfg: RunConfig) -> RelevanceReport:
     """Exhaustive subset sweep over the top-phi features of the strategy."""
+    refuse_large_sweep(cfg.phi)  # before any document is measured
     manifest = load_manifest(cfg.manifest)
     spec = ClassifierSpec(cfg.classifier if cfg.classifier != "all" else "knn", knn_k=cfg.knn_k)
     _refuse_lone_nb_class(manifest, (spec.name,))

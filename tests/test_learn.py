@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +10,9 @@ from oracles import knn_classify
 from prosenet import CostGuardError
 from prosenet.features import FeatureMatrix
 from prosenet.learn import (
+    SWEEP_BLOCK_CELLS,
     ClassifierSpec,
+    _knn_subset_accuracies,
     _loo_knn_predictions,
     baseline_char_bigrams,
     baseline_stopword_frequency,
@@ -273,6 +277,21 @@ class TestRelevanceIndex:
         fm = fm_of(rng.normal(size=(10, 16)), ["a", "b"] * 5)
         with pytest.raises(CostGuardError):
             relevance_index(fm)
+
+    def test_sweep_frees_its_blocks_on_return(self):
+        # 8 depth blocks of 2^5 subsets x 40^2 cells (3.3 MB) must not wait
+        # for a garbage collection while the ledger is ranked and written
+        rng = np.random.default_rng(107)
+        x = rng.normal(size=(40, 12))
+        gc.disable()
+        tracemalloc.start()
+        try:
+            _knn_subset_accuracies(x, np.array([0, 1] * 20), 1)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert held < SWEEP_BLOCK_CELLS * 8  # less than one block's float64
 
     def test_sweep_supports_other_classifiers(self):
         rng = np.random.default_rng(106)

@@ -776,6 +776,7 @@ class TestRelevanceCommand:
                         phi=16, word_list_size=20)
         with pytest.raises(CostGuardError):
             cmd_relevance(cfg)
+        assert not (tmp_path / "cache").exists()  # refused before measuring
 
     def test_small_sweep_outputs(self, toy_manifest, tmp_path):
         cfg = RunConfig(manifest=str(toy_manifest), strategy="LSS", out=str(tmp_path),
