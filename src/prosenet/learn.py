@@ -27,9 +27,10 @@ from .features import FeatureMatrix, select_top_k
 
 RELEVANCE_MAX_FEATURES = 15
 LEDGER_DTYPE = np.dtype([("mask", np.int64), ("accuracy", np.float64)])
-# cells of one (subsets, n, n) distance block in the relevance sweep; its
-# depth-first stack of these blocks sets the memory peak of `relevance`
-SWEEP_BLOCK_CELLS = 1 << 16
+# cells of one (n, subsets, n) distance block in the relevance sweep; its
+# depth-first stack of these blocks (2.5 MB at n = 40, phi = 15) is the
+# sweep's share of the memory peak of `relevance`
+SWEEP_BLOCK_CELLS = 1 << 15
 
 
 @dataclass
@@ -58,7 +59,7 @@ class RelevanceReport:
     ``ledger`` is a ``LEDGER_DTYPE`` array of (bitmask, accuracy) records
     sorted best-first (ties: smaller subset, then smaller bitmask).
     ``omega[i, k-1]`` counts appearances of feature i among the k best
-    subsets, for k up to 2**(phi-1); ``r_index`` sums it per feature,
+    subsets, for k up to 2**(phi-1), as int32; ``r_index`` sums it per feature,
     highest first, ties by name.
     """
 
@@ -244,29 +245,32 @@ def _knn_tally(y01: np.ndarray) -> np.ndarray:
 
 
 def _knn_vote(blocks: np.ndarray, tally: np.ndarray, k: int, voters: np.ndarray) -> np.ndarray:
-    """LOO KNN predictions (0 or 1) per [subset, i] from [subset, j, i]
+    """LOO KNN predictions (0 or 1) per [subset, i] from [j, subset, i]
     blocks of squared distances with +inf diagonals. Every neighbour within
     the K-th radius votes, K clamped to n - 1; ``tally`` is ``_knn_tally``'s
     and ``voters`` float32 scratch of the blocks' shape (float32 sums of 0/1
     are exact below 2^24 rows).
 
-    The radius starts as each lane [s, i]'s nearest distance, one minimum
-    over the contiguous rows j. A lane with at least K voters there is done:
-    its K-th smallest distance is that minimum. Only the lanes left short are
-    gathered and sorted for their K-th distance, and the block is voted
-    again; at K = 1 no lane is short.
+    The neighbour axis j is outermost, so each step works on one contiguous
+    (n, subsets * n) array: the radius starts as each lane [s, i]'s nearest
+    distance, an elementwise minimum of the n rows, and one matmul tallies
+    the votes. A lane with at least K voters there is done: its K-th smallest
+    distance is that minimum. Only the lanes left short are gathered, as
+    ``blocks[:, s, i]``, and sorted for their K-th distance, and the block is
+    voted again; at K = 1 no lane is short.
     """
-    kk = min(k, tally.shape[1] - 1)
-    kth = blocks.min(axis=1)
-    np.less_equal(blocks, kth[:, None, :], out=voters)
-    ones, total = (tally @ voters).transpose(1, 0, 2)
+    n = len(blocks)
+    kk = min(k, n - 1)
+    kth = blocks.min(axis=0)
+    np.less_equal(blocks, kth, out=voters)
+    ones, total = (tally @ voters.reshape(n, -1)).reshape(2, *kth.shape)
     s, i = np.nonzero(total < kk)
     if len(s):
-        lanes = blocks[s, :, i]
-        lanes.sort(axis=1)
-        kth[s, i] = lanes[:, kk - 1]
-        np.less_equal(blocks, kth[:, None, :], out=voters)
-        ones, total = (tally @ voters).transpose(1, 0, 2)
+        lanes = blocks[:, s, i]
+        lanes.sort(axis=0)
+        kth[s, i] = lanes[kk - 1]
+        np.less_equal(blocks, kth, out=voters)
+        ones, total = (tally @ voters.reshape(n, -1)).reshape(2, *kth.shape)
     return ones > total - ones  # tie -> smaller (index 0) label
 
 
@@ -281,9 +285,9 @@ def _loo_knn_predictions(x: np.ndarray, y01: np.ndarray, k: int) -> np.ndarray:
     """
     n, phi = x.shape
     w = _loo_fold_weights(x)
-    d2 = np.zeros((1, n, n), dtype=np.float64)
+    d2 = np.zeros((n, 1, n), dtype=np.float64)
     for f in range(phi):
-        d2[0] += _knn_term(x, w, f)
+        d2[:, 0] += _knn_term(x, w, f)
     voters = np.empty(d2.shape, dtype=np.float32)
     return _knn_vote(d2, _knn_tally(y01), k, voters)[0].astype(np.int64)
 
@@ -348,9 +352,12 @@ def _knn_subset_accuracies(
     features adds its highest feature's term to its parent's block (the same
     subset without that feature), depth first, so phi - L + 1 blocks are live
     at most; each block's 2^L subsets are voted on at once by ``_knn_vote``.
-    Blocks are laid out [subset, j, i] so the nearest-radius minimum and the
-    vote over the neighbours j run along contiguous rows; only the lanes that
-    K nearest neighbours do not tie at that radius are gathered and sorted.
+    Blocks are laid out [j, subset, i], neighbour j outermost, so each is one
+    contiguous (n, 2^L n) array: the nearest-radius minimum is an elementwise
+    minimum of its n rows, the vote over the neighbours one matmul, and a
+    subset's parent-plus-term add broadcasts the term's [j, i] over the
+    subsets. Only the lanes that K nearest neighbours do not tie at that
+    radius are gathered and sorted.
     The diagonal and the vote tally are the same for every block, so the
     terms carry the +inf diagonal and the tally is built once.
     """
@@ -360,10 +367,10 @@ def _knn_subset_accuracies(
     for f in range(phi):
         terms[f] = _knn_term(x, w, f)
     low = min(phi, max(0, (block_cells // (n * n)).bit_length() - 1))
-    blocks = np.zeros((phi - low + 1, 2**low, n, n), dtype=np.float64)
+    blocks = np.zeros((phi - low + 1, n, 2**low, n), dtype=np.float64)
     for mask in range(1, 2**low):
         top = mask.bit_length() - 1
-        blocks[0, mask] = blocks[0, mask ^ 1 << top] + terms[top]
+        np.add(blocks[0, :, mask ^ 1 << top], terms[top], out=blocks[0, :, mask])
 
     voters = np.empty(blocks.shape[1:], dtype=np.float32)
     tally = _knn_tally(y01)
@@ -373,7 +380,7 @@ def _knn_subset_accuracies(
         preds = _knn_vote(blocks[depth], tally, k, voters)
         accuracies[high << low:(high + 1) << low] = (preds == y01).mean(axis=1)
         for f in range(high.bit_length(), phi - low):
-            np.add(blocks[depth], terms[low + f], out=blocks[depth + 1])
+            np.add(blocks[depth], terms[low + f][:, None], out=blocks[depth + 1])
             descend(high | 1 << f, depth + 1)
 
     descend(0, 0)
@@ -421,7 +428,8 @@ def rank_subsets(feature_names: list[str], accuracies: np.ndarray) -> RelevanceR
     """The ledger, omega and index of the subsets' accuracies (by bitmask - 1).
 
     Subset sizes and omega take one shift of the bitmasks per feature, so
-    nothing larger than one int64 per subset is held per feature.
+    nothing larger than one int64 per subset is held per feature; omega is
+    int32, as its counts are at most 2^(phi-1).
     """
     phi = len(feature_names)
     masks = np.arange(1, 2**phi, dtype=np.int64)
@@ -433,9 +441,9 @@ def rank_subsets(feature_names: list[str], accuracies: np.ndarray) -> RelevanceR
     ledger["mask"] = masks[order]
     ledger["accuracy"] = accuracies[order]
     top = ledger["mask"][: 2 ** (phi - 1)]
-    omega = np.empty((phi, len(top)), dtype=np.int64)
+    omega = np.empty((phi, len(top)), dtype=np.int32)  # counts up to 2^14
     for f in range(phi):
-        np.cumsum(top >> f & 1, out=omega[f])
+        np.cumsum(top >> f & 1, dtype=np.int32, out=omega[f])
     r_index = sorted(zip(feature_names, omega.sum(axis=1).tolist()), key=lambda t: (-t[1], t[0]))
     return RelevanceReport(feature_names, ledger, omega, dict(r_index))
 

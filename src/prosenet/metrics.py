@@ -287,6 +287,13 @@ def detect_communities(net: WordNetwork) -> CommunityAssignment:
     Repeatedly merges the community pair with the best modularity gain until
     no merge improves it; ties break toward the smallest (id, id) pair. The
     merged community keeps the smaller id.
+
+    The heap is lazy: a merge pushes only the pairs whose edge count grew,
+    the dropped community's neighbours. Every other pair of the kept
+    community can only lose gain, as its degree sum grew and IEEE rounding is
+    monotone, so its old key stays an upper bound. A popped pair is checked
+    against its recomputed gain and re-pushed at it when its key is higher;
+    the first key equal to its pair's gain is the best (gain, pair).
     """
     n = net.node_count
     m = net.edge_count
@@ -299,24 +306,25 @@ def detect_communities(net: WordNetwork) -> CommunityAssignment:
     ksum: dict[int, float] = {i: float(k[i]) for i in range(n)}
     # the network is simple: one edge between each linked pair
     between = {i: dict.fromkeys(net.neighbors(i).tolist(), 1) for i in range(n)}
-    epoch = {i: 0 for i in range(n)}
 
     def gain(a: int, b: int) -> float:
         return between[a][b] / m - 2.0 * ksum[a] * ksum[b] / (two_m * two_m)
 
-    heap = [(-gain(a, b), a, b, 0, 0) for a, b in net.edges()]
-    heapq.heapify(heap)  # keys are distinct, so the pop order does not depend on the layout
+    heap = [(-gain(a, b), a, b) for a, b in net.edges()]
+    heapq.heapify(heap)  # equal keys of one pair are equal tuples: the order is layout-free
 
     deltas: list[float] = []
     while heap:
-        neg_dq, a, b, ea, eb = heapq.heappop(heap)
-        if epoch.get(a) != ea or epoch.get(b) != eb:
-            # stale: a side was merged away (its epoch popped), or the merge
-            # that bumped an epoch pushed this pair afresh
+        neg_key, a, b = heapq.heappop(heap)
+        if a not in between or b not in between:
+            continue  # a side was merged away
+        if -neg_key <= 0:
+            break  # the largest upper bound: no merge gains
+        dq = gain(a, b)
+        if dq != -neg_key:
+            heapq.heappush(heap, (-dq, a, b))  # stale: a merge into a side lowered the gain
             continue
-        if -neg_dq <= 0:
-            break
-        deltas.append(-neg_dq)
+        deltas.append(dq)
 
         keep, drop = a, b  # a < b by construction
         members[keep].extend(members.pop(drop))
@@ -330,11 +338,8 @@ def detect_communities(net: WordNetwork) -> CommunityAssignment:
             bn = between[nbr]
             bn.pop(drop, None)
             bn[keep] = bk[nbr]
-        epoch[keep] += 1
-        epoch.pop(drop)
-        for nbr in sorted(bk):
             lo, hi = min(keep, nbr), max(keep, nbr)
-            heapq.heappush(heap, (-gain(lo, hi), lo, hi, epoch[lo], epoch[hi]))
+            heapq.heappush(heap, (-gain(lo, hi), lo, hi))
 
     singleton_q = -math.fsum((float(ki) / two_m) ** 2 for ki in k)
     q = singleton_q + math.fsum(deltas)

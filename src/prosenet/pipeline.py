@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import base64
 import dataclasses
-import hashlib
 import json
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -79,6 +78,16 @@ from .walks import (
     saw_row_bytes,
     taylor_row_bytes,
 )
+
+# SHA-256 from the interpreter's built-in module, as random.py takes sha512:
+# hashlib always loads OpenSSL's libcrypto (3.7 MB of RSS) for the same digest
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
 
 STRATEGIES = ("GS", "LS", "LSS")
 CLASSIFIERS = ("knn", "cart", "nb")
@@ -368,7 +377,7 @@ def _restrict(dm: DocumentMeasures, cfg: RunConfig, walk_sources: list[str] | No
 def _dictionary_digest(dictionary: LemmaDictionary) -> str:
     """sha256 of the lemma mapping and stoplist, independent of their order."""
     blob = json.dumps([sorted(dictionary.mapping.items()), sorted(dictionary.stoplist)])
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return sha256(blob.encode("utf-8")).hexdigest()
 
 
 # measure values as base64 of little-endian float64, missing masks as
@@ -385,7 +394,7 @@ def _measure_cache_key(raw_text: str, cfg: RunConfig, dictionary_digest: str,
         {
             "version": __version__,
             "doc_id": doc_id,
-            "content": hashlib.sha256(raw_text.encode("utf-8")).hexdigest(),
+            "content": sha256(raw_text.encode("utf-8")).hexdigest(),
             "dictionary": dictionary_digest,
             "keep_stopwords": keep_stopwords,
             "window": cfg.window,
@@ -399,7 +408,7 @@ def _measure_cache_key(raw_text: str, cfg: RunConfig, dictionary_digest: str,
         },
         sort_keys=True,
     )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return sha256(payload.encode("utf-8")).hexdigest()
 
 
 def _measures_to_payload(dm: DocumentMeasures) -> dict:
@@ -465,7 +474,7 @@ def _cache_load(path: Path, key: str, label: str) -> DocumentMeasures | None:
     if not (data.startswith(head) and rest.startswith(tail) and rest.endswith(b"}")):
         return None
     blob = rest[len(tail) : -1]
-    if hashlib.sha256(blob).hexdigest().encode("ascii") != checksum:
+    if sha256(blob).hexdigest().encode("ascii") != checksum:
         return None
     try:
         return _measures_from_payload(json.loads(blob), label)
@@ -479,7 +488,7 @@ def _cache_store(path: Path, key: str, dm: DocumentMeasures) -> None:
     checksum are the bytes stored. The text is what
     ``json.dumps(entry, sort_keys=True)`` would write."""
     blob = json.dumps(_measures_to_payload(dm), sort_keys=True)
-    checksum = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    checksum = sha256(blob.encode("utf-8")).hexdigest()
     atomic_write(path, f'{{"checksum": "{checksum}", "key": "{key}", "payload": {blob}}}')
 
 

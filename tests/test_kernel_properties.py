@@ -16,12 +16,13 @@ normalized rows within 1e-14 absolute).
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import networks, zipf_doc
 from oracles import (
     levels_backbone_symmetry,
+    net_from_edges,
     repush_detect_communities,
     scipy_betweenness,
     scipy_bfs_distances,
@@ -153,6 +154,9 @@ def test_clustering_and_centralities_match_sparse_products(net):
         same_measure(pagerank(net, alpha), scipy_pagerank(net, alpha))
 
 
+# the 4-cycle: merging (0, 1) leaves (0, 3) a stale key equal to the fresh
+# key of (2, 3); (0, 3) pops first and must be re-pushed at its lower gain
+@example(net_from_edges(4, {(0, 1), (1, 2), (2, 3), (0, 3)}))
 @PROPERTY
 @given(networks)
 def test_communities_match_the_repushing_search(net):
