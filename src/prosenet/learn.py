@@ -239,39 +239,31 @@ def _knn_term(x: np.ndarray, w: np.ndarray, f: int) -> np.ndarray:
     return term
 
 
-def _knn_tally(y01: np.ndarray) -> np.ndarray:
-    """[label-1 voters, all voters] weights per neighbour, float32 (2, n)."""
-    return np.stack([y01 == 1, np.ones(len(y01), dtype=bool)]).astype(np.float32)
-
-
-def _knn_vote(blocks: np.ndarray, tally: np.ndarray, k: int, voters: np.ndarray) -> np.ndarray:
+def _knn_vote(blocks: np.ndarray, n0: int, k: int) -> np.ndarray:
     """LOO KNN predictions (0 or 1) per [subset, i] from [j, subset, i]
-    blocks of squared distances with +inf diagonals. Every neighbour within
-    the K-th radius votes, K clamped to n - 1; ``tally`` is ``_knn_tally``'s
-    and ``voters`` float32 scratch of the blocks' shape (float32 sums of 0/1
-    are exact below 2^24 rows).
+    blocks of squared distances with +inf diagonals, whose neighbours j are
+    ordered by class, the ``n0`` of class 0 first. Every neighbour within
+    the K-th radius votes, K clamped to n - 1.
 
-    The neighbour axis j is outermost, so each step works on one contiguous
-    (n, subsets * n) array: the radius starts as each lane [s, i]'s nearest
-    distance, an elementwise minimum of the n rows, and one matmul tallies
-    the votes. A lane with at least K voters there is done: its K-th smallest
-    distance is that minimum. Only the lanes left short are gathered, as
-    ``blocks[:, s, i]``, and sorted for their K-th distance, and the block is
-    voted again; at K = 1 no lane is short.
+    Each lane [s, i] takes its nearest distance in each class, an
+    elementwise minimum over that class's rows. At K = 1 the nearer class
+    alone holds the voters, so it decides every lane but an exact tie. Only
+    the ties, or every lane when K > 1, are gathered as ``blocks[:, s, i]``
+    and sorted for their K-th distance; then one comparison over the block
+    marks the voters within each lane's radius, counted per class.
     """
-    n = len(blocks)
-    kk = min(k, n - 1)
-    kth = blocks.min(axis=0)
-    np.less_equal(blocks, kth, out=voters)
-    ones, total = (tally @ voters.reshape(n, -1)).reshape(2, *kth.shape)
-    s, i = np.nonzero(total < kk)
-    if len(s):
-        lanes = blocks[:, s, i]
-        lanes.sort(axis=0)
-        kth[s, i] = lanes[kk - 1]
-        np.less_equal(blocks, kth, out=voters)
-        ones, total = (tally @ voters.reshape(n, -1)).reshape(2, *kth.shape)
-    return ones > total - ones  # tie -> smaller (index 0) label
+    kk = min(k, len(blocks) - 1)
+    near0 = blocks[:n0].min(axis=0, initial=np.inf)
+    near1 = blocks[n0:].min(axis=0, initial=np.inf)
+    s, i = np.nonzero((near0 == near1) | (kk > 1))
+    if not len(s):
+        return near1 < near0
+    lanes = blocks[:, s, i]
+    lanes.sort(axis=0)
+    radius = np.minimum(near0, near1)
+    radius[s, i] = lanes[kk - 1]
+    within = blocks <= radius
+    return within[n0:].sum(axis=0) > within[:n0].sum(axis=0)  # tie -> smaller (index 0) label
 
 
 def _loo_knn_predictions(x: np.ndarray, y01: np.ndarray, k: int) -> np.ndarray:
@@ -285,11 +277,11 @@ def _loo_knn_predictions(x: np.ndarray, y01: np.ndarray, k: int) -> np.ndarray:
     """
     n, phi = x.shape
     w = _loo_fold_weights(x)
+    by_class = np.argsort(y01, kind="stable")
     d2 = np.zeros((n, 1, n), dtype=np.float64)
     for f in range(phi):
-        d2[:, 0] += _knn_term(x, w, f)
-    voters = np.empty(d2.shape, dtype=np.float32)
-    return _knn_vote(d2, _knn_tally(y01), k, voters)[0].astype(np.int64)
+        d2[:, 0] += _knn_term(x, w, f)[by_class]
+    return _knn_vote(d2, int(np.count_nonzero(y01 == 0)), k)[0].astype(np.int64)
 
 
 def loo_evaluate(fm: FeatureMatrix, spec: ClassifierSpec) -> ClassificationReport:
@@ -352,32 +344,30 @@ def _knn_subset_accuracies(
     features adds its highest feature's term to its parent's block (the same
     subset without that feature), depth first, so phi - L + 1 blocks are live
     at most; each block's 2^L subsets are voted on at once by ``_knn_vote``.
-    Blocks are laid out [j, subset, i], neighbour j outermost, so each is one
-    contiguous (n, 2^L n) array: the nearest-radius minimum is an elementwise
-    minimum of its n rows, the vote over the neighbours one matmul, and a
-    subset's parent-plus-term add broadcasts the term's [j, i] over the
-    subsets. Only the lanes that K nearest neighbours do not tie at that
-    radius are gathered and sorted.
-    The diagonal and the vote tally are the same for every block, so the
-    terms carry the +inf diagonal and the tally is built once.
+    Blocks are laid out [j, subset, i], neighbour j outermost and ordered by
+    class, so each class's rows of a block are one contiguous array: the
+    nearest distance per class is an elementwise minimum of those rows, and
+    a subset's parent-plus-term add broadcasts the term's [j, i] over the
+    subsets. The diagonal and the class order are the same for every block,
+    so the terms carry the +inf diagonal and are ordered once.
     """
     n, phi = x.shape
     w = _loo_fold_weights(x)
+    by_class = np.argsort(y01, kind="stable")
+    n0 = int(np.count_nonzero(y01 == 0))
     terms = np.empty((phi, n, n), dtype=np.float64)
     for f in range(phi):
-        terms[f] = _knn_term(x, w, f)
+        terms[f] = _knn_term(x, w, f)[by_class]
     low = min(phi, max(0, (block_cells // (n * n)).bit_length() - 1))
     blocks = np.zeros((phi - low + 1, n, 2**low, n), dtype=np.float64)
     for mask in range(1, 2**low):
         top = mask.bit_length() - 1
         np.add(blocks[0, :, mask ^ 1 << top], terms[top], out=blocks[0, :, mask])
 
-    voters = np.empty(blocks.shape[1:], dtype=np.float32)
-    tally = _knn_tally(y01)
     accuracies = np.empty(2**phi, dtype=np.float64)
 
     def descend(high: int, depth: int) -> None:
-        preds = _knn_vote(blocks[depth], tally, k, voters)
+        preds = _knn_vote(blocks[depth], n0, k)
         accuracies[high << low:(high + 1) << low] = (preds == y01).mean(axis=1)
         for f in range(high.bit_length(), phi - low):
             np.add(blocks[depth], terms[low + f][:, None], out=blocks[depth + 1])

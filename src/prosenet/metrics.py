@@ -265,22 +265,6 @@ class CommunityAssignment:
     q: float
 
 
-def modularity(net: WordNetwork, labels: np.ndarray) -> float:
-    """Literal modularity of a partition: intra-edge excess over chance."""
-    m = net.edge_count
-    if m == 0:
-        raise ProsenetError("modularity is undefined on an edgeless network")
-    labels = np.asarray(labels)
-    if len(labels) != net.node_count:
-        raise ValueError("labels must cover every node")
-    communities, comm = np.unique(labels, return_inverse=True)
-    head_comm = comm[net.heads()]
-    inside = head_comm == comm[net.indices]  # each internal edge twice, once per end
-    internal = np.bincount(head_comm[inside], minlength=len(communities)) // 2
-    degree_sums = np.bincount(comm, weights=net.degrees, minlength=len(communities))
-    return math.fsum((internal / m - (degree_sums / (2.0 * m)) ** 2).tolist())
-
-
 def detect_communities(net: WordNetwork) -> CommunityAssignment:
     """Greedy agglomerative modularity maximization.
 

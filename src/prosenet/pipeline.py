@@ -41,7 +41,7 @@ from .features import (
     select_top_k,
     select_word_list,
 )
-from .graph import WordNetwork, build_network, geodesic_row_bytes, network_to_json
+from .graph import BLOCK_BYTES, WordNetwork, build_network, geodesic_row_bytes, network_to_json
 from .learn import (
     ClassificationReport,
     ClassifierSpec,
@@ -223,17 +223,19 @@ MEASURE_BUDGET = 1 << 30  # bytes one document's measurement may take at its pea
 def measurement_bytes(net: WordNetwork, sources: np.ndarray, h_access: tuple[int, ...],
                       ag_rows: bool = False) -> int:
     """Estimated peak bytes of measuring ``net`` and walking from
-    ``sources``: the int32 distances from every node, the eigendecomposition
-    behind an all-node ``Ag`` (about five float64 n x n arrays; none when
-    ``ag_rows`` takes ``Ag`` at the sources by Taylor rows) and the largest
-    single row of any batched kernel, which a block exceeds only when that
-    row is a block alone."""
+    ``sources``, an upper bound on the ``tracemalloc`` peak of
+    ``measure_document``: the int32 distances from every node, clustering's
+    bool adjacency, the eigendecomposition behind an all-node ``Ag`` (about
+    five float64 n x n arrays; none when ``ag_rows`` takes ``Ag`` at the
+    sources by Taylor rows), one block of a batched kernel (``BLOCK_BYTES``)
+    and the largest single row of any such kernel, as a row over the budget
+    forms a block alone."""
     n = net.node_count
     rows = [geodesic_row_bytes(net), clustering_row_bytes(net), ENTROPY_CELL_BYTES * n,
             merged_row_bytes(net), saw_row_bytes(net, sources, max(h_access)).max(initial=0)]
     if ag_rows:
         rows.append(taylor_row_bytes(net))
-    return 4 * n * n + (0 if ag_rows else 5 * 8 * n * n) + int(max(rows))
+    return 5 * n * n + (0 if ag_rows else 5 * 8 * n * n) + BLOCK_BYTES + int(max(rows))
 
 
 def _ag_at_sources(cfg: RunConfig) -> bool:

@@ -30,6 +30,9 @@ greedy community search that re-pushes stale heap entries are what the
 numpy kernels replaced, kept to show the replacements give identical
 results. The network builder that collected token pairs in a Python set,
 and the edge list read one node at a time, do the same for the CSR builder.
+Modularity has two forms here and none in the package, which reports only
+the greedy search's own Q: the vectorised one over the CSR edges that the
+package once held, and the pairwise sum it is checked against.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from scipy import sparse
 from scipy.linalg import expm as scipy_expm
 from scipy.sparse import csgraph
 
-from prosenet import ConvergenceError
+from prosenet import ConvergenceError, ProsenetError
 from prosenet.features import FeatureMatrix
 from prosenet.graph import (GeodesicLevel, WordNetwork, _csr, bfs_distances,
                             largest_component_nodes)
@@ -372,6 +375,23 @@ def transition_probabilities(net: WordNetwork) -> np.ndarray:
     """Dense P_ij = a_ij / k_i; an isolated node keeps an all-zero row."""
     k = net.degrees.astype(np.float64)
     return net.adjacency() / np.where(k == 0, 1.0, k)[:, None]
+
+
+def modularity(net: WordNetwork, labels: np.ndarray) -> float:
+    """Literal modularity of a partition: intra-edge excess over chance,
+    vectorised over the CSR edges."""
+    m = net.edge_count
+    if m == 0:
+        raise ProsenetError("modularity is undefined on an edgeless network")
+    labels = np.asarray(labels)
+    if len(labels) != net.node_count:
+        raise ValueError("labels must cover every node")
+    communities, comm = np.unique(labels, return_inverse=True)
+    head_comm = comm[net.heads()]
+    inside = head_comm == comm[net.indices]  # each internal edge twice, once per end
+    internal = np.bincount(head_comm[inside], minlength=len(communities)) // 2
+    degree_sums = np.bincount(comm, weights=net.degrees, minlength=len(communities))
+    return math.fsum((internal / m - (degree_sums / (2.0 * m)) ** 2).tolist())
 
 
 def oracle_modularity(n: int, edges: set[tuple[int, int]], labels) -> float:

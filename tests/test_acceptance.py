@@ -20,6 +20,7 @@ from oracles import (
     adjacency,
     backbone_transform,
     merged_transform,
+    modularity,
     net_from_edges,
     oracle_betweenness,
     oracle_clustering,
@@ -49,7 +50,6 @@ from prosenet.metrics import (
     clustering,
     detect_communities,
     eccentricity,
-    modularity,
     neighborhood_connectivity,
 )
 from prosenet.pipeline import RunConfig, cmd_baselines, cmd_classify

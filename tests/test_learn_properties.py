@@ -114,21 +114,39 @@ ORDER_SENSITIVE = (
 
 
 # K 2, blocks of 4 subsets, rows in equal pairs. On feature 0 (or 2) rows 2-5
-# tie four ways at the nearest radius, so their lanes are done at the
-# minimum, while rows 0 and 1 see one neighbour there and are left short;
-# on feature 1 every lane is short. A short lane read at the wrong [s, i],
-# not voted again, or a done lane sorted in its place scores otherwise.
-SHORT_LANES = (
+# tie four ways at the nearest radius, so it is also their K-th radius, while
+# rows 0 and 1 see one neighbour there and vote within a wider one; on
+# feature 1 every lane does. A K-th radius written to the wrong [s, i], or a
+# vote at the nearest radius, scores otherwise.
+WIDER_RADII = (
     np.array([[2, 3, -3], [2, 3, -3], [-2, 2, 3], [-2, 2, 3], [-2, -1, 3], [-2, -1, 3]],
              dtype=np.float64),
     np.array([0, 0, 1, 1, 1, 1]), 2, 4 * 6 * 6,
+)
+
+# one class: no class-1 rows, so each lane's class-1 nearest distance is the
+# minimum over none, +inf
+ONE_CLASS = (
+    np.array([[0, 1], [2, -1], [3, 0.5], [2.5, 0]]), np.zeros(4, dtype=np.int64), 1, 1 << 16,
+)
+
+# K 1: row 0's nearest distance, 1, is one class-0 and two class-1 neighbours,
+# an exact tie across the classes that only a count of both decides
+CROSS_CLASS_TIE = (np.array([[0.0], [1.0], [-1.0], [1.0]]), np.array([1, 0, 1, 1]), 1, 1 << 16)
+
+# K 5 on 4 rows: K is clamped to the 3 neighbours each fold has
+K_OVER_N = (
+    np.array([[0, 1], [2, -1], [3, 0.5], [2.5, 0]]), np.array([0, 1, 1, 0]), 5, 1 << 16,
 )
 
 
 @PROPERTY
 @given(sweep_cases())
 @example(ORDER_SENSITIVE)
-@example(SHORT_LANES)
+@example(WIDER_RADII)
+@example(ONE_CLASS)
+@example(CROSS_CLASS_TIE)
+@example(K_OVER_N)
 def test_sweep_matches_per_subset_reference(case):
     x, y01, k, block_cells = case
     got = _knn_subset_accuracies(x, y01, k, block_cells)

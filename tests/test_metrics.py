@@ -9,6 +9,7 @@ from conftest import make_doc, networks
 from oracles import (
     adjacency,
     loop_edges,
+    modularity,
     net_from_edges,
     oracle_betweenness,
     oracle_clustering,
@@ -27,7 +28,6 @@ from prosenet.metrics import (
     detect_communities,
     eccentricity,
     eigenvector_centrality,
-    modularity,
     neighborhood_connectivity,
     pagerank,
 )

@@ -4,6 +4,7 @@ import json
 import shutil
 import tempfile
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -601,7 +602,43 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
+@st.composite
+def hub_docs(draw):
+    """Documents in which every other token is one of a few hubs, so each hub
+    node neighbours up to a few hundred spokes."""
+    hubs = draw(st.integers(1, 3))
+    spokes = draw(st.integers(2, 300))
+    order = draw(st.lists(st.integers(0, hubs - 1), min_size=spokes, max_size=2 * spokes))
+    return make_doc([tok for i, h in enumerate(order) for tok in (f"h{h}", f"s{i % spokes}")])
+
+
+def estimate_and_peak(doc, strategy: str) -> tuple[int, int]:
+    """``measurement_bytes`` of ``doc`` under ``strategy`` and the
+    ``tracemalloc`` peak of measuring it, walked from every node under GS
+    and from its 50 commonest words under LS and LSS."""
+    cfg = RunConfig(strategy=strategy)
+    counts = Counter(doc.tokens)
+    words = None if strategy == "GS" else sorted(counts, key=lambda w: (-counts[w], w))[:50]
+    net = build_network(doc)
+    sources = np.flatnonzero(pipeline._source_mask(net.node_labels, words))
+    need = pipeline.measurement_bytes(net, sources, cfg.h_access, pipeline._ag_at_sources(cfg))
+    _, peak = traced_peak(lambda: measure_document(doc, cfg, words))
+    return need, peak
+
+
 class TestMeasurementMemory:
+    @pytest.mark.parametrize("strategy", pipeline.STRATEGIES)
+    @pytest.mark.parametrize("tokens", [300, 2000])
+    def test_peak_stays_within_the_estimate(self, tokens, strategy):
+        need, peak = estimate_and_peak(zipf_doc(tokens), strategy)
+        assert peak <= need
+
+    @settings(max_examples=12, deadline=None)
+    @given(hub_docs(), st.sampled_from(pipeline.STRATEGIES))
+    def test_hub_network_peak_stays_within_the_estimate(self, doc, strategy):
+        need, peak = estimate_and_peak(doc, strategy)
+        assert peak <= need
+
     def test_blocked_pass_stays_within_its_budget(self):
         net = build_network(zipf_doc(3000))
         n = net.node_count
@@ -662,7 +699,8 @@ class TestMeasurementMemory:
         cfg = RunConfig(strategy="GS", h_access=(2, 3, 4))  # Ag by the n x n eigh
         largest = saw_row_bytes(net, np.arange(net.node_count), 4).max()
         need = pipeline.measurement_bytes(net, np.arange(net.node_count), cfg.h_access)
-        assert need == 44 * net.node_count**2 + largest  # the SAW row is the largest
+        # the SAW row is the largest
+        assert need == 45 * net.node_count**2 + graph.BLOCK_BYTES + largest
         monkeypatch.setattr(pipeline, "MEASURE_BUDGET", need - 1)
 
         def refused():
@@ -692,7 +730,7 @@ class TestMeasurementMemory:
         (tmp_path / "corpus" / "long.txt").write_text(" ".join(words), encoding="utf-8")
         with_long = tmp_path / "corpus" / "with_long.tsv"
         with_long.write_text(manifest.read_text() + "long\tinformative\tlong.txt\n")
-        monkeypatch.setattr(pipeline, "MEASURE_BUDGET", 44 * 300**2)
+        monkeypatch.setattr(pipeline, "MEASURE_BUDGET", 45 * 300**2 + graph.BLOCK_BYTES)
 
         def measure(path, out):
             return cmd_measure(RunConfig(manifest=str(path), strategy="GS", out=str(out)))
