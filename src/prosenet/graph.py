@@ -66,12 +66,6 @@ class WordNetwork:
         """The head node of each CSR entry: edge e runs heads()[e] -> indices[e]."""
         return np.repeat(np.arange(self.node_count, dtype=np.int64), self.degrees)
 
-    def adjacency(self) -> np.ndarray:
-        """Dense boolean adjacency matrix."""
-        adj = np.zeros((self.node_count, self.node_count), dtype=bool)
-        adj[self.heads(), self.indices] = True
-        return adj
-
 
 def unique_codes(codes: np.ndarray) -> np.ndarray:
     """The distinct values of non-negative integer ``codes``, ascending.

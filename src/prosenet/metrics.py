@@ -14,8 +14,9 @@ for closeness, eccentricity and neighbourhood counts, with Brandes
 accumulation over each block's geodesic edges; the iterative centralities
 multiply by the adjacency with ``np.bincount`` (each row summed in ascending
 neighbour order, as a CSR product sums it), and clustering counts common
-neighbours by intersecting boolean adjacency rows. Eigenvector centrality is
-``leading_eigenvector``: power iteration on the shifted operator A + I.
+neighbours by looking each candidate up among the sorted CSR entries.
+Eigenvector centrality is ``leading_eigenvector``: power iteration on the
+shifted operator A + I.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ConvergenceError, ProsenetError
-from .graph import (GeodesicLevel, WordNetwork, bfs_distances, geodesic_row_bytes,
+from .graph import (GeodesicLevel, WordNetwork, _expand, bfs_distances, geodesic_row_bytes,
                     largest_component_nodes, row_blocks)
 
 
@@ -75,21 +76,39 @@ def neighborhood_connectivity(net: WordNetwork, h: int, cumulative: bool = False
     return _full(counts.astype(np.float64))
 
 
-def clustering_row_bytes(net: WordNetwork) -> int:
-    """Bytes ``clustering`` takes per CSR entry: two adjacency rows and their AND."""
-    return 3 * net.node_count
+CANDIDATE_BYTES = 64  # ``clustering`` per looked-up neighbour: ids, code, position, headroom
+
+
+def clustering_row_bytes(net: WordNetwork) -> np.ndarray:
+    """An upper bound on the bytes ``clustering`` takes per CSR entry u -> v:
+    one looked-up candidate per neighbour of the end with fewer neighbours,
+    and one more for the entry's own ids."""
+    k = net.degrees
+    return CANDIDATE_BYTES * (np.minimum(k[net.heads()], k[net.indices]) + 1)
 
 
 def clustering(net: WordNetwork) -> NodeMeasures:
-    """Fraction of connected neighbor pairs; 0 for nodes of degree < 2."""
+    """Fraction of connected neighbor pairs; 0 for nodes of degree < 2.
+
+    The common neighbours of each CSR entry u -> v, in ``row_blocks`` of
+    entries by ``clustering_row_bytes``: each neighbour w of the end with
+    fewer neighbours is looked up, as the code (other end) * n + w, among
+    the CSR entries' codes head * n + tail, which ascend because the rows
+    are sorted. The counts are integers, so no order of summing them moves
+    a bit."""
     n = net.node_count
-    adj = net.adjacency()
-    heads = net.heads()
+    k = net.degrees
+    heads, tails = net.heads(), net.indices.astype(np.int64)
+    codes = heads * n + tails
+    scan = np.where(k[tails] < k[heads], tails, heads)
+    other = heads + tails - scan
     common = np.zeros(len(heads), dtype=np.int64)
-    for part in row_blocks(np.full(len(heads), clustering_row_bytes(net))):
-        common[part] = (adj[heads[part]] & adj[net.indices[part]]).sum(axis=1)
+    for part in row_blocks(clustering_row_bytes(net)):
+        _, query = _expand(other[part] * n + scan[part], n, net.indptr, net.indices, k)
+        found = codes.take(np.searchsorted(codes, query), mode="clip") == query
+        deg = k[scan[part]]
+        common[part] = np.add.reduceat(found, np.cumsum(deg) - deg, dtype=np.int64)
     triangles = np.bincount(heads, weights=common, minlength=n) / 2.0
-    k = net.degrees.astype(np.float64)
     pairs = k * (k - 1.0) / 2.0
     cc = np.divide(triangles, pairs, out=np.zeros_like(triangles), where=pairs > 0)
     return _full(cc)

@@ -41,7 +41,8 @@ from .features import (
     select_top_k,
     select_word_list,
 )
-from .graph import BLOCK_BYTES, WordNetwork, build_network, geodesic_row_bytes, network_to_json
+from . import graph
+from .graph import WordNetwork, build_network, geodesic_row_bytes, network_to_json
 from .learn import (
     ClassificationReport,
     ClassifierSpec,
@@ -218,32 +219,32 @@ def config_from_sources(file_values: dict, overrides: dict) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 MEASURE_BUDGET = 1 << 30  # bytes one document's measurement may take at its peak
+# per node, what ``measure_document`` holds until it returns: about 20
+# measures of 9 bytes (float64 values and a bool mask), the node labels and
+# the word frequencies, with headroom
+NODE_OUTPUT_BYTES = 512
 
 
-def measurement_bytes(net: WordNetwork, sources: np.ndarray, h_access: tuple[int, ...],
-                      ag_rows: bool = False) -> int:
+def measurement_bytes(net: WordNetwork, sources: np.ndarray, h_access: tuple[int, ...]) -> int:
     """Estimated peak bytes of measuring ``net`` and walking from
     ``sources``, an upper bound on the ``tracemalloc`` peak of
-    ``measure_document``: the int32 distances from every node, clustering's
-    bool adjacency, the eigendecomposition behind an all-node ``Ag`` (about
-    five float64 n x n arrays; none when ``ag_rows`` takes ``Ag`` at the
-    sources by Taylor rows), one block of a batched kernel (``BLOCK_BYTES``)
+    ``measure_document``: the int32 distances from every node, the per-node
+    outputs (``NODE_OUTPUT_BYTES``), one block of a batched kernel
+    (``graph.BLOCK_BYTES``, read when called, as ``row_blocks`` reads it)
     and the largest single row of any such kernel, as a row over the budget
     forms a block alone."""
     n = net.node_count
-    rows = [geodesic_row_bytes(net), clustering_row_bytes(net), ENTROPY_CELL_BYTES * n,
-            merged_row_bytes(net), saw_row_bytes(net, sources, max(h_access)).max(initial=0)]
-    if ag_rows:
-        rows.append(taylor_row_bytes(net))
-    return 5 * n * n + (0 if ag_rows else 5 * 8 * n * n) + BLOCK_BYTES + int(max(rows))
+    rows = [geodesic_row_bytes(net), clustering_row_bytes(net).max(initial=0),
+            ENTROPY_CELL_BYTES * n, merged_row_bytes(net), taylor_row_bytes(net),
+            saw_row_bytes(net, sources, max(h_access)).max(initial=0)]
+    return 4 * n * n + NODE_OUTPUT_BYTES * n + graph.BLOCK_BYTES + int(max(rows))
 
 
 def _ag_at_sources(cfg: RunConfig) -> bool:
-    """Whether ``Ag`` is a walk measure, taken at the walk sources only, by
-    the Taylor rows of exp(P): on LSS networks, which keep stopwords, so no
-    GS or LS entry ever holds one. GS and LS share entries and keep the
-    all-node eigendecomposition, so a cached value never depends on which
-    command made its entry."""
+    """Whether ``Ag`` is a walk measure, taken at the walk sources only: on
+    LSS networks, which keep stopwords, so no GS or LS entry ever holds one.
+    GS and LS share entries and take ``Ag`` at every node, so a cached value
+    never depends on which command made its entry."""
     return cfg.strategy == "LSS"
 
 
@@ -263,7 +264,7 @@ def measure_document(doc: Document, cfg: RunConfig, walk_sources: list[str] | No
     n = net.node_count
     requested = _source_mask(net.node_labels, walk_sources)
     sources = np.flatnonzero(requested)
-    need = measurement_bytes(net, sources, cfg.h_access, _ag_at_sources(cfg))
+    need = measurement_bytes(net, sources, cfg.h_access)
     if need > MEASURE_BUDGET:
         raise CostGuardError(
             f"document {doc.id!r}: measuring its {n}-node network needs about "
@@ -383,9 +384,10 @@ def _dictionary_digest(dictionary: LemmaDictionary) -> str:
 
 
 # measure values as base64 of little-endian float64, missing masks as
-# base64 of one byte per node, Q absent when not measured, and LSS Ag at the
-# walk sources by Taylor rows; part of the key, so other layouts miss
-CACHE_LAYOUT = "b64-f8le/lss-ag-rows"
+# base64 of one byte per node, Q absent when not measured, and every Ag from
+# the Taylor rows of exp(P), LSS's at the walk sources only; part of the key,
+# so other layouts miss
+CACHE_LAYOUT = "b64-f8le/ag-taylor-rows"
 
 
 def _measure_cache_key(raw_text: str, cfg: RunConfig, dictionary_digest: str,

@@ -20,24 +20,12 @@ group into one node and keeps each outward super-edge once.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .graph import (WordNetwork, bfs_distances, component_labels, min_labels, row_blocks,
-                    unique_codes)
+from .graph import WordNetwork, bfs_distances, min_labels, row_blocks, unique_codes
 from .metrics import NodeMeasures
 
 DEFAULT_DEPTH_CAP = 4
-
-
-@dataclass
-class TransitionMatrix:
-    """The normalized exponential of the uniform-neighbor transition matrix."""
-
-    walk_mixture: np.ndarray = field(repr=False)
-    row_sum_error: float = 0.0
 
 
 def _saw_levels(net: WordNetwork, sources: np.ndarray, h_max: int) -> list[np.ndarray]:
@@ -156,74 +144,26 @@ def accessibility_batch(
     return out
 
 
-def expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a symmetric matrix, from its eigendecomposition."""
-    w, v = np.linalg.eigh(a)
-    return (v * np.exp(w)) @ v.T
-
-
-def transition_matrix(net: WordNetwork) -> TransitionMatrix:
-    """The normalized exponential exp(P)/e of P_ij = a_ij / k_i.
-
-    P = D^-1 A is similar to the symmetric S = D^-1/2 A D^-1/2, so exp(P) is
-    D^-1/2 exp(S) D^1/2 with exp(S) from ``expm``. It is taken one connected
-    component at a time: exp(P) is zero between components, and an
-    eigenbasis shared by several components would leave rounding noise
-    there. Rows of exp(P) sum to e for row-stochastic P; the realized
-    deviation is recorded in ``row_sum_error`` and rows are renormalized
-    afterwards so the entropy in the generalized accessibility is taken over
-    a distribution. Isolated nodes (an all-zero row of P) are left out of
-    that deviation.
-    """
-    n = net.node_count
-    k = net.degrees.astype(np.float64)
-    isolated = k == 0
-    kguard = np.where(isolated, 1.0, k)
-    root = np.sqrt(kguard)
-    adj = net.adjacency()
-    labels = component_labels(net)
-    order = np.argsort(labels, kind="stable")
-    comps = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
-    # a connected network's exponential is the whole of exp(P): no copy
-    w = None if len(comps) == 1 else np.zeros((n, n), dtype=np.float64)
-    for comp in comps:
-        block = np.ix_(comp, comp)
-        r = root[comp]
-        sym = adj[block].astype(np.float64)
-        sym /= r[:, None]
-        sym /= r[None, :]
-        sym = expm(sym)
-        sym /= r[:, None]
-        sym *= r[None, :]
-        if w is None:
-            w = sym
-        else:
-            w[block] = sym
-    sums = w.sum(axis=1)
-    err = float(np.abs(sums[~isolated] - math.e).max()) if (~isolated).any() else 0.0
-    w /= sums[:, None]
-    return TransitionMatrix(w, err)
-
-
 TAYLOR_TERMS = 18  # K: for a stochastic P the tail sum of 1/k! over k > K is below 3e-17
 
 
 def taylor_row_bytes(net: WordNetwork) -> int:
-    """An upper bound on one row's bytes in a block of ``generalized_accessibility``
-    at given rows: per CSR entry, the flat head and tail ids and the mass
-    carried along the edge; per node, the sum, the term, its share per
-    neighbour, the next term, the copy ``exclude_self`` takes and the entropy
-    cells."""
+    """An upper bound on one row's bytes in a block of
+    ``generalized_accessibility``: per CSR entry, the flat head and tail ids
+    and the mass carried along the edge; per node, the sum, the term, its
+    share per neighbour, the next term, the temporaries of ``exclude_self``
+    and the entropy cells."""
     return 24 * len(net.indices) + (40 + ENTROPY_CELL_BYTES) * net.node_count
 
 
-def _taylor_mixture_rows(net: WordNetwork, nodes: np.ndarray) -> np.ndarray:
+def expm(net: WordNetwork, nodes: np.ndarray) -> np.ndarray:
     """Rows ``nodes`` of exp(P), P_vw = a_vw / k_v, as the sum of
     e_i^T P^k / k! for k = 0..TAYLOR_TERMS (Moler & Van Loan, SIAM Rev. 2003).
 
     Each step is one ``np.bincount`` over the CSR edges of every row of the
     block (row i's copy of node v is i*n + v), which adds each cell's
-    contributions in CSR order whatever rows share the block. A walk never
+    contributions in CSR order whatever rows share the block; no BLAS call
+    is made, so the bits do not depend on its thread count. A walk never
     leaves its component, and an isolated node's row stays e_i."""
     n = net.node_count
     copies = np.arange(len(nodes), dtype=np.int64)[:, None] * n
@@ -242,48 +182,32 @@ def _taylor_mixture_rows(net: WordNetwork, nodes: np.ndarray) -> np.ndarray:
     return total
 
 
-def _mixture_entropies(mixture: np.ndarray, nodes: np.ndarray, exclude_self: bool) -> np.ndarray:
-    """Ag of the normalized walk-mixture rows of ``nodes``. With
-    ``exclude_self`` each row drops its own node and is renormalized; a row
-    left without mass gets 0."""
-    if exclude_self:
-        mixture = mixture.copy()
-        mixture[np.arange(len(nodes)), nodes] = 0.0
-        sums = mixture.sum(axis=1)
-        good = sums > 0
-        mixture[good] /= sums[good, None]
-        mixture[~good] = 0.0
-    return _exp_entropy_rows(mixture)
-
-
-def generalized_accessibility(
-    net: WordNetwork,
-    exclude_self: bool = False,
-    tm: TransitionMatrix | None = None,
-    rows: np.ndarray | None = None,
-):
+def generalized_accessibility(net: WordNetwork, exclude_self: bool = False,
+                              rows: np.ndarray | None = None) -> NodeMeasures:
     """Per-node exp-entropy of the walk-mixture rows (all walk lengths at once).
 
-    Without ``rows`` every node's row comes from ``tm`` (``transition_matrix``
-    when None). With ``rows``, only those nodes are measured, each row of
-    exp(P) by its truncated Taylor series in ``row_blocks`` of
-    ``taylor_row_bytes``, and the other nodes are missing; a row's bits do
-    not depend on which rows share its block."""
+    Only the nodes ``rows`` are measured (every node when None) and the
+    others are missing. Each row of exp(P) comes from ``expm`` in
+    ``row_blocks`` of ``taylor_row_bytes`` and is normalized to sum 1. With
+    ``exclude_self`` each row then drops its own node and is renormalized; a
+    row left without mass gets 0. A row's bits do not depend on which rows
+    share its block."""
     n = net.node_count
-    if rows is None:
-        if tm is None:
-            tm = transition_matrix(net)
-        everyone = np.arange(n)
-        return NodeMeasures(_mixture_entropies(tm.walk_mixture, everyone, exclude_self),
-                            np.zeros(n, dtype=bool))
-    rows = np.asarray(rows, dtype=np.int64)
+    rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.int64)
     values = np.zeros(n, dtype=np.float64)
     missing = np.ones(n, dtype=bool)
     missing[rows] = False
     for part in row_blocks(np.full(len(rows), taylor_row_bytes(net))):
-        mixture = _taylor_mixture_rows(net, rows[part])
+        nodes = rows[part]
+        mixture = expm(net, nodes)
         mixture /= mixture.sum(axis=1)[:, None]
-        values[rows[part]] = _mixture_entropies(mixture, rows[part], exclude_self)
+        if exclude_self:
+            mixture[np.arange(len(nodes)), nodes] = 0.0
+            sums = mixture.sum(axis=1)
+            good = sums > 0
+            mixture[good] /= sums[good, None]
+            mixture[~good] = 0.0
+        values[nodes] = _exp_entropy_rows(mixture)
     return NodeMeasures(values, missing)
 
 

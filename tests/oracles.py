@@ -25,10 +25,10 @@ package's own slow paths, built on its BFS and on its earlier SAW enumerator
 serve as references for the batch kernels, as does the backbone walk over
 the BFS's geodesic levels that the one concentric-walk kernel replaced.
 The scipy kernels (sparse-product BFS, Brandes betweenness, clustering,
-eigenvector, PageRank, component labels, ``scipy.linalg.expm``) and the
-greedy community search that re-pushes stale heap entries are what the
-numpy kernels replaced, kept to show the replacements give identical
-results. The network builder that collected token pairs in a Python set,
+eigenvector, PageRank, component labels, ``scipy.linalg.expm`` and ``Ag``
+from its rows) and the greedy community search that re-pushes stale heap
+entries are what the numpy kernels replaced, kept to show the replacements
+give identical results, or, for ``Ag``, results within a stated tolerance. The network builder that collected token pairs in a Python set,
 and the edge list read one node at a time, do the same for the CSR builder.
 Modularity has two forms here and none in the package, which reports only
 the greedy search's own Q: the vectorised one over the CSR edges that the
@@ -40,7 +40,7 @@ from __future__ import annotations
 import heapq
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -55,7 +55,7 @@ from prosenet.graph import (GeodesicLevel, WordNetwork, _csr, bfs_distances,
 from prosenet.learn import RelevanceReport, _CartNode
 from prosenet.metrics import (CommunityAssignment, NodeMeasures, _full, _on_component,
                               leading_eigenvector)
-from prosenet.walks import DEFAULT_DEPTH_CAP, TransitionMatrix
+from prosenet.walks import DEFAULT_DEPTH_CAP
 
 
 def csr_from_edges(n: int, pairs: set[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -371,10 +371,17 @@ def oracle_taylor_expm(p: np.ndarray, terms: int = 60) -> np.ndarray:
     return out
 
 
+def dense_adjacency(net: WordNetwork) -> np.ndarray:
+    """Dense boolean adjacency matrix."""
+    adj = np.zeros((net.node_count, net.node_count), dtype=bool)
+    adj[net.heads(), net.indices] = True
+    return adj
+
+
 def transition_probabilities(net: WordNetwork) -> np.ndarray:
     """Dense P_ij = a_ij / k_i; an isolated node keeps an all-zero row."""
     k = net.degrees.astype(np.float64)
-    return net.adjacency() / np.where(k == 0, 1.0, k)[:, None]
+    return dense_adjacency(net) / np.where(k == 0, 1.0, k)[:, None]
 
 
 def modularity(net: WordNetwork, labels: np.ndarray) -> float:
@@ -1174,13 +1181,36 @@ def scipy_pagerank(net: WordNetwork, alpha: float = 0.85, tol: float = 1e-12,
     return _on_component(net, comp, pr)
 
 
+@dataclass
+class TransitionMatrix:
+    """The normalized exponential of the uniform-neighbor transition matrix."""
+
+    walk_mixture: np.ndarray = field(repr=False)
+
+
 def scipy_transition_matrix(net: WordNetwork) -> TransitionMatrix:
     """exp(P)/row-sum of P = D^-1 A with ``scipy.linalg.expm`` on P itself."""
-    isolated = net.degrees == 0
     w = scipy_expm(transition_probabilities(net))
-    sums = w.sum(axis=1)
-    err = float(np.abs(sums[~isolated] - math.e).max()) if (~isolated).any() else 0.0
-    return TransitionMatrix(w / sums[:, None], err)
+    return TransitionMatrix(w / w.sum(axis=1)[:, None])
+
+
+def oracle_ag(tm: TransitionMatrix, exclude_self: bool) -> np.ndarray:
+    """Ag of every node from ``tm``'s rows, one row at a time: exp of the
+    Shannon entropy of the row's positive cells, the row first dropping its
+    own node and renormalized when ``exclude_self``; 0 for a row left
+    without mass."""
+    out = np.zeros(len(tm.walk_mixture))
+    for i, row in enumerate(tm.walk_mixture):
+        if exclude_self:
+            row = row.copy()
+            row[i] = 0.0
+            total = row.sum()
+            if total <= 0:
+                continue
+            row /= total
+        p = row[row > 0]
+        out[i] = math.exp(-float(np.sum(p * np.log(p)))) if len(p) else 0.0
+    return out
 
 
 def repush_detect_communities(net: WordNetwork) -> CommunityAssignment:

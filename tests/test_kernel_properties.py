@@ -8,10 +8,10 @@ communities must be identical, and so must the distances and betweenness
 of the blocked geodesic pass for every block size, which ``row_blocks`` cuts
 greedily within the budget, and the backbone symmetry of the one
 concentric-walk kernel and of the walk over the BFS's geodesic levels that it
-replaced, for any budget; ``Ag``, now from a symmetric eigendecomposition
-instead of ``scipy.linalg.expm``, within 1e-12 relative, and ``Ag`` at given
-rows, from the truncated Taylor series of exp(P), within 1e-13 relative (its
-normalized rows within 1e-14 absolute).
+replaced, for any budget; ``Ag`` from the truncated Taylor series of exp(P)
+instead of ``scipy.linalg.expm``, within 1e-12 relative at every node and
+within 1e-13 relative at given rows (the normalized rows within 1e-14
+absolute).
 """
 
 import numpy as np
@@ -23,6 +23,7 @@ from conftest import networks, zipf_doc
 from oracles import (
     levels_backbone_symmetry,
     net_from_edges,
+    oracle_ag,
     repush_detect_communities,
     scipy_betweenness,
     scipy_bfs_distances,
@@ -48,8 +49,8 @@ from prosenet.metrics import (
     pagerank,
 )
 from prosenet.walks import (
-    _taylor_mixture_rows,
     backbone_symmetry_batch,
+    expm,
     generalized_accessibility,
     merged_row_bytes,
 )
@@ -149,6 +150,9 @@ def test_betweenness_matches_level_synchronous_brandes(net):
 @given(networks)
 def test_clustering_and_centralities_match_sparse_products(net):
     same_measure(clustering(net), scipy_clustering(net))
+    with pytest.MonkeyPatch.context() as patch:  # one CSR entry per block
+        patch.setattr(graph, "BLOCK_BYTES", 0)
+        same_measure(clustering(net), scipy_clustering(net))
     same_measure(eigenvector_centrality(net), scipy_eigenvector_centrality(net))
     for alpha in (0.5, 0.85):
         same_measure(pagerank(net, alpha), scipy_pagerank(net, alpha))
@@ -170,9 +174,10 @@ def test_communities_match_the_repushing_search(net):
 def test_ag_within_1e12_of_scipy_expm(net):
     oracle = scipy_transition_matrix(net)
     for exclude_self in (False, True):
-        got = generalized_accessibility(net, exclude_self).values
-        want = generalized_accessibility(net, exclude_self, tm=oracle).values
-        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+        got = generalized_accessibility(net, exclude_self)
+        want = oracle_ag(oracle, exclude_self)
+        assert not got.missing.any()
+        assert np.all(np.abs(got.values - want) <= 1e-12 * np.abs(want))
 
 
 @PROPERTY
@@ -181,12 +186,12 @@ def test_ag_rows_by_taylor_within_1e13_of_scipy_expm(net, data):
     n = net.node_count
     rows = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1)))), dtype=np.int64)
     oracle = scipy_transition_matrix(net)
-    mixture = _taylor_mixture_rows(net, rows)
+    mixture = expm(net, rows)
     mixture /= mixture.sum(axis=1)[:, None]
     assert np.all(np.abs(mixture - oracle.walk_mixture[rows]) <= 1e-14)
     for exclude_self in (False, True):
         got = generalized_accessibility(net, exclude_self, rows=rows)
-        want = generalized_accessibility(net, exclude_self, tm=oracle).values[rows]
+        want = oracle_ag(oracle, exclude_self)[rows]
         assert np.array_equal(np.flatnonzero(~got.missing), rows)
         assert not got.values[got.missing].any()
         assert np.all(np.abs(got.values[rows] - want) <= 1e-13 * np.abs(want))

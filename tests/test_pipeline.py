@@ -1,7 +1,10 @@
 import dataclasses
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from collections import Counter
@@ -39,7 +42,13 @@ from prosenet.walks import (
     merged_row_bytes,
     merged_symmetry_batch,
     saw_row_bytes,
+    taylor_row_bytes,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from corpus_gen import write_corpus  # noqa: E402
 
 
 class TestConfig:
@@ -397,19 +406,22 @@ class TestRequestedParts:
             assert len(calls) == 4
             calls.clear()
 
-    def test_lss_estimate_drops_the_eigendecomposition(self, monkeypatch):
+    def test_one_estimate_for_every_strategy(self, monkeypatch):
+        """Every strategy takes ``Ag`` from the same Taylor rows, so one
+        estimate serves them all: one byte less refuses the document and the
+        estimate itself admits it, walked and with ``Ag`` at every node."""
         doc = zipf_doc(500, words=400)
         net = build_network(doc)
-        n, everyone = net.node_count, np.arange(net.node_count)
-        gs = pipeline.measurement_bytes(net, everyone, (2, 3))
-        lss = pipeline.measurement_bytes(net, everyone, (2, 3), ag_rows=True)
-        assert gs - lss == 40 * n * n
-        monkeypatch.setattr(pipeline, "MEASURE_BUDGET", lss - 1)
-        with pytest.raises(CostGuardError, match=f"{n}-node network"):
-            measure_document(doc, RunConfig(strategy="LSS", h_access=(2, 3)), None)
-        monkeypatch.setattr(pipeline, "MEASURE_BUDGET", lss)
-        dm = measure_document(doc, RunConfig(strategy="LSS", h_access=(2, 3)), None)
-        assert not dm.measures["Ag"].missing.any()
+        n = net.node_count
+        need = pipeline.measurement_bytes(net, np.arange(n), (2, 3))
+        for strategy in pipeline.STRATEGIES:
+            cfg = RunConfig(strategy=strategy, h_access=(2, 3))
+            monkeypatch.setattr(pipeline, "MEASURE_BUDGET", need - 1)
+            with pytest.raises(CostGuardError, match=f"{n}-node network"):
+                measure_document(doc, cfg, None)
+            monkeypatch.setattr(pipeline, "MEASURE_BUDGET", need)
+            dm = measure_document(doc, cfg, None)
+            assert not dm.measures["Ag"].missing.any()
 
 
 class TestOneReadPerDocument:
@@ -621,7 +633,7 @@ def estimate_and_peak(doc, strategy: str) -> tuple[int, int]:
     words = None if strategy == "GS" else sorted(counts, key=lambda w: (-counts[w], w))[:50]
     net = build_network(doc)
     sources = np.flatnonzero(pipeline._source_mask(net.node_labels, words))
-    need = pipeline.measurement_bytes(net, sources, cfg.h_access, pipeline._ag_at_sources(cfg))
+    need = pipeline.measurement_bytes(net, sources, cfg.h_access)
     _, peak = traced_peak(lambda: measure_document(doc, cfg, words))
     return need, peak
 
@@ -637,6 +649,15 @@ class TestMeasurementMemory:
     @given(hub_docs(), st.sampled_from(pipeline.STRATEGIES))
     def test_hub_network_peak_stays_within_the_estimate(self, doc, strategy):
         need, peak = estimate_and_peak(doc, strategy)
+        assert peak <= need
+
+    @pytest.mark.parametrize("strategy", pipeline.STRATEGIES)
+    def test_peak_stays_within_the_estimate_at_a_64_kib_block(self, strategy, monkeypatch):
+        """With a small block the per-node outputs are no longer hidden by
+        it, and the estimate follows the block the kernels are given."""
+        monkeypatch.setattr(graph, "BLOCK_BYTES", 64 << 10)
+        need, peak = estimate_and_peak(zipf_doc(300), strategy)
+        assert need < 1 << 20
         assert peak <= need
 
     def test_blocked_pass_stays_within_its_budget(self):
@@ -696,11 +717,13 @@ class TestMeasurementMemory:
     def test_walk_sources_over_budget_are_refused_before_the_enumeration(self, monkeypatch):
         doc = zipf_doc(500, words=400)
         net = build_network(doc)
-        cfg = RunConfig(strategy="GS", h_access=(2, 3, 4))  # Ag by the n x n eigh
-        largest = saw_row_bytes(net, np.arange(net.node_count), 4).max()
-        need = pipeline.measurement_bytes(net, np.arange(net.node_count), cfg.h_access)
-        # the SAW row is the largest
-        assert need == 45 * net.node_count**2 + graph.BLOCK_BYTES + largest
+        cfg = RunConfig(strategy="GS", h_access=(2, 3, 4))
+        n = net.node_count
+        largest = saw_row_bytes(net, np.arange(n), 4).max()
+        need = pipeline.measurement_bytes(net, np.arange(n), cfg.h_access)
+        # the SAW row is the largest, over the Taylor row among others
+        assert largest > taylor_row_bytes(net)
+        assert need == 4 * n**2 + pipeline.NODE_OUTPUT_BYTES * n + graph.BLOCK_BYTES + largest
         monkeypatch.setattr(pipeline, "MEASURE_BUDGET", need - 1)
 
         def refused():
@@ -721,7 +744,7 @@ class TestMeasurementMemory:
                 measure_document(doc, RunConfig(), None)
 
         _, peak = traced_peak(refused)
-        assert peak < n * n  # less than the boolean adjacency alone
+        assert peak < n * n  # less than one byte per pair of nodes
 
     def test_refused_document_goes_on_the_failure_list(self, tmp_path, monkeypatch):
         manifest = write_toy_corpus(tmp_path / "corpus", n_per_class=2, tokens=200)
@@ -730,7 +753,10 @@ class TestMeasurementMemory:
         (tmp_path / "corpus" / "long.txt").write_text(" ".join(words), encoding="utf-8")
         with_long = tmp_path / "corpus" / "with_long.tsv"
         with_long.write_text(manifest.read_text() + "long\tinformative\tlong.txt\n")
-        monkeypatch.setattr(pipeline, "MEASURE_BUDGET", 45 * 300**2 + graph.BLOCK_BYTES)
+        # admits the n-squared and per-node terms of 300 nodes: the 400-node
+        # path is refused, the short documents (under 100 nodes) are not
+        monkeypatch.setattr(pipeline, "MEASURE_BUDGET", graph.BLOCK_BYTES + 4 * 300**2
+                            + pipeline.NODE_OUTPUT_BYTES * 300)
 
         def measure(path, out):
             return cmd_measure(RunConfig(manifest=str(path), strategy="GS", out=str(out)))
@@ -1224,3 +1250,29 @@ class TestDeterminism:
         for name in first:
             if not name.startswith("report_"):
                 assert first[name] == serial[name], name
+
+    def test_gs_and_ls_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        """Cold GS and LS ``measure`` and ``classify --classifier all``, each
+        in a fresh interpreter under 1 and under 2 OpenBLAS threads, write the
+        same bytes, cache entries included: every ``Ag`` comes from
+        ``walks.expm``, which calls no BLAS. On these networks (about 200
+        nodes) a LAPACK eigensolver's last bits follow the thread count."""
+        write_corpus(tmp_path / "corpus", 2, 600, 5)
+        manifest = str(tmp_path / "corpus" / "manifest.tsv")
+        commands = [[command, "--manifest", manifest, "--strategy", strategy, "--out", strategy]
+                    + extra for strategy in ("GS", "LS")
+                    for command, extra in (("measure", []), ("classify", ["--classifier", "all"]))]
+        script = f"from prosenet.cli import main\nfor args in {commands!r}:\n    assert main(args) == 0\n"
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        outputs = []
+        for threads in (1, 2):
+            cwd = tmp_path / f"threads{threads}"
+            cwd.mkdir()
+            env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": str(threads)}
+            subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env, check=True,
+                           capture_output=True)
+            outputs.append({p.relative_to(cwd): p.read_bytes()
+                            for p in sorted(cwd.rglob("*")) if p.is_file()})
+        assert outputs[0].keys() == outputs[1].keys()
+        assert len([p for p in outputs[0] if p.parts[1] == "measures"]) == 8
+        assert [str(p) for p in outputs[0] if outputs[0][p] != outputs[1][p]] == []
