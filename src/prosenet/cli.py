@@ -34,7 +34,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--ag-exclude-self", action="store_const", const=True,
                         dest="ag_exclude_self")
     parser.add_argument("--gs-no-walks", action="store_const", const=False,
-                        dest="gs_walks", help="drop walk measures from the global strategy")
+                        dest="gs_walks",
+                        help="drop the walk measures (A, Ag, Sb, Sm) from the global strategy")
     parser.add_argument("--word-list-size", type=int, dest="word_list_size")
     parser.add_argument("--min-doc-fraction", type=float, dest="min_doc_fraction")
     parser.add_argument("--window", type=int, help="adjacency window (default 1)")

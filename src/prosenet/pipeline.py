@@ -223,13 +223,18 @@ MEASURE_BUDGET = 1 << 30  # bytes one document's measurement may take at its pea
 # measures of 9 bytes (float64 values and a bool mask), the node labels and
 # the word frequencies, with headroom
 NODE_OUTPUT_BYTES = 512
+# what ``measure_document`` holds whatever the node count: its objects and
+# array headers, and on a process's first call the interpreter's caches; at
+# most 28 KiB over the other terms at a 1-byte block, with headroom
+DOCUMENT_FIXED_BYTES = 48 << 10
 
 
 def measurement_bytes(net: WordNetwork, sources: np.ndarray, h_access: tuple[int, ...]) -> int:
     """Estimated peak bytes of measuring ``net`` and walking from
     ``sources``, an upper bound on the ``tracemalloc`` peak of
     ``measure_document``: the int32 distances from every node, the per-node
-    outputs (``NODE_OUTPUT_BYTES``), one block of a batched kernel
+    outputs (``NODE_OUTPUT_BYTES``), a fixed per-document term
+    (``DOCUMENT_FIXED_BYTES``), one block of a batched kernel
     (``graph.BLOCK_BYTES``, read when called, as ``row_blocks`` reads it)
     and the largest single row of any such kernel, as a row over the budget
     forms a block alone."""
@@ -237,26 +242,20 @@ def measurement_bytes(net: WordNetwork, sources: np.ndarray, h_access: tuple[int
     rows = [geodesic_row_bytes(net), clustering_row_bytes(net).max(initial=0),
             ENTROPY_CELL_BYTES * n, merged_row_bytes(net), taylor_row_bytes(net),
             saw_row_bytes(net, sources, max(h_access)).max(initial=0)]
-    return 4 * n * n + NODE_OUTPUT_BYTES * n + graph.BLOCK_BYTES + int(max(rows))
-
-
-def _ag_at_sources(cfg: RunConfig) -> bool:
-    """Whether ``Ag`` is a walk measure, taken at the walk sources only: on
-    LSS networks, which keep stopwords, so no GS or LS entry ever holds one.
-    GS and LS share entries and take ``Ag`` at every node, so a cached value
-    never depends on which command made its entry."""
-    return cfg.strategy == "LSS"
+    return (4 * n * n + NODE_OUTPUT_BYTES * n + DOCUMENT_FIXED_BYTES + graph.BLOCK_BYTES
+            + int(max(rows)))
 
 
 def measure_document(doc: Document, cfg: RunConfig, walk_sources: list[str] | None,
                      need_q: bool = True) -> DocumentMeasures:
     """All measures for one document's network.
 
-    ``walk_sources`` limits the expensive walk measures (A, Sb, Sm, and Ag
-    on LSS networks) to the named words; None measures every node and an
-    empty list omits them. ``Q`` is left out (None) unless ``need_q``. One
-    geodesic pass from every node, run by ``betweenness``, feeds every
-    distance-based measure. A network whose estimated peak exceeds
+    ``walk_sources`` limits the expensive walk measures (``_walk_names``: A,
+    Sb, Sm and Ag) to the named words; None measures every node and an empty
+    list omits them. ``Q`` is left out (None) unless ``need_q``. One geodesic
+    pass from every node, run by ``betweenness``, feeds every distance-based
+    measure. No measure reads the strategy, so a cache entry's content
+    follows from what its key names. A network whose estimated peak exceeds
     ``MEASURE_BUDGET`` is refused with ``CostGuardError`` before anything
     n x n is allocated or any walk enumerated.
     """
@@ -286,15 +285,12 @@ def measure_document(doc: Document, cfg: RunConfig, walk_sources: list[str] | No
     acc = accessibility_batch(net, sources, cfg.h_access, dist_block=dist_sources)
     sb = backbone_symmetry_batch(net, sources, cfg.h_symmetry, dist=dist_sources)
     sm = merged_symmetry_batch(net, sources, cfg.h_symmetry, dist=dist_sources)
-    walks = {f"A{h}": acc[:, col] for col, h in enumerate(cfg.h_access)}
-    for col, h in enumerate(cfg.h_symmetry):
-        walks[f"Sb{h}"], walks[f"Sm{h}"] = sb[:, col], sm[:, col]
-    for name, per_source in walks.items():
+    *names, ag = _walk_names(cfg)  # Ag, the last name, has a kernel of its own
+    for name, per_source in zip(names, [*acc.T, *sb.T, *sm.T], strict=True):
         values = np.zeros(n, dtype=np.float64)
         values[sources] = per_source
         dm.measures[name] = NodeMeasures(values, ~requested)
-    if _ag_at_sources(cfg):
-        dm.measures["Ag"] = generalized_accessibility(net, cfg.ag_exclude_self, rows=sources)
+    dm.measures[ag] = generalized_accessibility(net, cfg.ag_exclude_self, rows=sources)
     return dm
 
 
@@ -311,14 +307,13 @@ def _classic_measures(net: WordNetwork, cfg: RunConfig, dist_all: np.ndarray) ->
     measures["E"] = eccentricity(net, dist=dist_all)
     measures["Ec"] = eigenvector_centrality(net)
     measures["Pr"] = pagerank(net, cfg.alpha)
-    if not _ag_at_sources(cfg):
-        measures["Ag"] = generalized_accessibility(net, cfg.ag_exclude_self)
     return measures
 
 
 def _walk_names(cfg: RunConfig) -> list[str]:
+    """The measures taken at the walk sources only, in ``measure_document``'s order."""
     return ([f"A{h}" for h in cfg.h_access] + [f"Sb{h}" for h in cfg.h_symmetry]
-            + [f"Sm{h}" for h in cfg.h_symmetry] + (["Ag"] if _ag_at_sources(cfg) else []))
+            + [f"Sm{h}" for h in cfg.h_symmetry] + ["Ag"])
 
 
 def _source_mask(node_labels: list[str], walk_sources: list[str] | None) -> np.ndarray:
@@ -385,8 +380,9 @@ def _dictionary_digest(dictionary: LemmaDictionary) -> str:
 
 # measure values as base64 of little-endian float64, missing masks as
 # base64 of one byte per node, Q absent when not measured, and every Ag from
-# the Taylor rows of exp(P), LSS's at the walk sources only; part of the key,
-# so other layouts miss
+# the Taylor rows of exp(P); part of the key, so other layouts miss. Ag is
+# taken at the walk sources; a GS or LS entry that holds it at more nodes
+# (as earlier versions stored it at every node) is cut to the request on load
 CACHE_LAYOUT = "b64-f8le/ag-taylor-rows"
 
 

@@ -338,8 +338,9 @@ def count_communities(monkeypatch):
 
 
 class TestRequestedParts:
-    """LSS takes Ag at the word list only and no Q, which no LSS feature
-    reads; GS and LS share entries, which keep Q."""
+    """Every strategy takes Ag at the walk sources, as it takes A, Sb and Sm;
+    LSS takes no Q, which no LSS feature reads; GS and LS share entries,
+    which keep Q."""
 
     @pytest.fixture
     def corpus(self, tmp_path):
@@ -379,10 +380,11 @@ class TestRequestedParts:
         cmd_classify(self.lss(corpus, shared))
         assert calls == [] and communities == []
 
-    def test_lss_measure_writes_ag_at_the_word_list_only(self, corpus, tmp_path):
-        files = self.measure(corpus, tmp_path / "out")
-        for body in files.values():
-            lines = [line.split(",") for line in body.decode().splitlines()[1:]]
+    @pytest.mark.parametrize("strategy", ["LS", "LSS"])
+    def test_lss_measure_writes_ag_at_the_word_list_only(self, strategy, corpus, tmp_path):
+        cfg = dataclasses.replace(self.lss(corpus, tmp_path / "out"), strategy=strategy)
+        for path in cmd_measure(cfg):
+            lines = [line.split(",") for line in path.read_text().splitlines()[1:]]
             walked = {label for _, label, name, cell in lines if name == "A2" and cell}
             ag = {label for _, label, name, cell in lines if name == "Ag" and cell}
             assert ag == walked
@@ -406,10 +408,67 @@ class TestRequestedParts:
             assert len(calls) == 4
             calls.clear()
 
+    @staticmethod
+    def count_ag_rows(monkeypatch):
+        """Rows passed to each ``generalized_accessibility`` call."""
+        counts = []
+        real = pipeline.generalized_accessibility
+
+        def counted(net, exclude_self, rows=None):
+            counts.append(net.node_count if rows is None else len(rows))
+            return real(net, exclude_self, rows=rows)
+
+        monkeypatch.setattr(pipeline, "generalized_accessibility", counted)
+        return counts
+
+    def test_cold_ls_takes_ag_at_the_word_list_only(self, corpus, tmp_path, monkeypatch):
+        rows = self.count_ag_rows(monkeypatch)
+        cmd_classify(RunConfig(manifest=str(corpus), strategy="LS", word_list_size=10,
+                               classifier="knn", out=str(tmp_path / "out")))
+        assert len(rows) == 4 and max(rows) <= 10
+
+    def test_gs_without_walks_takes_no_ag(self, corpus, tmp_path, monkeypatch):
+        rows = self.count_ag_rows(monkeypatch)
+        out = tmp_path / "out"
+        cmd_classify(RunConfig(manifest=str(corpus), strategy="GS", gs_walks=False,
+                               classifier="knn", out=str(out)))
+        assert rows == []
+        ranking = (out / "ranking_GS.csv").read_text()
+        assert "\nmean(Pr)," in ranking and "(Ag)" not in ranking
+
+    def test_an_entry_with_ag_at_every_node_is_cut_to_the_request(self, corpus, tmp_path,
+                                                                  monkeypatch):
+        """Entries that hold walks at the word list and ``Ag`` at every node,
+        as GS and LS stored them when they took ``Ag`` at every node, serve
+        LS ``measure`` as a fresh measure would."""
+        shared = tmp_path / "shared"
+        cfg = dataclasses.replace(self.lss(corpus, shared), strategy="LS")
+        cmd_measure(cfg)
+        dictionary = load_lemma_dictionary()
+        texts = {e.doc_id: e.path.read_text() for e in load_manifest(corpus).entries}
+        for path in sorted((shared / "cache").glob("*.json")):
+            key = json.loads(path.read_text())["key"]
+            dm = pipeline._cache_load(path, key, "")
+            doc = pipeline.preprocess(texts[dm.doc_id], dictionary, False, dm.doc_id)
+            dm.measures["Ag"] = pipeline.generalized_accessibility(build_network(doc), False)
+            assert not dm.measures["Ag"].missing.any() and dm.measures["A2"].missing.any()
+            pipeline._cache_store(path, key, dm)
+        calls = TestSharedMeasureCache.count_calls(monkeypatch)
+        served = {p.name: p.read_bytes() for p in cmd_measure(cfg)}
+        assert calls == []
+        fresh = {p.name: p.read_bytes()
+                 for p in cmd_measure(dataclasses.replace(cfg, out=str(tmp_path / "fresh")))}
+        assert served == fresh
+        for body in served.values():
+            cells = [line.split(",") for line in body.decode().splitlines()[1:]]
+            ag = {label for _, label, name, cell in cells if name == "Ag" and cell}
+            assert ag == {label for _, label, name, cell in cells if name == "A2" and cell}
+
     def test_one_estimate_for_every_strategy(self, monkeypatch):
-        """Every strategy takes ``Ag`` from the same Taylor rows, so one
-        estimate serves them all: one byte less refuses the document and the
-        estimate itself admits it, walked and with ``Ag`` at every node."""
+        """``measure_document`` reads no strategy, and every ``Ag`` comes
+        from the same Taylor rows, so one estimate serves every strategy:
+        one byte less refuses the document and the estimate itself admits
+        it, walked and with ``Ag`` at every node."""
         doc = zipf_doc(500, words=400)
         net = build_network(doc)
         n = net.node_count
@@ -660,6 +719,16 @@ class TestMeasurementMemory:
         assert need < 1 << 20
         assert peak <= need
 
+    @pytest.mark.parametrize("strategy", pipeline.STRATEGIES)
+    @pytest.mark.parametrize("tokens", [100, 300])
+    def test_peak_stays_within_the_estimate_at_a_4_kib_block(self, tokens, strategy,
+                                                             monkeypatch):
+        """With a block this small, what a document holds whatever its node
+        count shows on small networks: 100 tokens give 78 nodes."""
+        monkeypatch.setattr(graph, "BLOCK_BYTES", 4 << 10)
+        need, peak = estimate_and_peak(zipf_doc(tokens), strategy)
+        assert peak <= need
+
     def test_blocked_pass_stays_within_its_budget(self):
         net = build_network(zipf_doc(3000))
         n = net.node_count
@@ -723,7 +792,8 @@ class TestMeasurementMemory:
         need = pipeline.measurement_bytes(net, np.arange(n), cfg.h_access)
         # the SAW row is the largest, over the Taylor row among others
         assert largest > taylor_row_bytes(net)
-        assert need == 4 * n**2 + pipeline.NODE_OUTPUT_BYTES * n + graph.BLOCK_BYTES + largest
+        assert need == (4 * n**2 + pipeline.NODE_OUTPUT_BYTES * n + pipeline.DOCUMENT_FIXED_BYTES
+                        + graph.BLOCK_BYTES + largest)
         monkeypatch.setattr(pipeline, "MEASURE_BUDGET", need - 1)
 
         def refused():
@@ -1250,6 +1320,33 @@ class TestDeterminism:
         for name in first:
             if not name.startswith("report_"):
                 assert first[name] == serial[name], name
+
+    def test_manifest_order_changes_no_output(self, tmp_path):
+        manifest = write_toy_corpus(tmp_path / "corpus", n_per_class=3, tokens=200)
+        lines = manifest.read_text().splitlines(keepends=True)
+        shuffled = tmp_path / "corpus" / "shuffled.tsv"
+        order = np.random.default_rng(1).permutation(len(lines))
+        shuffled.write_text("".join(lines[i] for i in order))
+        assert shuffled.read_text() != manifest.read_text()
+
+        def run(path, out):
+            for strategy in pipeline.STRATEGIES:
+                cmd_classify(RunConfig(manifest=str(path), strategy=strategy, word_list_size=10,
+                                       out=str(out)))
+            cmd_relevance(RunConfig(manifest=str(path), word_list_size=10, phi=3, out=str(out)))
+            cmd_baselines(RunConfig(manifest=str(path), out=str(out)))
+            files = {p.name: p.read_bytes() for p in sorted(out.glob("*.*"))}
+            for name in [name for name in files if name.endswith(".json")]:
+                report = json.loads(files[name])
+                for field in ("out", "manifest", "jobs"):  # the fields that name the run
+                    del report["config"][field]
+                files[name] = report
+            return files
+
+        original = run(manifest, tmp_path / "original")
+        reordered = run(shuffled, tmp_path / "reordered")
+        assert len(original) == 25  # 11 reports, 9 classify, 3 relevance and 2 LSA CSVs
+        assert [name for name in original if original[name] != reordered.get(name)] == []
 
     def test_gs_and_ls_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
         """Cold GS and LS ``measure`` and ``classify --classifier all``, each
