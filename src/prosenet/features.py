@@ -23,6 +23,7 @@ MEASURE_ORDER = [
     "Sb2", "Sb3", "Sb4", "Sm2", "Sm3", "Sm4",
 ]
 GLOBAL_STATS = ["mean", "std", "median", "max", "min"]
+IG_BINS = 10  # equal-frequency bins per column for information gain; read when called
 
 
 @dataclass
@@ -33,7 +34,7 @@ class DocumentMeasures:
     label: str
     node_labels: list[str]
     measures: dict[str, NodeMeasures]
-    modularity_q: float | None  # None when not measured
+    modularity_q: float
     word_frequencies: dict[str, int] = field(default_factory=dict)
 
 
@@ -189,34 +190,34 @@ def frequency_decorrelation_filter(
                       if j not in rho or rho[j] <= rho_max])
 
 
-def _equal_frequency_bins(x: np.ndarray, bins: int = 10) -> np.ndarray:
-    """Discretize each column of x (or a 1-D x) into equal-frequency bins;
-    tied values share a bin.
+def _equal_frequency_bins(x: np.ndarray) -> np.ndarray:
+    """Discretize each column of x (or a 1-D x) into ``IG_BINS``
+    equal-frequency bins; tied values share a bin.
 
     Cut points are order statistics (inverted-CDF quantiles), so the binning
     is invariant under strictly monotone transformations of x. A value's bin
     is the number of cut points at or below it, with NaN above every number
     (the order ``np.sort`` uses).
     """
-    qs = [i / bins for i in range(1, bins)]
+    qs = [i / IG_BINS for i in range(1, IG_BINS)]
     cuts = np.quantile(x, qs, axis=0, method="inverted_cdf")
     return np.count_nonzero((x[None] >= cuts[:, None]) | np.isnan(x)[None], axis=0)
 
 
-def rank_features(fm: FeatureMatrix, bins: int = 10) -> list[tuple[str, float]]:
+def rank_features(fm: FeatureMatrix) -> list[tuple[str, float]]:
     """All columns as (name, information gain) pairs, best first; ties by name.
 
     A column's gain is the plug-in mutual information (bits) between its
-    equal-frequency bins and the label. Every column is binned and counted at
-    once; the (bin, label) terms are added in bin-then-label order, the same
-    for every column, with each log taken by ``math.log2``.
+    ``IG_BINS`` equal-frequency bins and the label. Every column is binned
+    and counted at once; the (bin, label) terms are added in bin-then-label
+    order, the same for every column, with each log taken by ``math.log2``.
     """
     n, f = fm.values.shape
     label_names = sorted(set(fm.labels))
     y = np.array([label_names.index(l) for l in fm.labels])
-    x = _equal_frequency_bins(fm.values, bins)
+    x = _equal_frequency_bins(fm.values)
     n_labels = len(label_names)
-    counts = np.zeros((f, bins, n_labels), dtype=np.int64)
+    counts = np.zeros((f, IG_BINS, n_labels), dtype=np.int64)
     np.add.at(counts, (np.arange(f)[None, :], x, y[:, None]), 1)
 
     p_xy = counts / n
@@ -228,14 +229,14 @@ def rank_features(fm: FeatureMatrix, bins: int = 10) -> list[tuple[str, float]]:
     terms[present] = p_xy[present] * np.array([math.log2(r) for r in ratio.tolist()])
 
     total = np.zeros(f)
-    for cell in terms.reshape(f, bins * n_labels).T:  # absent cells add +0.0: no change
+    for cell in terms.reshape(f, IG_BINS * n_labels).T:  # absent cells add +0.0: no change
         total += cell
     gains = np.maximum(total, 0.0).tolist()
     return sorted(zip(fm.feature_names, gains), key=lambda t: (-t[1], t[0]))
 
 
-def select_top_k(fm: FeatureMatrix, k: int, bins: int = 10) -> FeatureMatrix:
+def select_top_k(fm: FeatureMatrix, k: int) -> FeatureMatrix:
     """Keep the k highest-gain columns, in ranking order."""
     if k > len(fm.feature_names):
         raise ValueError(f"k={k} exceeds the {len(fm.feature_names)} available columns")
-    return fm.subset([name for name, _ in rank_features(fm, bins)[:k]])
+    return fm.subset([name for name, _ in rank_features(fm)[:k]])

@@ -203,13 +203,13 @@ def leading_eigenvector(
     n: int,
     tol: float = 1e-10,
     max_iter: int = 10_000,
-) -> tuple[np.ndarray, float]:
+) -> np.ndarray:
     """Nonnegative leading eigenvector (sum 1) of a nonnegative operator.
 
     Power iteration on the shifted operator x -> A x + x, which keeps
-    convergence monotone on bipartite graphs. ``matvec`` applies A.
-    Returns (vector, eigenvalue); raises ConvergenceError with the residual
-    when the eigen-residual stays above ``tol``.
+    convergence monotone on bipartite graphs. ``matvec`` applies A. Raises
+    ConvergenceError with the residual when the eigen-residual stays above
+    ``tol``.
     """
     x = np.full(n, 1.0 / n)
     residual = np.inf
@@ -218,8 +218,7 @@ def leading_eigenvector(
         lam = float(x @ ax) / float(x @ x)
         residual = float(np.abs(ax - lam * x).sum())
         if residual < tol:
-            x = x / x.sum()
-            return x, lam
+            return x / x.sum()
         y = ax + x
         x = y / y.sum()
     raise ConvergenceError("power iteration did not converge", residual)
@@ -232,7 +231,7 @@ def eigenvector_centrality(net: WordNetwork, tol: float = 1e-10,
     n = len(comp)
     if n == 1:
         return _on_component(net, comp, np.ones(1))
-    vec, _ = leading_eigenvector(
+    vec = leading_eigenvector(
         lambda x: np.bincount(heads, weights=x[tails], minlength=n), n, tol=tol, max_iter=max_iter
     )
     return _on_component(net, comp, vec)

@@ -246,18 +246,18 @@ def measurement_bytes(net: WordNetwork, sources: np.ndarray, h_access: tuple[int
             + int(max(rows)))
 
 
-def measure_document(doc: Document, cfg: RunConfig, walk_sources: list[str] | None,
-                     need_q: bool = True) -> DocumentMeasures:
-    """All measures for one document's network.
+def measure_document(doc: Document, cfg: RunConfig,
+                     walk_sources: list[str] | None) -> DocumentMeasures:
+    """All measures for one document's network, ``Q`` among them.
 
     ``walk_sources`` limits the expensive walk measures (``_walk_names``: A,
     Sb, Sm and Ag) to the named words; None measures every node and an empty
-    list omits them. ``Q`` is left out (None) unless ``need_q``. One geodesic
-    pass from every node, run by ``betweenness``, feeds every distance-based
-    measure. No measure reads the strategy, so a cache entry's content
-    follows from what its key names. A network whose estimated peak exceeds
-    ``MEASURE_BUDGET`` is refused with ``CostGuardError`` before anything
-    n x n is allocated or any walk enumerated.
+    list omits them. One geodesic pass from every node, run by
+    ``betweenness``, feeds every distance-based measure. No measure reads the
+    strategy, so a cache entry's content follows from what its key names. A
+    network whose estimated peak exceeds ``MEASURE_BUDGET`` is refused with
+    ``CostGuardError`` before anything n x n is allocated or any walk
+    enumerated.
     """
     net = build_network(doc, cfg.window)
     n = net.node_count
@@ -275,7 +275,7 @@ def measure_document(doc: Document, cfg: RunConfig, walk_sources: list[str] | No
         label=doc.label,
         node_labels=list(net.node_labels),
         measures=_classic_measures(net, cfg, dist_all),
-        modularity_q=detect_communities(net).q if need_q else None,
+        modularity_q=detect_communities(net).q,
         word_frequencies=word_frequencies(doc),
     )
     if walk_sources == []:
@@ -338,20 +338,19 @@ def _covers(dm: DocumentMeasures, cfg: RunConfig, walk_sources: list[str] | None
 def _with_walked(dm: DocumentMeasures, cfg: RunConfig,
                  walk_sources: list[str] | None) -> list[str] | None:
     """``walk_sources`` plus the nodes ``dm`` has walked: measured afresh
-    from these, an entry keeps every walk value it held."""
+    from these, an entry keeps every walk value it had."""
     if walk_sources is None:
         return None
     walked = [label for label, done in zip(dm.node_labels, _walked(dm, cfg)) if done]
     return walk_sources + walked
 
 
-def _restrict(dm: DocumentMeasures, cfg: RunConfig, walk_sources: list[str] | None,
-              need_q: bool) -> DocumentMeasures:
-    """``dm`` as a fresh ``measure_document(..., walk_sources, need_q)``
-    returns it: walk values only at the requested nodes, none at all for an
-    empty list, and ``Q`` only if needed. A walk measure taken at exactly the
-    requested nodes is shared, not copied: the cache-hit commands hold every
-    document's measures at once."""
+def _restrict(dm: DocumentMeasures, cfg: RunConfig,
+              walk_sources: list[str] | None) -> DocumentMeasures:
+    """``dm`` as a fresh ``measure_document(..., walk_sources)`` returns it:
+    walk values only at the requested nodes and none at all for an empty
+    list. A walk measure taken at exactly the requested nodes is shared, not
+    copied: the cache-hit commands hold every document's measures at once."""
     names = _walk_names(cfg)
     measures = {name: nm for name, nm in dm.measures.items() if name not in names}
     if walk_sources != []:
@@ -364,8 +363,7 @@ def _restrict(dm: DocumentMeasures, cfg: RunConfig, walk_sources: list[str] | No
                     values[requested] = nm.values[requested]
                 nm = NodeMeasures(values, ~requested)
             measures[name] = nm
-    return dataclasses.replace(dm, measures=measures,
-                               modularity_q=dm.modularity_q if need_q else None)
+    return dataclasses.replace(dm, measures=measures)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +377,7 @@ def _dictionary_digest(dictionary: LemmaDictionary) -> str:
 
 
 # measure values as base64 of little-endian float64, missing masks as
-# base64 of one byte per node, Q absent when not measured, and every Ag from
+# base64 of one byte per node, Q in every entry, and every Ag from
 # the Taylor rows of exp(P); part of the key, so other layouts miss. Ag is
 # taken at the walk sources; a GS or LS entry that holds it at more nodes
 # (as earlier versions stored it at every node) is cut to the request on load
@@ -412,7 +410,7 @@ def _measure_cache_key(raw_text: str, cfg: RunConfig, dictionary_digest: str,
 
 
 def _measures_to_payload(dm: DocumentMeasures) -> dict:
-    payload = {
+    return {
         "doc_id": dm.doc_id,
         "node_labels": dm.node_labels,
         "word_frequencies": dm.word_frequencies,
@@ -423,10 +421,8 @@ def _measures_to_payload(dm: DocumentMeasures) -> dict:
             }
             for name, nm in sorted(dm.measures.items())
         },
+        "modularity_q": repr(dm.modularity_q),
     }
-    if dm.modularity_q is not None:
-        payload["modularity_q"] = repr(dm.modularity_q)
-    return payload
 
 
 def _b64(values: np.ndarray) -> str:
@@ -452,7 +448,7 @@ def _measures_from_payload(data: dict, label: str) -> DocumentMeasures:
         label=label,
         node_labels=list(data["node_labels"]),
         measures=measures,
-        modularity_q=float(data["modularity_q"]) if "modularity_q" in data else None,
+        modularity_q=float(data["modularity_q"]),
         word_frequencies={k: int(v) for k, v in data["word_frequencies"].items()},
     )
 
@@ -462,8 +458,10 @@ def _cache_load(path: Path, key: str, label: str) -> DocumentMeasures | None:
 
     The checksum is checked against the payload bytes as stored; an entry
     without the exact ``{"checksum": ..., "key": ..., "payload": ...}``
-    layout is a miss. Payload fields that are not read, such as the label
-    and node count earlier versions stored, are ignored."""
+    layout is a miss, and so is an entry without ``Q``, as LSS ``classify``
+    and ``relevance`` of earlier versions stored it. Payload fields that are
+    not read, such as the label and node count earlier versions stored, are
+    ignored."""
     try:
         data = path.read_bytes()
     except OSError:
@@ -502,47 +500,36 @@ def _dictionary_for(cfg: RunConfig) -> LemmaDictionary:
 
 def _measure_task(args) -> tuple[str, DocumentMeasures | None, str | None]:
     """(doc_id, measures, error or None); a measured document's entry is
-    stored at once, so an interrupted run resumes from it. Given an entry
-    ``held`` that lacks only ``Q``, the task adds ``Q`` to it and measures
-    nothing else."""
-    doc, sources, need_q, cfg, key, path, held = args
+    stored at once, so an interrupted run resumes from it."""
+    doc, sources, cfg, key, path = args
     try:
-        if held is not None:
-            dm = dataclasses.replace(
-                held, modularity_q=detect_communities(build_network(doc, cfg.window)).q)
-        else:
-            dm = measure_document(doc, cfg, sources, need_q)
+        dm = measure_document(doc, cfg, sources)
     except Exception as exc:  # noqa: BLE001 - reported per document by the caller
         return doc.id, None, f"{type(exc).__name__}: {exc}"
     _cache_store(path, key, dm)
     return doc.id, dm, None
 
 
-def compute_corpus_measures(manifest: CorpusManifest, cfg: RunConfig, cache_dir: Path,
-                            need_q: bool = True):
+def compute_corpus_measures(manifest: CorpusManifest, cfg: RunConfig, cache_dir: Path):
     """Measure every document for ``cfg.strategy``, through the cache in
-    ``cache_dir`` and an optional process pool; ``Q`` only if ``need_q``.
+    ``cache_dir`` and an optional process pool.
 
     Each document is read and hashed once, then its cache entry is loaded. A
     cache entry belongs to one document's network and measure settings. It
-    holds the classic measures, the word frequencies, the walk values of
-    every node walked so far and ``Q`` once any run needed it, so an entry
-    that covers the requested sources and parts is served without
-    preprocessing or measuring. An entry that lacks only ``Q`` gets ``Q``
-    from the rebuilt network and nothing else. Otherwise the document is
-    preprocessed and measured afresh, walked from the requested sources and
-    from every node its entry had walked, with ``Q`` if needed or held, so
-    an entry only grows. Each entry is stored as soon as its document
+    holds the classic measures, ``Q``, the word frequencies and the walk
+    values of every node walked so far, so an entry that covers the
+    requested sources is served without preprocessing or measuring.
+    Otherwise the document is preprocessed and measured afresh, walked from
+    the requested sources and from every node its entry had walked, so an
+    entry only grows. Each entry is stored as soon as its document
     completes, which lets an interrupted run resume from the documents it
-    finished. A loaded
-    entry takes its label from the manifest. LS and LSS walk from the word
-    list, taken from each document's word frequencies.
+    finished. A loaded entry takes its label from the manifest. LS and LSS
+    walk from the word list, taken from each document's word frequencies.
 
     Returns (measures, failures, walk_sources): the DocumentMeasures in
-    manifest order, with walk values at the requested sources only, ``Q``
-    only if needed, and without the failed documents; (doc_id, error) pairs
-    in manifest order; and the sources walked (None for every node, [] for
-    none).
+    manifest order, with walk values at the requested sources only and
+    without the failed documents; (doc_id, error) pairs in manifest order;
+    and the sources walked (None for every node, [] for none).
     """
     keep_stopwords = cfg.strategy == "LSS"
     dictionary = _dictionary_for(cfg)
@@ -582,17 +569,11 @@ def compute_corpus_measures(manifest: CorpusManifest, cfg: RunConfig, cache_dir:
     results: dict[str, DocumentMeasures] = {}
     pending = []
     for entry, raw, key, path, known, doc in read:
-        walked = known is not None and _covers(known, cfg, walk_sources)
-        if walked and (known.modularity_q is not None or not need_q):
-            results[entry.doc_id] = _restrict(known, cfg, walk_sources, need_q)
+        if known is not None and _covers(known, cfg, walk_sources):
+            results[entry.doc_id] = _restrict(known, cfg, walk_sources)
         elif (doc := doc or prepared(entry, raw)) is not None:
-            if walked:  # only Q is missing
-                pending.append((doc, None, True, cfg, key, path, known))
-            else:
-                sources = walk_sources if known is None else _with_walked(known, cfg,
-                                                                          walk_sources)
-                with_q = need_q or (known is not None and known.modularity_q is not None)
-                pending.append((doc, sources, with_q, cfg, key, path, None))
+            sources = walk_sources if known is None else _with_walked(known, cfg, walk_sources)
+            pending.append((doc, sources, cfg, key, path))
 
     if pending and cfg.jobs > 1:
         # imported here: a run that starts no pool skips multiprocessing
@@ -606,7 +587,7 @@ def compute_corpus_measures(manifest: CorpusManifest, cfg: RunConfig, cache_dir:
         if error is not None:
             errors[doc_id] = error
         else:
-            results[doc_id] = _restrict(dm, cfg, walk_sources, need_q)
+            results[doc_id] = _restrict(dm, cfg, walk_sources)
 
     ordered = [results[e.doc_id] for e in manifest.entries if e.doc_id in results]
     failures = [(e.doc_id, errors[e.doc_id]) for e in manifest.entries if e.doc_id in errors]
@@ -641,10 +622,7 @@ def build_feature_matrix(cfg: RunConfig, manifest: CorpusManifest, cache_dir: Pa
     """Measure the corpus through ``cache_dir`` and assemble the configured
     strategy's features. Fewer than ``need`` columns left by the
     decorrelation filter (GS always has more) is a ``ProsenetError``."""
-    doc_measures, failures, sources = compute_corpus_measures(
-        manifest, cfg, cache_dir, need_q=cfg.strategy != "LSS")
-    # Q is a GS column; LS networks are GS networks and their entries keep Q
-    # for GS, while no LSS feature reads it
+    doc_measures, failures, sources = compute_corpus_measures(manifest, cfg, cache_dir)
     _raise_failures(failures)
     if cfg.strategy == "GS":
         return global_features(doc_measures)

@@ -1150,7 +1150,7 @@ def scipy_eigenvector_centrality(net: WordNetwork, tol: float = 1e-10,
     n = len(comp)
     if n == 1:
         return _on_component(net, comp, np.ones(1))
-    vec, _ = leading_eigenvector(lambda x: adj @ x, n, tol=tol, max_iter=max_iter)
+    vec = leading_eigenvector(lambda x: adj @ x, n, tol=tol, max_iter=max_iter)
     return _on_component(net, comp, vec)
 
 

@@ -324,6 +324,16 @@ class TestSharedMeasureCache:
         assert by_ls == self.measure(corpus, tmp_path / "fresh-ls", "LS")
 
 
+def rewrite_entry(path, edit):
+    """Apply ``edit`` to a stored entry's payload and store it again under a
+    re-computed checksum, as an earlier version would have written it."""
+    entry = json.loads(path.read_text())
+    edit(entry["payload"])
+    blob = json.dumps(entry["payload"], sort_keys=True)
+    checksum, key = hashlib.sha256(blob.encode("utf-8")).hexdigest(), entry["key"]
+    path.write_text(f'{{"checksum": "{checksum}", "key": "{key}", "payload": {blob}}}')
+
+
 def count_communities(monkeypatch):
     """Node counts of the networks ``detect_communities`` is called on."""
     calls = []
@@ -338,9 +348,10 @@ def count_communities(monkeypatch):
 
 
 class TestRequestedParts:
-    """Every strategy takes Ag at the walk sources, as it takes A, Sb and Sm;
-    LSS takes no Q, which no LSS feature reads; GS and LS share entries,
-    which keep Q."""
+    """Every strategy takes Ag at the walk sources, as it takes A, Sb and Sm,
+    and every command takes Q, so an entry does not depend on which command
+    wrote it; an entry without Q, as earlier LSS ``classify`` and
+    ``relevance`` stored it, is measured again."""
 
     @pytest.fixture
     def corpus(self, tmp_path):
@@ -354,6 +365,10 @@ class TestRequestedParts:
     def measure(self, manifest, out):
         return {p.name: p.read_bytes() for p in cmd_measure(self.lss(manifest, out))}
 
+    @staticmethod
+    def entries(out):
+        return {p.name: p.read_bytes() for p in (out / "cache").glob("*.json")}
+
     def test_classify_after_measure_is_all_cache_hits(self, corpus, tmp_path, monkeypatch):
         shared = tmp_path / "shared"
         self.measure(corpus, shared)
@@ -366,19 +381,30 @@ class TestRequestedParts:
             assert (shared / name).read_text() == fresh.replace(str(tmp_path / "fresh"),
                                                                 str(shared))
 
-    def test_measure_after_classify_adds_only_q(self, corpus, tmp_path, monkeypatch):
+    def test_measure_after_classify_measures_nothing(self, corpus, tmp_path, monkeypatch):
         shared = tmp_path / "shared"
         cmd_classify(self.lss(corpus, shared))
         calls = TestSharedMeasureCache.count_calls(monkeypatch)
         communities = count_communities(monkeypatch)
-        grown = self.measure(corpus, shared)
-        assert calls == [] and len(communities) == 4  # Q was missing, nothing else
-        assert grown == self.measure(corpus, tmp_path / "fresh")
-        calls.clear()
-        communities.clear()
-        assert self.measure(corpus, shared) == grown
-        cmd_classify(self.lss(corpus, shared))
+        served = self.measure(corpus, shared)
         assert calls == [] and communities == []
+        assert served == self.measure(corpus, tmp_path / "fresh")
+        assert self.entries(shared) == self.entries(tmp_path / "fresh")
+
+    def test_an_entry_without_q_is_measured_again(self, corpus, tmp_path, monkeypatch):
+        """Entries stored without ``Q``, as earlier LSS ``classify`` and
+        ``relevance`` stored them, miss: LSS ``measure`` measures each
+        document once more and stores what a fresh run stores."""
+        shared = tmp_path / "shared"
+        cmd_classify(self.lss(corpus, shared))
+        for path in sorted((shared / "cache").glob("*.json")):
+            rewrite_entry(path, lambda payload: payload.pop("modularity_q"))
+        calls = TestSharedMeasureCache.count_calls(monkeypatch)
+        communities = count_communities(monkeypatch)
+        measured = self.measure(corpus, shared)
+        assert sorted(calls) == ["ima00", "ima01", "inf00", "inf01"] and len(communities) == 4
+        assert measured == self.measure(corpus, tmp_path / "fresh")
+        assert self.entries(shared) == self.entries(tmp_path / "fresh")
 
     @pytest.mark.parametrize("strategy", ["LS", "LSS"])
     def test_lss_measure_writes_ag_at_the_word_list_only(self, strategy, corpus, tmp_path):
@@ -390,23 +416,17 @@ class TestRequestedParts:
             assert ag == walked
             assert 0 < len(ag) <= 10 < sum(name == "Ag" for _, _, name, _ in lines)
 
-    def test_cold_classify_skips_communities_only_for_lss(self, corpus, tmp_path,
-                                                          monkeypatch):
+    @pytest.mark.parametrize("strategy", pipeline.STRATEGIES)
+    def test_cold_commands_detect_communities_once_per_document(self, strategy, corpus,
+                                                                tmp_path, monkeypatch):
         calls = count_communities(monkeypatch)
-        cmd_classify(RunConfig(manifest=str(corpus), strategy="LSS", word_list_size=10,
-                               classifier="knn", out=str(tmp_path / "LSS")))
-        cmd_relevance(RunConfig(manifest=str(corpus), strategy="LSS", word_list_size=10,
-                                phi=3, out=str(tmp_path / "LSS-relevance")))
-        assert calls == []
-        for strategy in ("GS", "LS"):
-            cmd_classify(RunConfig(manifest=str(corpus), strategy=strategy, word_list_size=10,
-                                   classifier="knn", out=str(tmp_path / strategy)))
-            assert len(calls) == 4
-            calls.clear()
-            cmd_relevance(RunConfig(manifest=str(corpus), strategy=strategy, word_list_size=10,
-                                    phi=3, out=str(tmp_path / f"{strategy}-relevance")))
-            assert len(calls) == 4
-            calls.clear()
+        cmd_classify(RunConfig(manifest=str(corpus), strategy=strategy, word_list_size=10,
+                               classifier="knn", out=str(tmp_path / "classify")))
+        assert len(calls) == 4
+        calls.clear()
+        cmd_relevance(RunConfig(manifest=str(corpus), strategy=strategy, word_list_size=10,
+                                phi=3, out=str(tmp_path / "relevance")))
+        assert len(calls) == 4
 
     @staticmethod
     def count_ag_rows(monkeypatch):
@@ -549,14 +569,13 @@ class TestCacheEntryLayout:
         # earlier payloads also held the label and the node count
         cfg, entries, written = filled
         labels = {e.doc_id: e.label for e in load_manifest(cfg.manifest).entries}
-        for path in entries:
-            entry = json.loads(path.read_text())
-            payload = entry["payload"]
+
+        def add_fields(payload):
             payload["label"] = labels[payload["doc_id"]]
             payload["vocabulary_size"] = len(payload["node_labels"])
-            blob = json.dumps(payload, sort_keys=True)
-            checksum, key = hashlib.sha256(blob.encode("utf-8")).hexdigest(), entry["key"]
-            path.write_text(f'{{"checksum": "{checksum}", "key": "{key}", "payload": {blob}}}')
+
+        for path in entries:
+            rewrite_entry(path, add_fields)
         calls = TestSharedMeasureCache.count_calls(monkeypatch)
         assert [p.read_bytes() for p in cmd_measure(cfg)] == written
         assert calls == []
