@@ -88,7 +88,9 @@ def load_manifest(path: str | Path) -> CorpusManifest:
     """Read a tab-separated manifest: id<TAB>label<TAB>path, '#' comments.
 
     Relative document paths are resolved against the manifest's directory.
-    Raises DuplicateIdError / UnknownLabelError / UnreadablePathError.
+    Raises DuplicateIdError / UnknownLabelError / UnreadablePathError, and
+    ProsenetError for an id that is empty, '.' or '..', or holds '/', '\\'
+    or ','.
     """
     path = Path(path)
     if not path.is_file():
@@ -104,6 +106,12 @@ def load_manifest(path: str | Path) -> CorpusManifest:
         if len(parts) != 3:
             raise UnreadablePathError(f"{path}:{lineno}: expected 3 tab-separated fields")
         doc_id, label, doc_path = (p.strip() for p in parts)
+        # an id names the document's measure CSV and a cell of every CSV
+        if doc_id in ("", ".", "..") or any(c in doc_id for c in "/\\,"):
+            raise ProsenetError(
+                f"{path}:{lineno}: document id {doc_id!r} must not be empty, '.' or '..' "
+                "nor hold '/', '\\' or ','"
+            )
         if doc_id in seen:
             raise DuplicateIdError(f"{path}:{lineno}: duplicate document id {doc_id!r}")
         seen.add(doc_id)
@@ -147,7 +155,8 @@ def load_lemma_dictionary(
     """Load the lemma map and stoplist, defaulting to the shipped data files.
 
     Raises UnreadablePathError for a file that does not exist and
-    ProsenetError for a lemma line that is not surface<TAB>lemma.
+    ProsenetError for a lemma line that is not surface<TAB>lemma or whose
+    lemma holds a comma.
     """
     lemma_text = _read_data(lemmas_path, "lemmas.tsv", "lemma dictionary")
     mapping: dict[str, str] = {}
@@ -159,6 +168,8 @@ def load_lemma_dictionary(
         if len(parts) != 2:
             raise ProsenetError(f"{lemmas_path}:{lineno}: expected surface<TAB>lemma")
         surface, lemma = parts
+        if "," in lemma:  # a lemma names feature columns and CSV cells
+            raise ProsenetError(f"{lemmas_path}:{lineno}: lemma {lemma!r} holds a ','")
         mapping[surface] = lemma
 
     stop_text = _read_data(stoplist_path, "stopwords.txt", "stoplist")
@@ -212,16 +223,16 @@ def word_frequencies(doc: Document) -> dict[str, int]:
 
 
 def atomic_write(path: Path, text: str) -> None:
-    atomic_write_blocks(path, (text,))
+    atomic_write_blocks(path, (text.encode("utf-8"),))
 
 
-def atomic_write_blocks(path: Path, blocks: Iterable[str]) -> None:
+def atomic_write_blocks(path: Path, blocks: Iterable[bytes]) -> None:
     """Write the concatenated ``blocks`` to ``path`` through a temporary file
     renamed over it, so a reader never sees a partial file."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with os.fdopen(fd, "wb") as fh:
             for block in blocks:
                 fh.write(block)
         os.replace(tmp, path)

@@ -16,12 +16,6 @@ import numpy as np
 
 from .metrics import NodeMeasures
 
-# canonical column ordering for reproducible feature matrices
-MEASURE_ORDER = [
-    "k", "N2", "N3", "cc", "B", "C", "E", "Ec", "Pr",
-    "A2", "A3", "A4", "Ag",
-    "Sb2", "Sb3", "Sb4", "Sm2", "Sm3", "Sm4",
-]
 GLOBAL_STATS = ["mean", "std", "median", "max", "min"]
 IG_BINS = 10  # equal-frequency bins per column for information gain; read when called
 
@@ -63,12 +57,6 @@ class FeatureMatrix:
         return "\n".join(lines) + "\n"
 
 
-def _ordered_measures(measure_names) -> list[str]:
-    known = [m for m in MEASURE_ORDER if m in measure_names]
-    extra = sorted(set(measure_names) - set(MEASURE_ORDER))
-    return known + extra
-
-
 def _impute_column_means(values: np.ndarray, missing: np.ndarray) -> np.ndarray:
     out = values.copy()
     for j in range(values.shape[1]):
@@ -86,7 +74,7 @@ def global_features(doc_measures: list[DocumentMeasures]) -> FeatureMatrix:
     max(X), min(X), computed over nodes carrying a value. V (the node count)
     and Q are appended as their own columns.
     """
-    measure_names = _ordered_measures(doc_measures[0].measures.keys())
+    measure_names = sorted(doc_measures[0].measures)
     names = [f"{s}({m})" for m in measure_names for s in GLOBAL_STATS] + ["V", "Q"]
     rows = np.zeros((len(doc_measures), len(names)), dtype=np.float64)
     for i, dm in enumerate(doc_measures):
@@ -140,7 +128,7 @@ def local_features(doc_measures: list[DocumentMeasures], word_list: list[str]) -
     if not word_list:
         raise ValueError("word list is empty")
 
-    measure_names = _ordered_measures(doc_measures[0].measures.keys())
+    measure_names = sorted(doc_measures[0].measures)
     names = [f"{m}@{w}" for m in measure_names for w in word_list]
     n, f = len(doc_measures), len(names)
     values = np.zeros((n, f), dtype=np.float64)

@@ -127,7 +127,7 @@ def _best_split(x: np.ndarray, y: np.ndarray, n_classes: int) -> tuple[int, floa
     return int(feat[best]), float(thr[best])
 
 
-def cart_train(train_x: np.ndarray, train_y: list[str], min_split: int = 2) -> _CartNode:
+def cart_train(train_x: np.ndarray, train_y: list[str]) -> _CartNode:
     """Binary Gini tree; thresholds at midpoints of sorted unique values.
 
     Tie-break across equal-impurity splits: lowest feature index, then lowest
@@ -141,7 +141,7 @@ def cart_train(train_x: np.ndarray, train_y: list[str], min_split: int = 2) -> _
     def build(rows: np.ndarray) -> _CartNode:
         counts = np.bincount(y[rows], minlength=len(labels))
         leaf = _CartNode(label=labels[int(np.argmax(counts))])
-        if np.count_nonzero(counts) == 1 or len(rows) < min_split:
+        if np.count_nonzero(counts) == 1:
             return leaf
         split = _best_split(x[rows], y[rows], len(labels))
         if split is None:

@@ -8,7 +8,6 @@ per-document work is pure and results are reduced in manifest order.
 
 from __future__ import annotations
 
-import base64
 import dataclasses
 import json
 from collections.abc import Iterator
@@ -376,12 +375,11 @@ def _dictionary_digest(dictionary: LemmaDictionary) -> str:
     return sha256(blob.encode("utf-8")).hexdigest()
 
 
-# measure values as base64 of little-endian float64, missing masks as
-# base64 of one byte per node, Q in every entry, and every Ag from
-# the Taylor rows of exp(P); part of the key, so other layouts miss. Ag is
-# taken at the walk sources; a GS or LS entry that holds it at more nodes
-# (as earlier versions stored it at every node) is cut to the request on load
-CACHE_LAYOUT = "b64-f8le/ag-taylor-rows"
+# an entry is the hex SHA-256 of the rest and a newline, a JSON header and a
+# newline, then each measure's little-endian float64 values and mask bytes in
+# one raw block; every Ag is from the Taylor rows of exp(P). Part of the key,
+# so entries of other layouts are never read
+CACHE_LAYOUT = "sha256-json-raw-f8le/ag-taylor-rows"
 
 
 def _measure_cache_key(raw_text: str, cfg: RunConfig, dictionary_digest: str,
@@ -409,85 +407,48 @@ def _measure_cache_key(raw_text: str, cfg: RunConfig, dictionary_digest: str,
     return sha256(payload.encode("utf-8")).hexdigest()
 
 
-def _measures_to_payload(dm: DocumentMeasures) -> dict:
-    return {
-        "doc_id": dm.doc_id,
-        "node_labels": dm.node_labels,
-        "word_frequencies": dm.word_frequencies,
-        "measures": {
-            name: {
-                "values": _b64(nm.values.astype("<f8")),
-                "missing": _b64(nm.missing.astype(np.uint8)),
-            }
-            for name, nm in sorted(dm.measures.items())
-        },
-        "modularity_q": repr(dm.modularity_q),
-    }
-
-
-def _b64(values: np.ndarray) -> str:
-    return base64.b64encode(values.tobytes()).decode("ascii")
-
-
-def _from_b64(text: str, dtype: str) -> np.ndarray:
-    return np.frombuffer(base64.b64decode(text, validate=True), dtype=dtype)
-
-
-def _measures_from_payload(data: dict, label: str) -> DocumentMeasures:
-    """The entry's measures, labelled ``label``: the key holds no label, so
-    the manifest's is the one that counts."""
-    measures = {
-        name: NodeMeasures(
-            _from_b64(block["values"], "<f8").astype(np.float64),
-            _from_b64(block["missing"], "u1").astype(bool),
-        )
-        for name, block in data["measures"].items()
-    }
-    return DocumentMeasures(
-        doc_id=data["doc_id"],
-        label=label,
-        node_labels=list(data["node_labels"]),
-        measures=measures,
-        modularity_q=float(data["modularity_q"]),
-        word_frequencies={k: int(v) for k, v in data["word_frequencies"].items()},
-    )
-
-
 def _cache_load(path: Path, key: str, label: str) -> DocumentMeasures | None:
-    """The entry ``_cache_store`` wrote for ``key``, labelled ``label``, or None.
-
-    The checksum is checked against the payload bytes as stored; an entry
-    without the exact ``{"checksum": ..., "key": ..., "payload": ...}``
-    layout is a miss, and so is an entry without ``Q``, as LSS ``classify``
-    and ``relevance`` of earlier versions stored it. Payload fields that are
-    not read, such as the label and node count earlier versions stored, are
-    ignored."""
+    """The entry ``_cache_store`` wrote for ``key``, labelled ``label`` (the
+    key holds no label, so the manifest's is the one that counts), or None:
+    an unreadable file, a checksum that is not the SHA-256 of the rest, a
+    header that is not JSON, lacks a field or names another key, and a block
+    that is not 9 bytes per node and measure are all misses."""
     try:
         data = path.read_bytes()
     except OSError:
         return None
-    head = b'{"checksum": "'
-    tail = f'", "key": "{key}", "payload": '.encode("utf-8")
-    checksum, rest = data[len(head) : len(head) + 64], data[len(head) + 64 :]
-    if not (data.startswith(head) and rest.startswith(tail) and rest.endswith(b"}")):
+    checksum, _, rest = data.partition(b"\n")
+    if sha256(rest).hexdigest().encode("ascii") != checksum:
         return None
-    blob = rest[len(tail) : -1]
-    if sha256(blob).hexdigest().encode("ascii") != checksum:
-        return None
+    head, _, block = rest.partition(b"\n")
     try:
-        return _measures_from_payload(json.loads(blob), label)
-    except (ValueError, KeyError):
+        header = json.loads(head)
+        n, names = len(header["node_labels"]), header["measures"]
+        if header["key"] != key or len(block) != 9 * n * len(names):
+            return None
+        measures = {
+            name: NodeMeasures(np.frombuffer(block, "<f8", n, 9 * n * i).astype(np.float64),
+                               np.frombuffer(block, "u1", n, 9 * n * i + 8 * n).astype(bool))
+            for i, name in enumerate(names)
+        }
+        return DocumentMeasures(header["doc_id"], label, header["node_labels"], measures,
+                                header["modularity_q"], header["word_frequencies"])
+    except (ValueError, KeyError, TypeError):
         return None
 
 
 def _cache_store(path: Path, key: str, dm: DocumentMeasures) -> None:
-    """Write the entry {key, checksum, payload} for ``dm``, the payload as
-    ``json.dumps(payload, sort_keys=True)`` gives it, so the bytes under the
-    checksum are the bytes stored. The text is what
-    ``json.dumps(entry, sort_keys=True)`` would write."""
-    blob = json.dumps(_measures_to_payload(dm), sort_keys=True)
-    checksum = sha256(blob.encode("utf-8")).hexdigest()
-    atomic_write(path, f'{{"checksum": "{checksum}", "key": "{key}", "payload": {blob}}}')
+    """Write the entry for ``dm`` under ``key`` in the layout ``CACHE_LAYOUT``
+    names, its measures in sorted order."""
+    names = sorted(dm.measures)
+    header = json.dumps({"key": key, "doc_id": dm.doc_id, "node_labels": dm.node_labels,
+                         "word_frequencies": dm.word_frequencies,
+                         "modularity_q": dm.modularity_q, "measures": names}, sort_keys=True)
+    rest = b"".join([header.encode("utf-8"), b"\n"] + [
+        part for name in names
+        for part in (dm.measures[name].values.astype("<f8").tobytes(),
+                     dm.measures[name].missing.astype(np.uint8).tobytes())])
+    atomic_write_blocks(path, (sha256(rest).hexdigest().encode("ascii") + b"\n", rest))
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +508,7 @@ def compute_corpus_measures(manifest: CorpusManifest, cfg: RunConfig, cache_dir:
     for entry in manifest.entries:
         raw = entry.path.read_text(encoding="utf-8", errors="replace")
         key = _measure_cache_key(raw, cfg, dictionary_digest, keep_stopwords, entry.doc_id)
-        path = cache_dir / f"{key}.json"
+        path = cache_dir / f"{key}.bin"
         known = _cache_load(path, key, entry.label)
         if known is not None:
             read.append((entry, raw, key, path, known, None))
@@ -762,10 +723,12 @@ def omega_csv_blocks(report: RelevanceReport) -> Iterator[str]:
 
 def write_relevance(report: RelevanceReport, out: Path, strategy: str) -> None:
     """The ledger, index and omega CSVs; the ledger and omega are streamed."""
-    atomic_write_blocks(out / f"relevance_ledger_{strategy}.csv", ledger_csv_blocks(report))
+    atomic_write_blocks(out / f"relevance_ledger_{strategy}.csv",
+                        (block.encode("utf-8") for block in ledger_csv_blocks(report)))
     index = [f"{f},{r}\n" for f, r in report.r_index.items()]
     atomic_write(out / f"relevance_index_{strategy}.csv", "".join(["feature,r_index\n"] + index))
-    atomic_write_blocks(out / f"relevance_omega_{strategy}.csv", omega_csv_blocks(report))
+    atomic_write_blocks(out / f"relevance_omega_{strategy}.csv",
+                        (block.encode("utf-8") for block in omega_csv_blocks(report)))
 
 
 def cmd_relevance(cfg: RunConfig) -> RelevanceReport:

@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
-from prosenet import DuplicateIdError, EmptyDocumentError, UnknownLabelError, UnreadablePathError
+from prosenet import (DuplicateIdError, EmptyDocumentError, ProsenetError, UnknownLabelError,
+                      UnreadablePathError)
 from prosenet.corpus import (
     LemmaDictionary,
     load_lemma_dictionary,
@@ -54,6 +57,13 @@ class TestManifest:
     def test_missing_class(self, tmp_path):
         path = write_manifest(tmp_path, [("a", "informative", "a.txt"), ("b", "informative", "b.txt")])
         with pytest.raises(UnknownLabelError):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("doc_id", ["../../escaped", "..", ".", "a/b", "a\\b", "a,b"])
+    def test_an_id_that_is_no_file_name_or_breaks_a_csv_is_refused(self, doc_id, tmp_path):
+        path = write_manifest(tmp_path, [("a", "informative", "a.txt"),
+                                         (doc_id, "imaginative", "b.txt")])
+        with pytest.raises(ProsenetError, match=re.escape(f"manifest.tsv:3: document id {doc_id!r}")):
             load_manifest(path)
 
     def test_balanced_corpus_scale(self, tmp_path):
@@ -128,6 +138,14 @@ class TestWordFrequencies:
             freqs = word_frequencies(make_doc(toks))
             assert sum(freqs.values()) == n
             assert len(freqs) <= n
+
+
+class TestLemmaDictionary:
+    def test_a_lemma_with_a_comma_is_refused(self, tmp_path):
+        lemmas = tmp_path / "lemmas.tsv"
+        lemmas.write_text("walked\twalk\nthe\tth,e\n", encoding="utf-8")
+        with pytest.raises(ProsenetError, match="lemmas.tsv:2: lemma 'th,e'"):
+            load_lemma_dictionary(lemmas)
 
 
 class TestShippedData:

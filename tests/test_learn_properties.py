@@ -57,8 +57,7 @@ def cart_cases(draw):
         columns.append(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
     n_classes = draw(st.integers(2, 4))
     labels = draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n))
-    min_split = draw(st.integers(2, 4))
-    return np.array(columns, dtype=np.float64).T, [f"c{v}" for v in labels], min_split
+    return np.array(columns, dtype=np.float64).T, [f"c{v}" for v in labels]
 
 
 def splits_every_node(node, x) -> bool:
@@ -74,10 +73,10 @@ def splits_every_node(node, x) -> bool:
 @PROPERTY
 @given(cart_cases())
 def test_cart_matches_per_threshold_reference(case):
-    x, y, min_split = case
-    tree = cart_train(x, y, min_split)
+    x, y = case
+    tree = cart_train(x, y)
     try:
-        expected = oracle_cart_train(x, y, min_split)
+        expected = oracle_cart_train(x, y)
     except RecursionError:
         # the reference chose a split that keeps every row on one side
         assert splits_every_node(tree, x)

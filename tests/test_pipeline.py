@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import hashlib
 import json
@@ -142,24 +143,23 @@ class TestMeasureCommand:
     def test_rerun_hits_cache_and_is_byte_identical(self, measured):
         manifest, out, cfg, written = measured
         before = {p: p.read_bytes() for p in written}
-        cache_files = sorted((out / "cache").glob("*.json"))
+        cache_files = sorted((out / "cache").glob("*.bin"))
         stamps = [p.stat().st_mtime_ns for p in cache_files]
         cmd_measure(cfg)
         assert {p: p.read_bytes() for p in written} == before
-        assert [p.stat().st_mtime_ns for p in sorted((out / "cache").glob("*.json"))] == stamps
+        assert [p.stat().st_mtime_ns for p in sorted((out / "cache").glob("*.bin"))] == stamps
 
     def test_corrupted_cache_recomputed_transparently(self, measured):
         manifest, out, cfg, written = measured
-        victim = sorted((out / "cache").glob("*.json"))[0]
-        entry = json.loads(victim.read_text())
-        entry["payload"]["modularity_q"] = "99999.0"  # break checksum
-        victim.write_text(json.dumps(entry))
+        victim = sorted((out / "cache").glob("*.bin"))[0]
+        entry = victim.read_bytes()
+        victim.write_bytes(entry.replace(b'"modularity_q": ', b'"modularity_q": 9', 1))
         before = {p: p.read_bytes() for p in written}
         cmd_measure(cfg)
         assert {p: p.read_bytes() for p in written} == before
-        repaired = json.loads(victim.read_text())
-        blob = json.dumps(repaired["payload"], sort_keys=True).encode()
-        assert repaired["checksum"] == hashlib.sha256(blob).hexdigest()
+        assert victim.read_bytes() == entry
+        checksum, _, rest = entry.partition(b"\n")
+        assert checksum.decode() == hashlib.sha256(rest).hexdigest()
 
 
 class TestMeasureCacheKey:
@@ -241,11 +241,11 @@ class TestSharedMeasureCache:
     def test_ls_after_gs_measures_nothing(self, corpus, tmp_path, monkeypatch):
         shared = tmp_path / "shared"
         self.measure(corpus, shared, "GS")
-        entries = sorted((shared / "cache").glob("*.json"))
+        entries = sorted((shared / "cache").glob("*.bin"))
         calls = self.count_calls(monkeypatch)
         reused = self.measure(corpus, shared, "LS")
         assert calls == []
-        assert sorted((shared / "cache").glob("*.json")) == entries
+        assert sorted((shared / "cache").glob("*.bin")) == entries
         assert reused == self.measure(corpus, tmp_path / "fresh", "LS")
 
     @staticmethod
@@ -271,7 +271,7 @@ class TestSharedMeasureCache:
         assert sorted(calls) == ["ima00", "ima01", "inf00", "inf01"]
         assert set() < self.walked_cells(by_ls) < self.walked_cells(grown)
         assert sum(walked) == len(self.walked_cells(grown))  # every node, once
-        assert len(list((shared / "cache").glob("*.json"))) == 4
+        assert len(list((shared / "cache").glob("*.bin"))) == 4
         assert grown == self.measure(corpus, tmp_path / "fresh", "GS")
 
     def test_an_entry_keeps_the_walks_of_an_earlier_word_list(self, corpus, tmp_path,
@@ -291,7 +291,7 @@ class TestSharedMeasureCache:
         calls = self.count_calls(monkeypatch)
         assert measure(shared, 1.0) == by_a
         assert calls == []
-        assert len(list((shared / "cache").glob("*.json"))) == 4
+        assert len(list((shared / "cache").glob("*.bin"))) == 4
         assert by_a == measure(tmp_path / "fresh", 1.0)
 
     def test_no_walk_request_is_served_by_any_entry(self, corpus, tmp_path, monkeypatch):
@@ -324,16 +324,6 @@ class TestSharedMeasureCache:
         assert by_ls == self.measure(corpus, tmp_path / "fresh-ls", "LS")
 
 
-def rewrite_entry(path, edit):
-    """Apply ``edit`` to a stored entry's payload and store it again under a
-    re-computed checksum, as an earlier version would have written it."""
-    entry = json.loads(path.read_text())
-    edit(entry["payload"])
-    blob = json.dumps(entry["payload"], sort_keys=True)
-    checksum, key = hashlib.sha256(blob.encode("utf-8")).hexdigest(), entry["key"]
-    path.write_text(f'{{"checksum": "{checksum}", "key": "{key}", "payload": {blob}}}')
-
-
 def count_communities(monkeypatch):
     """Node counts of the networks ``detect_communities`` is called on."""
     calls = []
@@ -350,8 +340,7 @@ def count_communities(monkeypatch):
 class TestRequestedParts:
     """Every strategy takes Ag at the walk sources, as it takes A, Sb and Sm,
     and every command takes Q, so an entry does not depend on which command
-    wrote it; an entry without Q, as earlier LSS ``classify`` and
-    ``relevance`` stored it, is measured again."""
+    wrote it."""
 
     @pytest.fixture
     def corpus(self, tmp_path):
@@ -367,7 +356,7 @@ class TestRequestedParts:
 
     @staticmethod
     def entries(out):
-        return {p.name: p.read_bytes() for p in (out / "cache").glob("*.json")}
+        return {p.name: p.read_bytes() for p in (out / "cache").glob("*.bin")}
 
     def test_classify_after_measure_is_all_cache_hits(self, corpus, tmp_path, monkeypatch):
         shared = tmp_path / "shared"
@@ -389,21 +378,6 @@ class TestRequestedParts:
         served = self.measure(corpus, shared)
         assert calls == [] and communities == []
         assert served == self.measure(corpus, tmp_path / "fresh")
-        assert self.entries(shared) == self.entries(tmp_path / "fresh")
-
-    def test_an_entry_without_q_is_measured_again(self, corpus, tmp_path, monkeypatch):
-        """Entries stored without ``Q``, as earlier LSS ``classify`` and
-        ``relevance`` stored them, miss: LSS ``measure`` measures each
-        document once more and stores what a fresh run stores."""
-        shared = tmp_path / "shared"
-        cmd_classify(self.lss(corpus, shared))
-        for path in sorted((shared / "cache").glob("*.json")):
-            rewrite_entry(path, lambda payload: payload.pop("modularity_q"))
-        calls = TestSharedMeasureCache.count_calls(monkeypatch)
-        communities = count_communities(monkeypatch)
-        measured = self.measure(corpus, shared)
-        assert sorted(calls) == ["ima00", "ima01", "inf00", "inf01"] and len(communities) == 4
-        assert measured == self.measure(corpus, tmp_path / "fresh")
         assert self.entries(shared) == self.entries(tmp_path / "fresh")
 
     @pytest.mark.parametrize("strategy", ["LS", "LSS"])
@@ -458,16 +432,16 @@ class TestRequestedParts:
 
     def test_an_entry_with_ag_at_every_node_is_cut_to_the_request(self, corpus, tmp_path,
                                                                   monkeypatch):
-        """Entries that hold walks at the word list and ``Ag`` at every node,
-        as GS and LS stored them when they took ``Ag`` at every node, serve
-        LS ``measure`` as a fresh measure would."""
+        """Entries that hold walks at the word list and ``Ag`` at every node
+        serve LS ``measure`` as a fresh measure would: ``Ag`` is cut to the
+        walked nodes."""
         shared = tmp_path / "shared"
         cfg = dataclasses.replace(self.lss(corpus, shared), strategy="LS")
         cmd_measure(cfg)
         dictionary = load_lemma_dictionary()
         texts = {e.doc_id: e.path.read_text() for e in load_manifest(corpus).entries}
-        for path in sorted((shared / "cache").glob("*.json")):
-            key = json.loads(path.read_text())["key"]
+        for path in sorted((shared / "cache").glob("*.bin")):
+            key = path.stem
             dm = pipeline._cache_load(path, key, "")
             doc = pipeline.preprocess(texts[dm.doc_id], dictionary, False, dm.doc_id)
             dm.measures["Ag"] = pipeline.generalized_accessibility(build_network(doc), False)
@@ -537,9 +511,39 @@ class TestOneReadPerDocument:
         assert calls == ["ima00", "ima01", "inf00", "inf01"]
 
 
+def restamped(rest: bytes) -> bytes:
+    """An entry of the checksum line and ``rest``, with the checksum right."""
+    return hashlib.sha256(rest).hexdigest().encode() + b"\n" + rest
+
+
+def json_layout_entry(path: Path) -> bytes:
+    """The entry at ``path`` in the JSON layout with base64 measures that
+    preceded the raw block."""
+    key = path.stem
+    dm = pipeline._cache_load(path, key, "")
+
+    def b64(values):
+        return base64.b64encode(values.tobytes()).decode("ascii")
+
+    payload = {
+        "doc_id": dm.doc_id,
+        "node_labels": dm.node_labels,
+        "word_frequencies": dm.word_frequencies,
+        "measures": {name: {"values": b64(nm.values.astype("<f8")),
+                            "missing": b64(nm.missing.astype(np.uint8))}
+                     for name, nm in sorted(dm.measures.items())},
+        "modularity_q": repr(dm.modularity_q),
+    }
+    blob = json.dumps(payload, sort_keys=True)
+    checksum = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return f'{{"checksum": "{checksum}", "key": "{key}", "payload": {blob}}}'.encode()
+
+
 class TestCacheEntryLayout:
-    """An entry is read by its stored bytes: the checksum covers the payload
-    as written, and only the layout ``_cache_store`` writes is a hit."""
+    """An entry is a checksum line, a JSON header line and one raw block;
+    the checksum covers the bytes as written, and only an entry of that
+    layout, of the key asked for and of a block of the header's size is a
+    hit."""
 
     @pytest.fixture
     def filled(self, tmp_path):
@@ -547,60 +551,63 @@ class TestCacheEntryLayout:
         cfg = RunConfig(manifest=str(manifest), strategy="GS", gs_walks=False,
                         out=str(tmp_path / "out"))
         written = [p.read_bytes() for p in cmd_measure(cfg)]
-        return cfg, sorted((tmp_path / "out" / "cache").glob("*.json")), written
+        return cfg, sorted((tmp_path / "out" / "cache").glob("*.bin")), written
 
     def test_flipped_payload_byte_is_a_miss_and_remeasured(self, filled, monkeypatch):
+        # one header byte of the first entry, one block byte of the second
         cfg, entries, written = filled
-        victim = entries[0]
-        doc_id = json.loads(victim.read_text())["payload"]["doc_id"]
-        data = bytearray(victim.read_bytes())
-        at = data.index(b'"values": "') + len(b'"values": "')
-        assert chr(data[at]).isalnum()
-        data[at] = ord("A") if data[at] != ord("A") else ord("B")  # still valid base64 and JSON
-        victim.write_bytes(bytes(data))
+        stored = [path.read_bytes() for path in entries]
+        header = bytearray(stored[0])
+        at = header.index(b'"modularity_q": ') + len(b'"modularity_q": ')
+        assert chr(header[at]).isdigit()
+        header[at] = ord("1") if header[at] != ord("1") else ord("2")  # still valid JSON
+        block = bytearray(stored[1])
+        block[-1] ^= 1  # the last mask byte
+        entries[0].write_bytes(bytes(header))
+        entries[1].write_bytes(bytes(block))
         calls = TestSharedMeasureCache.count_calls(monkeypatch)
         assert [p.read_bytes() for p in cmd_measure(cfg)] == written
-        assert calls == [doc_id]
+        assert sorted(calls) == ["ima00", "inf00"]
+        assert [path.read_bytes() for path in entries] == stored
         assert [p.read_bytes() for p in cmd_measure(cfg)] == written
-        assert calls == [doc_id]  # the rewritten entry is a hit
+        assert len(calls) == 2  # the rewritten entries are hits
 
-    def test_entries_with_the_fields_earlier_versions_stored_are_hits(self, filled,
-                                                                      monkeypatch):
-        # earlier payloads also held the label and the node count
+    def test_other_layouts_and_keys_are_misses_and_remeasured(self, filled, monkeypatch):
         cfg, entries, written = filled
-        labels = {e.doc_id: e.label for e in load_manifest(cfg.manifest).entries}
-
-        def add_fields(payload):
-            payload["label"] = labels[payload["doc_id"]]
-            payload["vocabulary_size"] = len(payload["node_labels"])
-
-        for path in entries:
-            rewrite_entry(path, add_fields)
+        victim, stored = entries[0], entries[0].read_bytes()
+        rest = stored.partition(b"\n")[2]
+        other_key = rest.replace(f'"key": "{victim.stem}"'.encode(),
+                                 f'"key": "{"0" * 64}"'.encode(), 1)
+        assert other_key != rest
+        spoiled = {
+            "json layout": json_layout_entry(victim),
+            "block one byte short": restamped(rest[:-1]),
+            "block one byte extra": restamped(rest + b"\0"),
+            "header of another key": restamped(other_key),
+        }
+        doc_id = pipeline._cache_load(victim, victim.stem, "").doc_id
         calls = TestSharedMeasureCache.count_calls(monkeypatch)
-        assert [p.read_bytes() for p in cmd_measure(cfg)] == written
-        assert calls == []
+        for case, data in spoiled.items():
+            victim.write_bytes(data)
+            assert [p.read_bytes() for p in cmd_measure(cfg)] == written, case
+            assert calls == [doc_id], case
+            assert victim.read_bytes() == stored, case
+            calls.clear()
 
-    def test_sorted_json_entries_are_hits_and_other_layouts_misses(self, filled, monkeypatch):
-        cfg, entries, written = filled
-        for path in entries:  # the text earlier versions wrote
-            path.write_text(json.dumps(json.loads(path.read_text()), sort_keys=True))
-        reindented = json.loads(entries[1].read_text())
-        entries[1].write_text(json.dumps(reindented, sort_keys=True, indent=1))
-        calls = TestSharedMeasureCache.count_calls(monkeypatch)
-        assert [p.read_bytes() for p in cmd_measure(cfg)] == written
-        assert calls == [reindented["payload"]["doc_id"]]
-
-    def test_payload_round_trip_is_exact(self):
+    def test_payload_round_trip_is_exact(self, tmp_path):
         dm = measure_document(make_doc("a b c a d e b f c g a h d".split()), RunConfig(), ["b"])
         odd = np.array([-0.0, 5e-324, np.finfo(float).max, 0.1, 1 / 3, -2.5e-300, 7.0, 1e16 + 2])
         dm.measures["odd"] = NodeMeasures(odd, odd < 0)
-        text = json.dumps(pipeline._measures_to_payload(dm), sort_keys=True)
-        back = pipeline._measures_from_payload(json.loads(text), dm.label)
+        dm.modularity_q = 1 / 3
+        path = tmp_path / "entry.bin"
+        pipeline._cache_store(path, "k", dm)
+        back = pipeline._cache_load(path, "k", dm.label)
         assert back.measures.keys() == dm.measures.keys()
         for name, nm in dm.measures.items():
             assert back.measures[name].values.tobytes() == nm.values.tobytes(), name
             assert np.array_equal(back.measures[name].missing, nm.missing), name
         assert dataclasses.replace(back, measures={}) == dataclasses.replace(dm, measures={})
+        assert pipeline._cache_load(path, "other", dm.label) is None
 
     def test_layout_is_part_of_the_key(self, monkeypatch, tmp_path):
         key = pipeline._measure_cache_key("text", RunConfig(), "digest", False, "d")
@@ -654,7 +661,7 @@ class TestResumableRuns:
         monkeypatch.setattr(pipeline, "measure_document", interrupting)
         with pytest.raises(KeyboardInterrupt):
             cmd_measure(cfg)
-        finished = sorted(cache.glob("*.json"))
+        finished = sorted(cache.glob("*.bin"))
         assert len(finished) == 2
 
         measured = []
@@ -666,7 +673,7 @@ class TestResumableRuns:
         monkeypatch.setattr(pipeline, "measure_document", counting)
         resumed = [p.read_bytes() for p in cmd_measure(cfg)]
         assert measured == ["inf00", "inf01"]
-        assert set(finished) < set(cache.glob("*.json"))
+        assert set(finished) < set(cache.glob("*.bin"))
         fresh = RunConfig(manifest=str(manifest), strategy="GS", gs_walks=False,
                           out=str(tmp_path / "fresh"))
         assert resumed == [p.read_bytes() for p in cmd_measure(fresh)]
