@@ -124,31 +124,34 @@ def local_features(doc_measures: list[DocumentMeasures], word_list: list[str]) -
     documents are preprocessed without them, and LSS lists keep them. A cell
     is missing when the word is absent from the document (or carries a
     missing marker there); missing cells are imputed with the column mean.
+    Each document maps the word list to its node ids once, and every
+    measure's cells come from one fancy index into its (measures, nodes)
+    values.
     """
     if not word_list:
         raise ValueError("word list is empty")
 
     measure_names = sorted(doc_measures[0].measures)
     names = [f"{m}@{w}" for m in measure_names for w in word_list]
-    n, f = len(doc_measures), len(names)
-    values = np.zeros((n, f), dtype=np.float64)
-    missing = np.ones((n, f), dtype=bool)
+    shape = (len(doc_measures), len(measure_names), len(word_list))
+    values = np.zeros(shape, dtype=np.float64)
+    missing = np.ones(shape, dtype=bool)
     for i, dm in enumerate(doc_measures):
         index = {w: node for node, w in enumerate(dm.node_labels)}
-        col = 0
-        for m in measure_names:
-            nm = dm.measures[m]
-            for w in word_list:
-                node = index.get(w)
-                if node is not None and not nm.missing[node]:
-                    values[i, col] = nm.values[node]
-                    missing[i, col] = False
-                col += 1
+        found = [(col, index[w]) for col, w in enumerate(word_list) if w in index]
+        if not found:
+            continue
+        cols, nodes = np.array(found).T
+        taken = [dm.measures[m] for m in measure_names]
+        gap = np.array([nm.missing for nm in taken])[:, nodes]
+        values[i][:, cols] = np.where(gap, 0.0, np.array([nm.values for nm in taken])[:, nodes])
+        missing[i][:, cols] = gap
     return FeatureMatrix(
         [dm.doc_id for dm in doc_measures],
         [dm.label for dm in doc_measures],
         names,
-        _impute_column_means(values, missing),
+        _impute_column_means(values.reshape(len(doc_measures), -1),
+                             missing.reshape(len(doc_measures), -1)),
     )
 
 

@@ -9,13 +9,15 @@ and measurement reads the same arrays, so they run vectorized.
 Shortest-path structure comes from one frontier-expanding BFS over the CSR
 arrays. Besides the hop distances it yields every level's geodesic edges:
 the (source s, v -> w) steps with dist[s, w] == dist[s, v] + 1, as flat ids
-s * n + v and s * n + w in (s, v, w) order. ``metrics.betweenness`` runs
-the pass from every node and Brandes accumulation over those edges with
+s * n + v and s * n + w in (s, v, w) order. The geodesic pass searches
+from every node, one block of source rows at a time: ``metrics.betweenness``
+searches a block and runs Brandes accumulation over its edges with
 ``np.bincount``, whose sequential accumulation sums each target's terms in
-ascending (s, v) order; every other measure that needs shortest paths reads
-the distances that pass fills. Every batched kernel, this pass among them,
-runs over ``row_blocks`` sized from its own bound on one row's bytes; each
-block's work is used and dropped before the next block starts.
+ascending (s, v) order, and every other measure that needs shortest paths
+reduces that block's distance rows before the next block is searched. Every
+batched kernel, this pass among them, runs over ``row_blocks`` sized from its
+own bound on one row's bytes; each block's work is used and dropped before
+the next block starts.
 """
 
 from __future__ import annotations

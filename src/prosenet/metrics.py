@@ -8,15 +8,16 @@ from any later aggregation. All other measurements cover every node.
 Betweenness sums over ordered source/target pairs (i, j) with i != u != j,
 so a middle node of a 3-path scores 2, not 1.
 
-Every kernel is plain numpy over the CSR arrays: betweenness runs the
-geodesic pass, a BFS from every node that can fill a caller's distance matrix
-for closeness, eccentricity and neighbourhood counts, with Brandes
-accumulation over each block's geodesic edges; the iterative centralities
-multiply by the adjacency with ``np.bincount`` (each row summed in ascending
-neighbour order, as a CSR product sums it), and clustering counts common
-neighbours by looking each candidate up among the sorted CSR entries.
-Eigenvector centrality is ``leading_eigenvector``: power iteration on the
-shifted operator A + I.
+Every kernel is plain numpy over the CSR arrays. The geodesic pass, a BFS
+from every node, runs one block of source rows per ``betweenness`` call,
+which adds the block's Brandes dependencies to a running total and returns
+the block's distance rows; ``neighborhood_connectivity``, ``closeness`` and
+``eccentricity`` reduce those rows at once, so no caller needs every row at
+the same time. The iterative centralities multiply by the adjacency with
+``np.bincount`` (each row summed in ascending neighbour order, as a CSR
+product sums it), and clustering counts common neighbours by looking each
+candidate up among the sorted CSR entries. Eigenvector centrality is
+``leading_eigenvector``: power iteration on the shifted operator A + I.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ConvergenceError, ProsenetError
-from .graph import (GeodesicLevel, WordNetwork, _expand, bfs_distances, geodesic_row_bytes,
-                    largest_component_nodes, row_blocks)
+from .graph import (GeodesicLevel, WordNetwork, _expand, bfs_distances, largest_component_nodes,
+                    row_blocks)
 
 
 @dataclass
@@ -62,18 +63,16 @@ def degree(net: WordNetwork) -> NodeMeasures:
     return _full(net.degrees.astype(np.float64))
 
 
-def neighborhood_connectivity(net: WordNetwork, h: int, cumulative: bool = False,
-                              dist: np.ndarray | None = None) -> NodeMeasures:
-    """Number of nodes at hop distance exactly h (or within h when cumulative)."""
+def neighborhood_connectivity(dist: np.ndarray, h: int, cumulative: bool = False) -> np.ndarray:
+    """Per row of hop distances ``dist``, the number of nodes at distance
+    exactly h (or within h when cumulative), as float64."""
     if h < 1:
         raise ValueError("h must be >= 1")
-    if dist is None:
-        dist = bfs_distances(net, np.arange(net.node_count))
     if cumulative:
         counts = ((dist > 0) & (dist <= h)).sum(axis=1)
     else:
         counts = (dist == h).sum(axis=1)
-    return _full(counts.astype(np.float64))
+    return counts.astype(np.float64)
 
 
 CANDIDATE_BYTES = 64  # ``clustering`` per looked-up neighbour: ids, code, position, headroom
@@ -127,42 +126,29 @@ def _component_edges(net: WordNetwork) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return comp, rank[heads[keep]], rank[tails[keep]]
 
 
-def _component_distances(net: WordNetwork, comp: np.ndarray,
-                         dist: np.ndarray | None) -> np.ndarray:
-    """The component's block of the all-pairs hop distances ``dist``."""
-    if dist is None:
-        dist = bfs_distances(net, np.arange(net.node_count))
-    return dist if len(comp) == net.node_count else dist[np.ix_(comp, comp)]
+def betweenness(net: WordNetwork, sources: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """One block of the geodesic pass: the int32 hop distances from the
+    consecutive node ids ``sources`` to every node, returned as a C-ordered
+    (sources, n) array, and their Brandes dependencies added into ``total``.
 
-
-def betweenness(net: WordNetwork, dist: np.ndarray | None = None) -> NodeMeasures:
-    """Shortest-path betweenness over ordered pairs, on the largest component.
-
-    The geodesic pass: a BFS from every node, in ``row_blocks`` of source
-    rows by ``geodesic_row_bytes``. Each block's hop distances go into its
-    rows of ``dist`` when given (a C-ordered int32 (n, n) array), and Brandes
-    accumulation runs over the block's geodesic edges: geodesic counts sigma
-    flow forward level by level, the dependencies delta flow back, each step
-    one ``np.bincount`` over a level's edges. Each source row's sigma and
-    delta depend on that row's edges alone, so the blocks' dependencies are
-    added in source order; sources outside the component add exactly 0 to
-    its nodes.
+    Geodesic counts sigma flow forward level by level over the BFS's
+    geodesic edges, the dependencies delta flow back, each step one
+    ``np.bincount`` over a level's edges. Each source row's sigma and delta
+    depend on that row's edges alone, and the rows are added to ``total`` in
+    source order, so blocks taken in ascending order give the same bits
+    whatever their size. A source outside the largest component adds exactly
+    0 to its nodes, so the component's values of the total after every block
+    are its betweenness over ordered pairs.
     """
-    comp = largest_component_nodes(net)
-    n = net.node_count
-    total = np.zeros(n, dtype=np.float64)
-    for part in row_blocks(np.full(n, geodesic_row_bytes(net))):
-        sources = np.arange(part.start, part.stop)
-        levels: list[GeodesicLevel] = []
-        bfs_distances(net, sources, levels, out=None if dist is None else dist[part])
-        if len(comp) > 2:
-            total = _brandes(sources, levels, n, total)
-    return _on_component(net, comp, total[comp])
+    levels: list[GeodesicLevel] = []
+    dist = bfs_distances(net, sources, levels)
+    _brandes(sources, levels, net.node_count, total)
+    return dist
 
 
 def _brandes(sources: np.ndarray, levels: list[GeodesicLevel], n: int,
-             total: np.ndarray) -> np.ndarray:
-    """``total`` plus the dependencies of each source row, added in row order."""
+             total: np.ndarray) -> None:
+    """Add the dependencies of each source row to ``total``, in row order."""
     size = len(sources) * n
     sigma = np.zeros(size, dtype=np.float64)
     sigma[np.arange(len(sources)) * n + sources] = 1.0
@@ -178,24 +164,23 @@ def _brandes(sources: np.ndarray, levels: list[GeodesicLevel], n: int,
     # so carrying the total in as part of the first row keeps that order
     rows = delta.reshape(len(sources), n)
     rows[0] += total
-    return rows.sum(axis=0)
+    rows.sum(axis=0, out=total)
 
 
-def closeness(net: WordNetwork, reciprocal: bool = False,
-              dist: np.ndarray | None = None) -> NodeMeasures:
-    """Mean geodesic distance (self included); optionally its reciprocal."""
-    comp = largest_component_nodes(net)
-    mean_dist = _component_distances(net, comp, dist).mean(axis=1)
+def closeness(dist: np.ndarray, reciprocal: bool = False) -> np.ndarray:
+    """Per row of hop distances ``dist`` (a component's nodes to every node
+    of that component), the mean distance, self included; optionally its
+    reciprocal (0 where the mean is 0)."""
+    mean_dist = dist.mean(axis=1)
     if reciprocal:
-        values = np.divide(1.0, mean_dist, out=np.zeros_like(mean_dist), where=mean_dist > 0)
-        return _on_component(net, comp, values)
-    return _on_component(net, comp, mean_dist)
+        return np.divide(1.0, mean_dist, out=np.zeros_like(mean_dist), where=mean_dist > 0)
+    return mean_dist
 
 
-def eccentricity(net: WordNetwork, dist: np.ndarray | None = None) -> NodeMeasures:
-    comp = largest_component_nodes(net)
-    ecc = _component_distances(net, comp, dist).max(axis=1)
-    return _on_component(net, comp, ecc.astype(np.float64))
+def eccentricity(dist: np.ndarray) -> np.ndarray:
+    """Per row of hop distances ``dist`` (a component's nodes to every node
+    of that component), the largest distance, as float64."""
+    return dist.max(axis=1).astype(np.float64)
 
 
 def leading_eigenvector(

@@ -41,7 +41,8 @@ from .features import (
     select_word_list,
 )
 from . import graph
-from .graph import WordNetwork, build_network, geodesic_row_bytes, network_to_json
+from .graph import (WordNetwork, build_network, geodesic_row_bytes, largest_component_nodes,
+                    network_to_json, row_blocks)
 from .learn import (
     ClassificationReport,
     ClassifierSpec,
@@ -231,18 +232,20 @@ DOCUMENT_FIXED_BYTES = 48 << 10
 def measurement_bytes(net: WordNetwork, sources: np.ndarray, h_access: tuple[int, ...]) -> int:
     """Estimated peak bytes of measuring ``net`` and walking from
     ``sources``, an upper bound on the ``tracemalloc`` peak of
-    ``measure_document``: the int32 distances from every node, the per-node
-    outputs (``NODE_OUTPUT_BYTES``), a fixed per-document term
-    (``DOCUMENT_FIXED_BYTES``), one block of a batched kernel
-    (``graph.BLOCK_BYTES``, read when called, as ``row_blocks`` reads it)
-    and the largest single row of any such kernel, as a row over the budget
-    forms a block alone."""
+    ``measure_document``: the per-node outputs (``NODE_OUTPUT_BYTES``), a
+    fixed per-document term (``DOCUMENT_FIXED_BYTES``), one block of a
+    batched kernel (``graph.BLOCK_BYTES``, read when called, as
+    ``row_blocks`` reads it), the largest single row of any such kernel, as
+    a row over the budget forms a block alone, and the int32 distance rows
+    the geodesic pass holds for the walk kernels: one per source, at most
+    one geodesic block of them."""
     n = net.node_count
     rows = [geodesic_row_bytes(net), clustering_row_bytes(net).max(initial=0),
             ENTROPY_CELL_BYTES * n, merged_row_bytes(net), taylor_row_bytes(net),
             saw_row_bytes(net, sources, max(h_access)).max(initial=0)]
-    return (4 * n * n + NODE_OUTPUT_BYTES * n + DOCUMENT_FIXED_BYTES + graph.BLOCK_BYTES
-            + int(max(rows)))
+    held = min(len(sources), _geodesic_blocks(net)[0].stop)
+    return (NODE_OUTPUT_BYTES * n + DOCUMENT_FIXED_BYTES + graph.BLOCK_BYTES + int(max(rows))
+            + 4 * n * held)
 
 
 def measure_document(doc: Document, cfg: RunConfig,
@@ -251,61 +254,116 @@ def measure_document(doc: Document, cfg: RunConfig,
 
     ``walk_sources`` limits the expensive walk measures (``_walk_names``: A,
     Sb, Sm and Ag) to the named words; None measures every node and an empty
-    list omits them. One geodesic pass from every node, run by
-    ``betweenness``, feeds every distance-based measure. No measure reads the
-    strategy, so a cache entry's content follows from what its key names. A
-    network whose estimated peak exceeds ``MEASURE_BUDGET`` is refused with
-    ``CostGuardError`` before anything n x n is allocated or any walk
+    list omits them. One geodesic pass (``geodesic_measures``) gives every
+    distance-based measure and feeds the walk kernels block by block, so no
+    n x n array is ever held. No measure reads the strategy, so a cache
+    entry's content follows from what its key names. A network whose
+    estimated peak exceeds ``MEASURE_BUDGET`` is refused with
+    ``CostGuardError`` before any distance is searched or any walk
     enumerated.
     """
     net = build_network(doc, cfg.window)
     n = net.node_count
     requested = _source_mask(net.node_labels, walk_sources)
-    sources = np.flatnonzero(requested)
-    need = measurement_bytes(net, sources, cfg.h_access)
+    need = measurement_bytes(net, np.flatnonzero(requested), cfg.h_access)
     if need > MEASURE_BUDGET:
         raise CostGuardError(
             f"document {doc.id!r}: measuring its {n}-node network needs about "
             f"{need / 2**20:.1f} MiB, over the {MEASURE_BUDGET / 2**20:.1f} MiB budget"
         )
-    dist_all = np.empty((n, n), dtype=np.int32)
-    dm = DocumentMeasures(
+    measures = _classic_measures(net, cfg)
+    q = detect_communities(net).q
+    measures.update(geodesic_measures(net, cfg, None if walk_sources == [] else requested))
+    return DocumentMeasures(
         doc_id=doc.id,
         label=doc.label,
         node_labels=list(net.node_labels),
-        measures=_classic_measures(net, cfg, dist_all),
-        modularity_q=detect_communities(net).q,
+        measures=measures,
+        modularity_q=q,
         word_frequencies=word_frequencies(doc),
     )
-    if walk_sources == []:
-        return dm
-
-    dist_sources = dist_all if len(sources) == n else dist_all[sources]
-    acc = accessibility_batch(net, sources, cfg.h_access, dist_block=dist_sources)
-    sb = backbone_symmetry_batch(net, sources, cfg.h_symmetry, dist=dist_sources)
-    sm = merged_symmetry_batch(net, sources, cfg.h_symmetry, dist=dist_sources)
-    *names, ag = _walk_names(cfg)  # Ag, the last name, has a kernel of its own
-    for name, per_source in zip(names, [*acc.T, *sb.T, *sm.T], strict=True):
-        values = np.zeros(n, dtype=np.float64)
-        values[sources] = per_source
-        dm.measures[name] = NodeMeasures(values, ~requested)
-    dm.measures[ag] = generalized_accessibility(net, cfg.ag_exclude_self, rows=sources)
-    return dm
 
 
-def _classic_measures(net: WordNetwork, cfg: RunConfig, dist_all: np.ndarray) -> dict:
-    """Every all-node measure that needs no walk sources; betweenness runs
-    the geodesic pass, which fills ``dist_all`` for the measures after it."""
-    measures = {}
-    measures["k"] = degree(net)
-    measures["B"] = betweenness(net, dist=dist_all)
-    for h in cfg.h_access:
-        measures[f"N{h}"] = neighborhood_connectivity(net, h, cfg.cumulative, dist=dist_all)
-    measures["cc"] = clustering(net)
-    measures["C"] = closeness(net, reciprocal=cfg.closeness == "reciprocal", dist=dist_all)
-    measures["E"] = eccentricity(net, dist=dist_all)
-    measures["Ec"] = eigenvector_centrality(net)
-    measures["Pr"] = pagerank(net, cfg.alpha)
+def _classic_measures(net: WordNetwork, cfg: RunConfig) -> dict:
+    """Every all-node measure that needs neither the geodesic pass nor walk sources."""
+    return {"k": degree(net), "cc": clustering(net), "Ec": eigenvector_centrality(net),
+            "Pr": pagerank(net, cfg.alpha)}
+
+
+def _geodesic_blocks(net: WordNetwork) -> list[slice]:
+    """The blocks of source rows of the geodesic pass, by ``geodesic_row_bytes``;
+    every block but the last holds as many rows as the first."""
+    return list(row_blocks(np.full(net.node_count, geodesic_row_bytes(net))))
+
+
+def geodesic_measures(net: WordNetwork, cfg: RunConfig,
+                      requested: np.ndarray | None = None) -> dict[str, NodeMeasures]:
+    """``B``, the ``N`` counts, ``C`` and ``E`` from one geodesic pass over
+    ``net``, and the walk measures (``_walk_names``) at the nodes the mask
+    ``requested`` names (no walk measures when None).
+
+    Each block of ``_geodesic_blocks``, in ascending order, is measured
+    whole before the next starts: ``betweenness`` searches it and adds its
+    Brandes dependencies, the neighbourhood counts reduce all its rows, and
+    closeness and eccentricity the rows of the largest component over that
+    component's columns. The distance rows of requested nodes are held until
+    the next block's would make them outgrow one block, or the pass ends;
+    then A, Sb and Sm run on them, the rows are dropped, and ``Ag`` runs on
+    the same nodes. A walk kernel's value at a source does not depend on
+    which sources share its call, and the reductions are integer counts,
+    sums and maxima, so no bit depends on the block size.
+    """
+    n = net.node_count
+    comp = largest_component_nodes(net)
+    on_comp = np.zeros(n, dtype=bool)
+    on_comp[comp] = True
+    between = np.zeros(n, dtype=np.float64)
+    near = np.zeros((len(cfg.h_access), n), dtype=np.float64)
+    close = np.zeros(n, dtype=np.float64)
+    ecc = np.zeros(n, dtype=np.float64)
+    names = [] if requested is None else _walk_names(cfg)
+    walking = np.zeros(n, dtype=bool) if requested is None else requested
+    walked = np.zeros((len(names), n), dtype=np.float64)
+    held: list[tuple[np.ndarray, np.ndarray]] = []  # walk sources and their distance rows
+
+    def walk() -> None:
+        sources = np.concatenate([rows for rows, _ in held])
+        dist = held[0][1] if len(held) == 1 else np.concatenate([d for _, d in held])
+        held.clear()
+        acc = accessibility_batch(net, sources, cfg.h_access, dist_block=dist)
+        sb = backbone_symmetry_batch(net, sources, cfg.h_symmetry, dist=dist)
+        sm = merged_symmetry_batch(net, sources, cfg.h_symmetry, dist=dist)
+        del dist  # Ag reads no distances
+        ag = generalized_accessibility(net, cfg.ag_exclude_self, rows=sources)
+        walked[:, sources] = np.vstack([acc.T, sb.T, sm.T, ag.values[sources]])
+
+    parts = _geodesic_blocks(net)
+    for part in parts:
+        rows = np.arange(part.start, part.stop)
+        chosen = rows[walking[part]]
+        if sum(len(s) for s, _ in held) + len(chosen) > parts[0].stop:
+            walk()  # before this block's search: no more than one block's rows are held
+        dist = betweenness(net, rows, between)
+        for i, h in enumerate(cfg.h_access):
+            near[i, part] = neighborhood_connectivity(dist, h, cfg.cumulative)
+        inside = on_comp[part]
+        block = dist if len(comp) == n else dist[np.ix_(inside, comp)]
+        close[part][inside] = closeness(block, reciprocal=cfg.closeness == "reciprocal")
+        ecc[part][inside] = eccentricity(block)
+        del block
+        if len(chosen):
+            held.append((chosen, dist if len(chosen) == len(rows) else dist[chosen - part.start]))
+        del dist
+    if held:
+        walk()
+
+    between[~on_comp] = 0.0
+    measures = {"B": NodeMeasures(between, ~on_comp), "C": NodeMeasures(close, ~on_comp),
+                "E": NodeMeasures(ecc, ~on_comp)}
+    for h, counts in zip(cfg.h_access, near):
+        measures[f"N{h}"] = NodeMeasures(counts, np.zeros(n, dtype=bool))
+    for name, values in zip(names, walked, strict=True):
+        measures[name] = NodeMeasures(values, ~walking)
     return measures
 
 

@@ -10,6 +10,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from oracles import net_from_edges  # noqa: E402
 from prosenet.corpus import Document  # noqa: E402
 from prosenet.graph import build_network  # noqa: E402
+from prosenet.pipeline import RunConfig, geodesic_measures  # noqa: E402
 
 
 @pytest.fixture
@@ -24,6 +25,12 @@ def make_doc(tokens, doc_id="t", label="informative", stop_mask=None):
         doc_id, label, list(tokens), len(tokens),
         stop_mask if stop_mask is not None else [False] * len(tokens),
     )
+
+
+def geodesic(net, **settings):
+    """The measures of ``net``'s geodesic pass under ``RunConfig(**settings)``,
+    without walks: ``B``, ``C``, ``E`` and one ``N`` per ``h_access`` depth."""
+    return geodesic_measures(net, RunConfig(**settings))
 
 
 def zipf_doc(tokens: int, words: int = 3000, seed: int = 3):

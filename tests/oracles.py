@@ -49,7 +49,7 @@ from scipy.linalg import expm as scipy_expm
 from scipy.sparse import csgraph
 
 from prosenet import ConvergenceError, ProsenetError
-from prosenet.features import FeatureMatrix
+from prosenet.features import DocumentMeasures, FeatureMatrix, _impute_column_means
 from prosenet.graph import (GeodesicLevel, WordNetwork, _csr, bfs_distances,
                             largest_component_nodes)
 from prosenet.learn import RelevanceReport, _CartNode
@@ -495,6 +495,29 @@ def pearson(x: np.ndarray, y: np.ndarray) -> float:
     if sx == 0.0 or sy == 0.0:
         return 0.0
     return float(((x - x.mean()) * (y - y.mean())).mean() / (sx * sy))
+
+
+def oracle_local_features(doc_measures: list[DocumentMeasures],
+                          word_list: list[str]) -> FeatureMatrix:
+    """``features.local_features`` one cell at a time: documents, then
+    measures, then words."""
+    measure_names = sorted(doc_measures[0].measures)
+    names = [f"{m}@{w}" for m in measure_names for w in word_list]
+    values = np.zeros((len(doc_measures), len(names)), dtype=np.float64)
+    missing = np.ones((len(doc_measures), len(names)), dtype=bool)
+    for i, dm in enumerate(doc_measures):
+        index = {w: node for node, w in enumerate(dm.node_labels)}
+        col = 0
+        for m in measure_names:
+            nm = dm.measures[m]
+            for w in word_list:
+                node = index.get(w)
+                if node is not None and not nm.missing[node]:
+                    values[i, col] = nm.values[node]
+                    missing[i, col] = False
+                col += 1
+    return FeatureMatrix([dm.doc_id for dm in doc_measures], [dm.label for dm in doc_measures],
+                         names, _impute_column_means(values, missing))
 
 
 def oracle_decorrelation_filter(

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import write_toy_corpus
+from conftest import geodesic, write_toy_corpus
 from oracles import (
     accessibility,
     adjacency,
@@ -44,14 +44,7 @@ from prosenet.learn import (
     relevance_index,
     significance,
 )
-from prosenet.metrics import (
-    betweenness,
-    closeness,
-    clustering,
-    detect_communities,
-    eccentricity,
-    neighborhood_connectivity,
-)
+from prosenet.metrics import clustering, detect_communities
 from prosenet.pipeline import RunConfig, cmd_baselines, cmd_classify
 from prosenet.walks import expm
 
@@ -74,14 +67,15 @@ def test_criterion_1_oracle_equivalence_on_200_graphs():
         adj = adjacency(n, edges)
 
         dist = oracle_distances(adj, n)
-        assert np.abs(betweenness(net).values - oracle_betweenness(adj, n)).max() <= 1e-10
-        assert np.array_equal(closeness(net).values, dist.mean(axis=1))
-        assert np.array_equal(eccentricity(net).values, dist.max(axis=1))
+        measures = geodesic(net, h_access=(1, 2, 3))
+        assert np.abs(measures["B"].values - oracle_betweenness(adj, n)).max() <= 1e-10
+        assert np.array_equal(measures["C"].values, dist.mean(axis=1))
+        assert np.array_equal(measures["E"].values, dist.max(axis=1))
         assert np.array_equal(clustering(net).values, oracle_clustering(adj, n))
         for h in (1, 2, 3):
             rings = [oracle_rings(adj, n, i).get(h, set()) for i in range(n)]
             assert np.array_equal(
-                neighborhood_connectivity(net, h).values,
+                measures[f"N{h}"].values,
                 np.array([len(r) for r in rings], dtype=float),
             )
         src = int(rng.integers(0, n))

@@ -10,6 +10,7 @@ from oracles import (
     information_gain,
     mutual_information_bits,
     oracle_decorrelation_filter,
+    oracle_local_features,
     oracle_mutual_information,
     oracle_rank_features,
     pearson,
@@ -121,6 +122,40 @@ class TestLocalFeatures:
         fm = local_features([d], ["the", "by"])
         assert "Sm2@the" in fm.feature_names
         assert "Ag@by" in fm.feature_names
+
+
+@st.composite
+def local_cases(draw):
+    """Documents over a shared vocabulary, each holding a subset of it in its
+    own node order, with measures of every node beside walk measures missing
+    at some nodes, and a word list that names words absent from some or all
+    documents."""
+    vocabulary = [f"w{i}" for i in range(draw(st.integers(1, 12)))]
+    measure_names = draw(st.lists(st.sampled_from(["k", "B", "A2", "Sm3", "Ag"]),
+                                  min_size=1, unique=True))
+    docs = []
+    for i in range(draw(st.integers(1, 8))):
+        labels = draw(st.permutations(vocabulary))[:draw(st.integers(1, len(vocabulary)))]
+        measures = {}
+        for name in measure_names:
+            values = draw(st.lists(st.floats(-1e6, 1e6), min_size=len(labels),
+                                   max_size=len(labels)))
+            gaps = draw(st.lists(st.booleans(), min_size=len(labels), max_size=len(labels)))
+            missing = np.array(gaps) if name in ("A2", "Sm3", "Ag") else np.zeros(len(labels), bool)
+            measures[name] = NodeMeasures(np.where(missing, 0.0, values), missing)
+        docs.append(DocumentMeasures(f"d{i}", "informative", list(labels), measures, 0.0))
+    words = draw(st.lists(st.sampled_from(vocabulary + ["absent"]), min_size=1, unique=True))
+    return docs, words
+
+
+@settings(max_examples=150, deadline=None)
+@given(local_cases())
+def test_local_features_match_the_per_cell_reference(case):
+    docs, words = case
+    got, want = local_features(docs, words), oracle_local_features(docs, words)
+    assert got.feature_names == want.feature_names
+    assert got.doc_ids == want.doc_ids and got.labels == want.labels
+    assert got.values.tobytes() == want.values.tobytes()
 
 
 class TestDecorrelationFilter:

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import networks, zipf_doc
+from conftest import geodesic, networks, zipf_doc
 from oracles import (
     levels_backbone_symmetry,
     net_from_edges,
@@ -63,6 +63,16 @@ def same_measure(got, want):
     assert np.array_equal(got.missing, want.missing)
 
 
+def blocked_pass(net):
+    """The distance rows ``betweenness`` returns block by block, stacked,
+    and ``B`` of the geodesic pass."""
+    n = net.node_count
+    total = np.zeros(n)
+    dist = np.vstack([betweenness(net, np.arange(part.start, part.stop), total)
+                      for part in row_blocks(np.full(n, geodesic_row_bytes(net)))])
+    return dist, geodesic(net)["B"]
+
+
 @PROPERTY
 @given(networks, st.data())
 def test_bfs_levels_are_every_geodesic_edge_in_order(net, data):
@@ -90,20 +100,17 @@ def test_geodesic_pass_is_the_same_for_every_block_size(net, data):
     rows = data.draw(st.integers(1, n))
 
     def blocked(per_block):
-        dist = np.empty((n, n), dtype=np.int32)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(graph, "BLOCK_BYTES", per_block * geodesic_row_bytes(net))
             assert next(row_blocks(np.full(n, geodesic_row_bytes(net)))) == slice(0, per_block)
-            return dist, betweenness(net, dist=dist), betweenness(net)
+            return blocked_pass(net)
 
-    dist, b, alone = blocked(rows)
-    whole_dist, whole_b, whole_alone = blocked(n)
+    dist, b = blocked(rows)
+    whole_dist, whole_b = blocked(n)
     assert np.array_equal(whole_dist, scipy_bfs_distances(net, np.arange(n)))
     same_measure(whole_b, scipy_betweenness(net))
-    same_measure(whole_alone, whole_b)
     assert np.array_equal(dist, whole_dist)
     same_measure(b, whole_b)
-    same_measure(alone, whole_b)
 
 
 @PROPERTY
@@ -128,8 +135,7 @@ def test_blocks_add_betweenness_in_source_order(per_block):
     n = net.node_count
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(graph, "BLOCK_BYTES", per_block * geodesic_row_bytes(net))
-        dist = np.empty((n, n), dtype=np.int32)
-        b = betweenness(net, dist=dist)
+        dist, b = blocked_pass(net)
     same_measure(b, scipy_betweenness(net))
     assert np.array_equal(dist, scipy_bfs_distances(net, np.arange(n)))
 
@@ -143,7 +149,7 @@ def test_component_labels_match_csgraph(net):
 @PROPERTY
 @given(networks)
 def test_betweenness_matches_level_synchronous_brandes(net):
-    same_measure(betweenness(net), scipy_betweenness(net))
+    same_measure(geodesic(net)["B"], scipy_betweenness(net))
 
 
 @PROPERTY

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_doc, networks
+from conftest import geodesic, make_doc, networks
 from oracles import (
     adjacency,
     loop_edges,
@@ -19,9 +19,9 @@ from oracles import (
     random_connected_graph,
 )
 from prosenet import ConvergenceError, ProsenetError
-from prosenet.graph import bfs_distances, build_network
+from prosenet import graph
+from prosenet.graph import bfs_distances, build_network, geodesic_row_bytes, largest_component_nodes
 from prosenet.metrics import (
-    betweenness,
     closeness,
     clustering,
     degree,
@@ -68,14 +68,14 @@ class TestDegree:
 class TestNeighborhoodConnectivity:
     def test_path_center(self):
         net = build_network(make_doc(list("abcde")))
-        assert neighborhood_connectivity(net, 2).values[2] == 2
+        assert geodesic(net, h_access=(2,))["N2"].values[2] == 2
 
     def test_h1_recovers_degree(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
             n, edges = random_connected_graph(rng)
             net = net_from_edges(n, edges)
-            assert (neighborhood_connectivity(net, 1).values == degree(net).values).all()
+            assert (geodesic(net, h_access=(1,))["N1"].values == degree(net).values).all()
 
     def test_matches_bfs_ring_oracle(self):
         rng = np.random.default_rng(3)
@@ -83,14 +83,15 @@ class TestNeighborhoodConnectivity:
             n, edges = random_connected_graph(rng)
             net = net_from_edges(n, edges)
             adj = adjacency(n, edges)
+            measures = geodesic(net, h_access=(2, 3))
             for h in (2, 3):
-                values = neighborhood_connectivity(net, h).values
+                values = measures[f"N{h}"].values
                 for i in range(n):
                     assert values[i] == len(oracle_rings(adj, n, i).get(h, set()))
 
     def test_cumulative_counts_within(self):
         net = build_network(make_doc(list("abcde")))
-        assert neighborhood_connectivity(net, 2, cumulative=True).values[0] == 2
+        assert geodesic(net, h_access=(2,), cumulative=True)["N2"].values[0] == 2
 
 
 class TestClustering:
@@ -112,10 +113,10 @@ class TestClustering:
 class TestBetweenness:
     def test_path_counts_ordered_pairs(self):
         net = build_network(make_doc(["a", "b", "c"]))
-        assert betweenness(net).values.tolist() == [0.0, 2.0, 0.0]
+        assert geodesic(net)["B"].values.tolist() == [0.0, 2.0, 0.0]
 
     def test_complete_all_zero(self):
-        assert (betweenness(complete(4)).values == 0).all()
+        assert (geodesic(complete(4))["B"].values == 0).all()
 
     def test_matches_enumeration_oracle(self):
         rng = np.random.default_rng(5)
@@ -123,25 +124,25 @@ class TestBetweenness:
             n, edges = random_connected_graph(rng, 4, 10)
             net = net_from_edges(n, edges)
             expected = oracle_betweenness(adjacency(n, edges), n)
-            assert np.allclose(betweenness(net).values, expected, atol=1e-10)
+            assert np.allclose(geodesic(net)["B"].values, expected, atol=1e-10)
 
     def test_disconnected_marks_missing(self):
         net = net_from_edges(5, {(0, 1), (1, 2), (3, 4)})
-        nm = betweenness(net)
+        nm = geodesic(net)["B"]
         assert nm.missing.tolist() == [False, False, False, True, True]
 
 
 class TestCloseness:
     def test_path_literal_mean(self):
         net = build_network(make_doc(["a", "b", "c"]))
-        assert np.isclose(closeness(net).values[1], 2 / 3)
+        assert np.isclose(geodesic(net)["C"].values[1], 2 / 3)
 
     def test_complete(self):
-        assert np.allclose(closeness(complete(4)).values, 3 / 4)
+        assert np.allclose(geodesic(complete(4))["C"].values, 3 / 4)
 
     def test_reciprocal_option(self):
         net = build_network(make_doc(["a", "b", "c"]))
-        assert np.isclose(closeness(net, reciprocal=True).values[1], 3 / 2)
+        assert np.isclose(geodesic(net, closeness="reciprocal")["C"].values[1], 3 / 2)
 
     def test_matches_distance_oracle(self):
         rng = np.random.default_rng(6)
@@ -149,16 +150,16 @@ class TestCloseness:
             n, edges = random_connected_graph(rng)
             net = net_from_edges(n, edges)
             dist = oracle_distances(adjacency(n, edges), n)
-            assert np.allclose(closeness(net).values, dist.mean(axis=1))
+            assert np.allclose(geodesic(net)["C"].values, dist.mean(axis=1))
 
 
 class TestEccentricity:
     def test_path(self):
         net = build_network(make_doc(["a", "b", "c"]))
-        assert eccentricity(net).values.tolist() == [2.0, 1.0, 2.0]
+        assert geodesic(net)["E"].values.tolist() == [2.0, 1.0, 2.0]
 
     def test_complete(self):
-        assert (eccentricity(complete(4)).values == 1).all()
+        assert (geodesic(complete(4))["E"].values == 1).all()
 
     def test_max_is_diameter(self):
         rng = np.random.default_rng(7)
@@ -166,13 +167,17 @@ class TestEccentricity:
             n, edges = random_connected_graph(rng)
             net = net_from_edges(n, edges)
             dist = oracle_distances(adjacency(n, edges), n)
-            values = eccentricity(net).values
+            values = geodesic(net)["E"].values
             assert values.max() == dist.max()
             assert np.allclose(values, dist.max(axis=1))
 
 
-class TestSharedDistances:
-    def test_dist_argument_does_not_change_results(self):
+class TestGeodesicPass:
+    def test_blocks_give_the_reductions_of_the_whole_matrix(self):
+        """Two components and an isolated node, measured in blocks of 1, 2
+        and 3 source rows and in one block: bit for bit the row reductions
+        of the component's block of the all-pairs distances, and missing
+        off the largest component."""
         rng = np.random.default_rng(13)
         for _ in range(15):
             n1, e1 = random_connected_graph(rng, 3, 9)
@@ -183,18 +188,22 @@ class TestSharedDistances:
             edges = {(min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in edges}
             net = net_from_edges(n, edges)
             dist = bfs_distances(net, np.arange(n))
-            filled = np.empty((n, n), dtype=np.int32)
-            shared_pass = {betweenness: {"dist": filled},
-                           closeness: {"dist": dist}, eccentricity: {"dist": dist}}
-            for fn, pass_args in shared_pass.items():
-                plain, shared = fn(net), fn(net, **pass_args)
-                assert np.array_equal(plain.values, shared.values), fn.__name__
-                assert np.array_equal(plain.missing, shared.missing), fn.__name__
-                assert plain.missing.sum() == n - max(n1, n2)
-            assert np.array_equal(filled, dist)  # betweenness ran the pass
-            plain = closeness(net, reciprocal=True)
-            shared = closeness(net, reciprocal=True, dist=dist)
-            assert np.array_equal(plain.values, shared.values)
+            comp = largest_component_nodes(net)
+            block = dist[np.ix_(comp, comp)]
+            for rows in (1, 2, 3, n):
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(graph, "BLOCK_BYTES", rows * geodesic_row_bytes(net))
+                    for kind in ("mean", "reciprocal"):
+                        measures = geodesic(net, h_access=(1, 2, 3), closeness=kind)
+                        want = closeness(block, reciprocal=kind == "reciprocal")
+                        assert np.array_equal(measures["C"].values[comp], want)
+                for name in ("B", "C", "E"):
+                    assert measures[name].missing.sum() == n - max(n1, n2), name
+                    assert not measures[name].values[measures[name].missing].any(), name
+                assert np.array_equal(measures["E"].values[comp], eccentricity(block))
+                for h in (1, 2, 3):
+                    assert np.array_equal(measures[f"N{h}"].values,
+                                          neighborhood_connectivity(dist, h))
 
 
 class TestEigenvector:
@@ -357,8 +366,10 @@ class TestPermutationEquivariance:
         mapped = {(min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in edges}
         net1 = net_from_edges(n, edges)
         net2 = net_from_edges(n, mapped)
-        for fn in (degree, clustering, betweenness, closeness, eccentricity,
-                   eigenvector_centrality, pagerank):
+        for fn in (degree, clustering, eigenvector_centrality, pagerank):
             v1 = fn(net1).values
             v2 = fn(net2).values
             assert np.allclose(v1, v2[perm], atol=1e-8), fn.__name__
+        pass1, pass2 = geodesic(net1), geodesic(net2)
+        for name in ("B", "C", "E", "N2", "N3"):
+            assert np.allclose(pass1[name].values, pass2[name].values[perm], atol=1e-8), name

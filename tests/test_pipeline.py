@@ -18,13 +18,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_doc, write_toy_corpus, zipf_doc
-from oracles import oracle_rank_subsets, relevance_csvs
+from oracles import net_from_edges, oracle_rank_subsets, relevance_csvs
 from prosenet import CostGuardError, ProsenetError, graph, pipeline
 from prosenet.cli import main
 from prosenet.corpus import load_lemma_dictionary, load_manifest, prepare_manifest
 from prosenet.graph import build_network, geodesic_row_bytes
 from prosenet.learn import LEDGER_DTYPE, RelevanceReport, rank_subsets
-from prosenet.metrics import NodeMeasures, betweenness
+from prosenet.metrics import NodeMeasures
 from prosenet.pipeline import (
     RunConfig,
     cmd_baselines,
@@ -32,6 +32,7 @@ from prosenet.pipeline import (
     cmd_measure,
     cmd_relevance,
     config_from_sources,
+    geodesic_measures,
     measure_document,
     parse_config_file,
     write_relevance,
@@ -688,6 +689,54 @@ class TestMeasureDocument:
             assert dm.measures[f"Sb{h}"].missing.all()
             assert dm.measures[f"Sm{h}"].missing.all()
 
+    @staticmethod
+    def at_each_block(net, measure):
+        """``measure()`` as bytes at the 8 MiB, 64 KiB and 4 KiB blocks and at
+        blocks of five geodesic rows, so that walk rows are held across blocks."""
+        seen = []
+        for block in (8 << 20, 64 << 10, 4 << 10, 5 * geodesic_row_bytes(net)):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(graph, "BLOCK_BYTES", block)
+                measures, q = measure()
+            seen.append({name: (nm.values.tobytes(), nm.missing.tobytes())
+                         for name, nm in measures.items()} | {"Q": np.float64(q).tobytes()})
+        return seen
+
+    @pytest.mark.parametrize("strategy", pipeline.STRATEGIES)
+    def test_a_documents_bytes_do_not_depend_on_the_block(self, strategy):
+        doc = zipf_doc(200)
+        counts = Counter(doc.tokens)
+        common = sorted(counts, key=lambda w: (-counts[w], w))
+        words = {"GS": None, "LS": common[:50], "LSS": common[:7] + ["absent"]}[strategy]
+        net = build_network(doc)
+
+        def measure():
+            dm = measure_document(doc, RunConfig(strategy=strategy), words)
+            return dm.measures, dm.modularity_q
+
+        first, *rest = self.at_each_block(net, measure)
+        assert len(first) == 1 + 9 + 9  # Q, nine measures of every node, nine walk measures
+        assert all(other == first for other in rest)
+
+    def test_two_components_do_not_depend_on_the_block(self):
+        """Rows outside the largest component, and walk sources in the small
+        component and on an isolated node."""
+        big = build_network(zipf_doc(150))
+        n = big.node_count + 6
+        small = {(n - 6, n - 5), (n - 5, n - 4), (n - 4, n - 3), (n - 3, n - 6), (n - 3, n - 2)}
+        net = net_from_edges(n, set(big.edges()) | small)  # node n - 1 is isolated
+        requested = np.zeros(n, dtype=bool)
+        requested[[0, 3, big.node_count - 1, n - 5, n - 2, n - 1]] = True
+
+        def measure():
+            return geodesic_measures(net, RunConfig(), requested), 0.0
+
+        first, *rest = self.at_each_block(net, measure)
+        assert all(other == first for other in rest)
+        assert np.frombuffer(first["C"][1], dtype=bool)[big.node_count:].all()
+        walked = ~np.frombuffer(first["A2"][1], dtype=bool)
+        assert np.array_equal(walked, requested)
+
 
 def traced_peak(fn):
     """(fn's result, the peak bytes that tracemalloc saw while it ran)."""
@@ -756,23 +805,39 @@ class TestMeasurementMemory:
         assert peak <= need
 
     def test_blocked_pass_stays_within_its_budget(self):
+        """The geodesic pass without walks holds one block and its per-node
+        outputs; in one block of every row it would take far more."""
         net = build_network(zipf_doc(3000))
         n = net.node_count
-        budget, dist_bytes = graph.BLOCK_BYTES, 4 * n * n
-        assert n * geodesic_row_bytes(net) > budget  # one block would not fit
+        budget = graph.BLOCK_BYTES + pipeline.NODE_OUTPUT_BYTES * n
+        assert n * geodesic_row_bytes(net) > graph.BLOCK_BYTES  # one block would not fit
 
         def geodesic_pass():
-            dist = np.empty((n, n), dtype=np.int32)
-            return dist, betweenness(net, dist=dist)
+            return geodesic_measures(net, RunConfig())
 
         blocked, peak = traced_peak(geodesic_pass)
-        assert peak <= budget + dist_bytes
+        assert peak <= budget
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(graph, "BLOCK_BYTES", n * geodesic_row_bytes(net))
             whole, whole_peak = traced_peak(geodesic_pass)
-        assert whole_peak > budget + dist_bytes
-        assert np.array_equal(blocked[0], whole[0])
-        assert np.array_equal(blocked[1].values, whole[1].values)
+        assert whole_peak > budget
+        assert sorted(blocked) == ["B", "C", "E", "N2", "N3"]
+        for name, nm in blocked.items():
+            assert np.array_equal(nm.values, whole[name].values), name
+            assert np.array_equal(nm.missing, whole[name].missing), name
+
+    @pytest.mark.parametrize("strategy", ["GS", "LSS"])
+    def test_measuring_holds_no_n_by_n_array(self, strategy, monkeypatch):
+        """A network of 575 nodes of degree at most 18: at a 64 KiB block its
+        whole estimate is below the 4 n^2 bytes that an int32 n x n distance
+        matrix alone would take, and so is its peak."""
+        rng = np.random.default_rng(5)
+        doc = make_doc([f"w{t}" for t in rng.integers(0, 600, 1800)])
+        monkeypatch.setattr(graph, "BLOCK_BYTES", 64 << 10)
+        n = build_network(doc).node_count
+        need, peak = estimate_and_peak(doc, strategy)
+        assert need < 4 * n * n
+        assert peak < 4 * n * n
 
     def test_symmetry_blocks_stay_within_the_budget(self):
         net = build_network(zipf_doc(1000))
@@ -818,8 +883,9 @@ class TestMeasurementMemory:
         need = pipeline.measurement_bytes(net, np.arange(n), cfg.h_access)
         # the SAW row is the largest, over the Taylor row among others
         assert largest > taylor_row_bytes(net)
-        assert need == (4 * n**2 + pipeline.NODE_OUTPUT_BYTES * n + pipeline.DOCUMENT_FIXED_BYTES
-                        + graph.BLOCK_BYTES + largest)
+        held = min(n, pipeline._geodesic_blocks(net)[0].stop)  # walk rows of one block
+        assert need == (4 * n * held + pipeline.NODE_OUTPUT_BYTES * n
+                        + pipeline.DOCUMENT_FIXED_BYTES + graph.BLOCK_BYTES + largest)
         monkeypatch.setattr(pipeline, "MEASURE_BUDGET", need - 1)
 
         def refused():
@@ -849,10 +915,11 @@ class TestMeasurementMemory:
         (tmp_path / "corpus" / "long.txt").write_text(" ".join(words), encoding="utf-8")
         with_long = tmp_path / "corpus" / "with_long.tsv"
         with_long.write_text(manifest.read_text() + "long\tinformative\tlong.txt\n")
-        # admits the n-squared and per-node terms of 300 nodes: the 400-node
-        # path is refused, the short documents (under 100 nodes) are not
-        monkeypatch.setattr(pipeline, "MEASURE_BUDGET", graph.BLOCK_BYTES + 4 * 300**2
-                            + pipeline.NODE_OUTPUT_BYTES * 300)
+        # admits the same path cut to 300 nodes: the 400-node path is
+        # refused, the short documents (under 100 nodes) are not
+        path = build_network(make_doc(words[:300]))
+        monkeypatch.setattr(pipeline, "MEASURE_BUDGET", pipeline.measurement_bytes(
+            path, np.arange(300), RunConfig().h_access))
 
         def measure(path, out):
             return cmd_measure(RunConfig(manifest=str(path), strategy="GS", out=str(out)))
