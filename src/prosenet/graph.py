@@ -177,8 +177,7 @@ def geodesic_row_bytes(net: WordNetwork) -> int:
 
 
 def bfs_distances(net: WordNetwork, sources: np.ndarray,
-                  levels: list[GeodesicLevel] | None = None,
-                  out: np.ndarray | None = None) -> np.ndarray:
+                  levels: list[GeodesicLevel] | None = None) -> np.ndarray:
     """Hop distances from each source row to every node; -1 when unreachable.
 
     Frontier-expanding BFS over all sources at once: the frontier is a sorted
@@ -186,17 +185,14 @@ def bfs_distances(net: WordNetwork, sources: np.ndarray,
     neighbour lists. The number of source rows bounds the memory a level
     takes, so a caller that needs a bound searches from blocks of sources.
     When ``levels`` is given, the geodesic edges into distance 1, 2, ... are
-    appended to it, one ``GeodesicLevel`` per level. The distances are
-    written into ``out`` when given (a C-ordered int32 (sources, n) array).
-    Flat ids are int32 unless s * n overflows it.
+    appended to it, one ``GeodesicLevel`` per level. The distances come back
+    as a C-ordered int32 (sources, n) array. Flat ids are int32 unless s * n
+    overflows it.
     """
     n = net.node_count
     sources = np.asarray(sources, dtype=np.int64)
     ids = np.int32 if len(sources) * n < 2**31 else np.int64
-    if out is None:
-        out = np.empty((len(sources), n), dtype=np.int32)
-    dist = out.reshape(-1)
-    dist.fill(-1)
+    dist = np.full(len(sources) * n, -1, dtype=np.int32)
     frontier = (np.arange(len(sources), dtype=np.int64) * n + sources).astype(ids)
     dist[frontier] = 0
     level = 0
@@ -209,7 +205,7 @@ def bfs_distances(net: WordNetwork, sources: np.ndarray,
         frontier = np.flatnonzero(dist == level).astype(ids)
         if levels is not None and len(frontier):
             levels.append(GeodesicLevel(tails, heads))
-    return out
+    return dist.reshape(len(sources), n)
 
 
 def _expand(frontier: np.ndarray, n: int, indptr: np.ndarray, indices: np.ndarray,

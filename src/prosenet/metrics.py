@@ -192,7 +192,9 @@ def leading_eigenvector(
     """Nonnegative leading eigenvector (sum 1) of a nonnegative operator.
 
     Power iteration on the shifted operator x -> A x + x, which keeps
-    convergence monotone on bipartite graphs. ``matvec`` applies A. Raises
+    convergence monotone on bipartite graphs. ``matvec`` applies A. The
+    Rayleigh quotient that decides when to stop sums products with
+    ``np.sum``, not a BLAS dot, so no step follows the BLAS kernel. Raises
     ConvergenceError with the residual when the eigen-residual stays above
     ``tol``.
     """
@@ -200,7 +202,7 @@ def leading_eigenvector(
     residual = np.inf
     for _ in range(max_iter):
         ax = matvec(x)
-        lam = float(x @ ax) / float(x @ x)
+        lam = float(np.sum(x * ax)) / float(np.sum(x * x))
         residual = float(np.abs(ax - lam * x).sum())
         if residual < tol:
             return x / x.sum()
@@ -258,6 +260,19 @@ def pagerank(net: WordNetwork, alpha: float = 0.85, tol: float = 1e-12,
     if residual >= tol:
         raise ConvergenceError("pagerank iteration did not converge", residual)
     return _on_component(net, comp, pr)
+
+
+# ``detect_communities`` per node and per CSR entry: its dicts, member lists
+# and heap tuples, and on a process's first call the interpreter's free lists;
+# 167-208 measured on Zipf, hub and corpus_gen texts, up to 270 on stars and
+# cycles, which ``pipeline.NODE_OUTPUT_BYTES`` covers while it runs
+COMMUNITY_BYTES = 216
+
+
+def community_bytes(net: WordNetwork) -> int:
+    """The bytes ``detect_communities`` takes at its peak, as the cost
+    estimate counts them; it runs unblocked."""
+    return COMMUNITY_BYTES * (net.node_count + len(net.indices))
 
 
 @dataclass

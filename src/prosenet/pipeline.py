@@ -61,6 +61,7 @@ from .metrics import (
     clustering_row_bytes,
     betweenness,
     closeness,
+    community_bytes,
     degree,
     detect_communities,
     eccentricity,
@@ -70,7 +71,6 @@ from .metrics import (
 )
 from .walks import (
     DEFAULT_DEPTH_CAP,
-    ENTROPY_CELL_BYTES,
     accessibility_batch,
     backbone_symmetry_batch,
     generalized_accessibility,
@@ -236,12 +236,13 @@ def measurement_bytes(net: WordNetwork, sources: np.ndarray, h_access: tuple[int
     fixed per-document term (``DOCUMENT_FIXED_BYTES``), one block of a
     batched kernel (``graph.BLOCK_BYTES``, read when called, as
     ``row_blocks`` reads it), the largest single row of any such kernel, as
-    a row over the budget forms a block alone, and the int32 distance rows
-    the geodesic pass holds for the walk kernels: one per source, at most
-    one geodesic block of them."""
+    a row over the budget forms a block alone, or community detection's
+    whole take if larger, as it runs unblocked while no block is held, and
+    the int32 distance rows the geodesic pass holds for the walk kernels:
+    one per source, at most one geodesic block of them."""
     n = net.node_count
     rows = [geodesic_row_bytes(net), clustering_row_bytes(net).max(initial=0),
-            ENTROPY_CELL_BYTES * n, merged_row_bytes(net), taylor_row_bytes(net),
+            community_bytes(net), merged_row_bytes(net), taylor_row_bytes(net),
             saw_row_bytes(net, sources, max(h_access)).max(initial=0)]
     held = min(len(sources), _geodesic_blocks(net)[0].stop)
     return (NODE_OUTPUT_BYTES * n + DOCUMENT_FIXED_BYTES + graph.BLOCK_BYTES + int(max(rows))
@@ -330,12 +331,12 @@ def geodesic_measures(net: WordNetwork, cfg: RunConfig,
         sources = np.concatenate([rows for rows, _ in held])
         dist = held[0][1] if len(held) == 1 else np.concatenate([d for _, d in held])
         held.clear()
-        acc = accessibility_batch(net, sources, cfg.h_access, dist_block=dist)
-        sb = backbone_symmetry_batch(net, sources, cfg.h_symmetry, dist=dist)
-        sm = merged_symmetry_batch(net, sources, cfg.h_symmetry, dist=dist)
+        acc = accessibility_batch(net, sources, cfg.h_access, dist)
+        sb = backbone_symmetry_batch(net, sources, cfg.h_symmetry, dist)
+        sm = merged_symmetry_batch(net, sources, cfg.h_symmetry, dist)
         del dist  # Ag reads no distances
-        ag = generalized_accessibility(net, cfg.ag_exclude_self, rows=sources)
-        walked[:, sources] = np.vstack([acc.T, sb.T, sm.T, ag.values[sources]])
+        ag = generalized_accessibility(net, sources, cfg.ag_exclude_self)
+        walked[:, sources] = np.vstack([acc.T, sb.T, sm.T, ag])
 
     parts = _geodesic_blocks(net)
     for part in parts:

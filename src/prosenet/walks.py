@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import WordNetwork, bfs_distances, min_labels, row_blocks, unique_codes
-from .metrics import NodeMeasures
+from .graph import WordNetwork, min_labels, row_blocks, unique_codes
+# no kernel here searches distances; ``perfbench/tracer.py`` patches this name
+from .graph import bfs_distances  # noqa: F401
 
 DEFAULT_DEPTH_CAP = 4
 
@@ -110,37 +111,34 @@ def _ring_exp_entropies(rows: np.ndarray) -> np.ndarray:
 
 def _exp_entropy_rows(rows: np.ndarray) -> np.ndarray:
     """exp of the Shannon entropy of each nonnegative mass row (0 for a row
-    without mass), in ``row_blocks``; each row is summed whole either way."""
-    out = np.empty(len(rows), dtype=np.float64)
-    for part in row_blocks(np.full(len(rows), ENTROPY_CELL_BYTES * rows.shape[1])):
-        mass = rows[part]
-        positive = mass > 0
-        terms = np.log(mass, out=np.zeros(mass.shape), where=positive)
-        terms *= mass
-        out[part] = np.where(positive.any(axis=1), np.exp(-terms.sum(axis=1)), 0.0)
-    return out
+    without mass). Its cells (``ENTROPY_CELL_BYTES`` each) are counted in
+    the row bound of every caller's block."""
+    positive = rows > 0
+    terms = np.log(rows, out=np.zeros(rows.shape), where=positive)
+    terms *= rows
+    return np.where(positive.any(axis=1), np.exp(-terms.sum(axis=1)), 0.0)
 
 
 def accessibility_batch(
     net: WordNetwork,
     sources: np.ndarray,
     h_values: tuple[int, ...],
-    dist_block: np.ndarray | None = None,
+    dist: np.ndarray,
 ) -> np.ndarray:
     """Accessibility at each h in h_values (1..DEFAULT_DEPTH_CAP, as
-    ``saw_row_bytes`` assumes) for many sources; shape (S, len(h)). The
-    sources go in ``row_blocks`` by ``saw_row_bytes``."""
+    ``saw_row_bytes`` assumes) for many sources, whose distance rows are
+    ``dist``; shape (S, len(h)). The sources go in ``row_blocks`` by
+    ``saw_row_bytes``."""
     if not all(1 <= h <= DEFAULT_DEPTH_CAP for h in h_values):
         raise ValueError(f"h must lie in 1..{DEFAULT_DEPTH_CAP}")
     h_max = max(h_values)
     sources = np.asarray(sources)
     out = np.zeros((len(sources), len(h_values)), dtype=np.float64)
     for part in row_blocks(saw_row_bytes(net, sources, h_max)):
-        batch = sources[part]
-        levels = _saw_levels(net, batch, h_max)
-        dist = bfs_distances(net, batch) if dist_block is None else dist_block[part]
+        levels = _saw_levels(net, sources[part], h_max)
+        d = dist[part]
         for col, h in enumerate(h_values):
-            out[part, col] = _exp_entropy_rows(np.where(dist == h, levels[h - 1], 0.0))
+            out[part, col] = _exp_entropy_rows(np.where(d == h, levels[h - 1], 0.0))
     return out
 
 
@@ -182,23 +180,19 @@ def expm(net: WordNetwork, nodes: np.ndarray) -> np.ndarray:
     return total
 
 
-def generalized_accessibility(net: WordNetwork, exclude_self: bool = False,
-                              rows: np.ndarray | None = None) -> NodeMeasures:
-    """Per-node exp-entropy of the walk-mixture rows (all walk lengths at once).
+def generalized_accessibility(net: WordNetwork, sources: np.ndarray,
+                              exclude_self: bool = False) -> np.ndarray:
+    """The exp-entropy of each source's walk-mixture row (all walk lengths
+    at once); shape (S,).
 
-    Only the nodes ``rows`` are measured (every node when None) and the
-    others are missing. Each row of exp(P) comes from ``expm`` in
-    ``row_blocks`` of ``taylor_row_bytes`` and is normalized to sum 1. With
-    ``exclude_self`` each row then drops its own node and is renormalized; a
-    row left without mass gets 0. A row's bits do not depend on which rows
-    share its block."""
-    n = net.node_count
-    rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.int64)
-    values = np.zeros(n, dtype=np.float64)
-    missing = np.ones(n, dtype=bool)
-    missing[rows] = False
-    for part in row_blocks(np.full(len(rows), taylor_row_bytes(net))):
-        nodes = rows[part]
+    Each row of exp(P) comes from ``expm`` in ``row_blocks`` of
+    ``taylor_row_bytes`` and is normalized to sum 1. With ``exclude_self``
+    each row then drops its own node and is renormalized; a row left without
+    mass gets 0. A row's bits do not depend on which rows share its block."""
+    sources = np.asarray(sources, dtype=np.int64)
+    out = np.zeros(len(sources), dtype=np.float64)
+    for part in row_blocks(np.full(len(sources), taylor_row_bytes(net))):
+        nodes = sources[part]
         mixture = expm(net, nodes)
         mixture /= mixture.sum(axis=1)[:, None]
         if exclude_self:
@@ -207,8 +201,8 @@ def generalized_accessibility(net: WordNetwork, exclude_self: bool = False,
             good = sums > 0
             mixture[good] /= sums[good, None]
             mixture[~good] = 0.0
-        values[nodes] = _exp_entropy_rows(mixture)
-    return NodeMeasures(values, missing)
+        out[part] = _exp_entropy_rows(mixture)
+    return out
 
 
 def merged_row_bytes(net: WordNetwork) -> int:
@@ -233,7 +227,7 @@ def _concentric_symmetry(
     net: WordNetwork,
     sources: np.ndarray,
     h_values: tuple[int, ...],
-    dist: np.ndarray | None,
+    dist: np.ndarray,
     merge: bool,
 ) -> np.ndarray:
     """Merged (``merge``) or backbone symmetry for many sources; shape (S, len(h_values)).
@@ -248,13 +242,11 @@ def _concentric_symmetry(
     edges out of one ring. The ring entropies stay per pattern: the backbone's
     ``_exp_entropy_rows`` and the merged ``_ring_exp_entropies`` sum in
     different orders, and either one for both moves the other's last bits.
-    ``dist`` holds the sources' distance rows (recomputed when None).
+    ``dist`` holds the sources' distance rows.
     Matches the per-pattern reference ``symmetry`` (``tests/oracles.py``).
     """
     h_max = max(h_values)
     sources = np.asarray(sources)
-    if dist is None:
-        dist = bfs_distances(net, sources)
     n = net.node_count
     heads = net.heads()
     tails = net.indices.astype(np.int64)
@@ -308,7 +300,7 @@ def backbone_symmetry_batch(
     net: WordNetwork,
     sources: np.ndarray,
     h_values: tuple[int, ...],
-    dist: np.ndarray | None = None,
+    dist: np.ndarray,
 ) -> np.ndarray:
     """Backbone symmetry for many sources; shape (S, len(h_values))."""
     return _concentric_symmetry(net, sources, h_values, dist, merge=False)
@@ -318,7 +310,7 @@ def merged_symmetry_batch(
     net: WordNetwork,
     sources: np.ndarray,
     h_values: tuple[int, ...],
-    dist: np.ndarray | None = None,
+    dist: np.ndarray,
 ) -> np.ndarray:
     """Merged symmetry for many sources; shape (S, len(h_values))."""
     return _concentric_symmetry(net, sources, h_values, dist, merge=True)

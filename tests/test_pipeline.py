@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from conftest import make_doc, write_toy_corpus, zipf_doc
 from oracles import net_from_edges, oracle_rank_subsets, relevance_csvs
-from prosenet import CostGuardError, ProsenetError, graph, pipeline
+from prosenet import CostGuardError, ProsenetError, graph, metrics, pipeline, walks
 from prosenet.cli import main
 from prosenet.corpus import load_lemma_dictionary, load_manifest, prepare_manifest
 from prosenet.graph import build_network, geodesic_row_bytes
@@ -409,9 +409,9 @@ class TestRequestedParts:
         counts = []
         real = pipeline.generalized_accessibility
 
-        def counted(net, exclude_self, rows=None):
-            counts.append(net.node_count if rows is None else len(rows))
-            return real(net, exclude_self, rows=rows)
+        def counted(net, sources, exclude_self):
+            counts.append(len(sources))
+            return real(net, sources, exclude_self)
 
         monkeypatch.setattr(pipeline, "generalized_accessibility", counted)
         return counts
@@ -445,8 +445,11 @@ class TestRequestedParts:
             key = path.stem
             dm = pipeline._cache_load(path, key, "")
             doc = pipeline.preprocess(texts[dm.doc_id], dictionary, False, dm.doc_id)
-            dm.measures["Ag"] = pipeline.generalized_accessibility(build_network(doc), False)
-            assert not dm.measures["Ag"].missing.any() and dm.measures["A2"].missing.any()
+            net = build_network(doc)
+            every = np.arange(net.node_count)
+            dm.measures["Ag"] = NodeMeasures(pipeline.generalized_accessibility(net, every),
+                                             np.zeros(net.node_count, dtype=bool))
+            assert dm.measures["A2"].missing.any()
             pipeline._cache_store(path, key, dm)
         calls = TestSharedMeasureCache.count_calls(monkeypatch)
         served = {p.name: p.read_bytes() for p in cmd_measure(cfg)}
@@ -718,6 +721,28 @@ class TestMeasureDocument:
         assert len(first) == 1 + 9 + 9  # Q, nine measures of every node, nine walk measures
         assert all(other == first for other in rest)
 
+    @pytest.mark.parametrize("strategy", pipeline.STRATEGIES)
+    @pytest.mark.parametrize("block", [8 << 20, 4 << 10])
+    def test_one_distance_pass_per_document(self, block, strategy, monkeypatch):
+        """Every distance row comes from the geodesic pass: one search per
+        block of source rows, each made by ``betweenness``, and none by a
+        walk kernel."""
+        doc = zipf_doc(300)
+        monkeypatch.setattr(graph, "BLOCK_BYTES", block)
+        callers = []
+        real = graph.bfs_distances
+
+        def counted(*args, **kwargs):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return real(*args, **kwargs)
+
+        for module in (graph, metrics, walks):
+            monkeypatch.setattr(module, "bfs_distances", counted)
+        measure_document(doc, RunConfig(strategy=strategy), walk_words(doc, strategy))
+        blocks = len(pipeline._geodesic_blocks(build_network(doc)))
+        assert blocks > 1 if block == 4 << 10 else blocks == 1
+        assert callers == ["betweenness"] * blocks
+
     def test_two_components_do_not_depend_on_the_block(self):
         """Rows outside the largest component, and walk sources in the small
         component and on an isolated node."""
@@ -758,13 +783,48 @@ def hub_docs(draw):
     return make_doc([tok for i, h in enumerate(order) for tok in (f"h{h}", f"s{i % spokes}")])
 
 
+def walk_words(doc, strategy: str) -> list[str] | None:
+    """The walk sources of ``doc``: every node under GS, its 50 commonest
+    words under LS and LSS."""
+    counts = Counter(doc.tokens)
+    return None if strategy == "GS" else sorted(counts, key=lambda w: (-counts[w], w))[:50]
+
+
+def uniform_doc():
+    """575 nodes of degree at most 18: 1800 draws from 600 words."""
+    rng = np.random.default_rng(5)
+    return make_doc([f"w{t}" for t in rng.integers(0, 600, 1800)])
+
+
+# a fresh interpreter's first ``measure_document`` call on ``uniform_doc``
+# from ``walk_words``, importing only prosenet: [estimate, tracemalloc peak]
+FIRST_CALL = """
+import json, sys, tracemalloc
+from collections import Counter
+import numpy as np
+from prosenet import graph, pipeline
+from prosenet.corpus import Document
+strategy, graph.BLOCK_BYTES = sys.argv[1], int(sys.argv[2])
+tokens = [f"w{t}" for t in np.random.default_rng(5).integers(0, 600, 1800)]
+doc = Document("t", "informative", tokens, len(tokens), [False] * len(tokens))
+counts = Counter(tokens)
+words = None if strategy == "GS" else sorted(counts, key=lambda w: (-counts[w], w))[:50]
+cfg = pipeline.RunConfig(strategy=strategy)
+tracemalloc.start()
+pipeline.measure_document(doc, cfg, words)
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+net = pipeline.build_network(doc)
+sources = np.flatnonzero(pipeline._source_mask(net.node_labels, words))
+print(json.dumps([pipeline.measurement_bytes(net, sources, cfg.h_access), peak]))
+"""
+
+
 def estimate_and_peak(doc, strategy: str) -> tuple[int, int]:
     """``measurement_bytes`` of ``doc`` under ``strategy`` and the
-    ``tracemalloc`` peak of measuring it, walked from every node under GS
-    and from its 50 commonest words under LS and LSS."""
+    ``tracemalloc`` peak of measuring it from ``walk_words``."""
     cfg = RunConfig(strategy=strategy)
-    counts = Counter(doc.tokens)
-    words = None if strategy == "GS" else sorted(counts, key=lambda w: (-counts[w], w))[:50]
+    words = walk_words(doc, strategy)
     net = build_network(doc)
     sources = np.flatnonzero(pipeline._source_mask(net.node_labels, words))
     need = pipeline.measurement_bytes(net, sources, cfg.h_access)
@@ -830,14 +890,27 @@ class TestMeasurementMemory:
     def test_measuring_holds_no_n_by_n_array(self, strategy, monkeypatch):
         """A network of 575 nodes of degree at most 18: at a 64 KiB block its
         whole estimate is below the 4 n^2 bytes that an int32 n x n distance
-        matrix alone would take, and so is its peak."""
-        rng = np.random.default_rng(5)
-        doc = make_doc([f"w{t}" for t in rng.integers(0, 600, 1800)])
+        matrix alone would take, and its peak is below both."""
+        doc = uniform_doc()
         monkeypatch.setattr(graph, "BLOCK_BYTES", 64 << 10)
         n = build_network(doc).node_count
         need, peak = estimate_and_peak(doc, strategy)
         assert need < 4 * n * n
         assert peak < 4 * n * n
+        assert peak <= need
+
+    @pytest.mark.parametrize("strategy", ["GS", "LSS"])
+    @pytest.mark.parametrize("block", [64 << 10, 4 << 10])
+    def test_a_first_call_stays_within_the_estimate(self, block, strategy):
+        """A process's first call peaks higher than later ones, as community
+        detection also fills the interpreter's free lists; on ``uniform_doc``
+        the estimate leaves no room for it unless it counts that search."""
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-c", FIRST_CALL, strategy, str(block)],
+                             env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+                             text=True, check=True)
+        need, peak = json.loads(run.stdout)
+        assert peak <= need
 
     def test_symmetry_blocks_stay_within_the_budget(self):
         net = build_network(zipf_doc(1000))
@@ -846,7 +919,7 @@ class TestMeasurementMemory:
         assert n * merged_row_bytes(net) > graph.BLOCK_BYTES  # one block would not fit
         for batch in (backbone_symmetry_batch, merged_symmetry_batch):
             def walk():
-                return batch(net, np.arange(n), (2, 3, 4), dist=dist)
+                return batch(net, np.arange(n), (2, 3, 4), dist)
 
             blocked, peak = traced_peak(walk)
             assert peak <= graph.BLOCK_BYTES, batch.__name__
@@ -864,7 +937,7 @@ class TestMeasurementMemory:
         dist = graph.bfs_distances(net, sources)
 
         def enumerate_walks():
-            return accessibility_batch(net, sources, h_access, dist_block=dist)
+            return accessibility_batch(net, sources, h_access, dist)
 
         blocked, peak = traced_peak(enumerate_walks)
         assert peak <= graph.BLOCK_BYTES + largest

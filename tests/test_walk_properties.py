@@ -57,9 +57,10 @@ PROPERTY = settings(max_examples=60, deadline=None)
 @given(networks)
 def test_batches_match_per_source_references(net):
     sources = np.arange(net.node_count)
-    acc = accessibility_batch(net, sources, H_ACCESS)
-    sb = backbone_symmetry_batch(net, sources, H_SYMMETRY)
-    sm = merged_symmetry_batch(net, sources, H_SYMMETRY)
+    dist = bfs_distances(net, sources)
+    acc = accessibility_batch(net, sources, H_ACCESS, dist)
+    sb = backbone_symmetry_batch(net, sources, H_SYMMETRY, dist)
+    sm = merged_symmetry_batch(net, sources, H_SYMMETRY, dist)
     for s in sources:
         for col, h in enumerate(H_ACCESS):
             assert acc[s, col] == pytest.approx(accessibility(net, int(s), h), abs=1e-12)
@@ -80,17 +81,17 @@ def test_subset_rows_equal_all_node_rows(net, data):
     budget = data.draw(st.integers(0, n * int(widest)))
     dist = bfs_distances(net, subset)
 
-    full_acc = accessibility_batch(net, everyone, H_ACCESS, dist_block=dist_all)
-    full_sm = merged_symmetry_batch(net, everyone, H_SYMMETRY, dist=dist_all)
+    full_acc = accessibility_batch(net, everyone, H_ACCESS, dist_all)
+    full_sm = merged_symmetry_batch(net, everyone, H_SYMMETRY, dist_all)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(graph, "BLOCK_BYTES", budget)
-        part_acc = accessibility_batch(net, subset, H_ACCESS, dist_block=dist)
-        part_sm = merged_symmetry_batch(net, subset, H_SYMMETRY, dist=dist)
+        part_acc = accessibility_batch(net, subset, H_ACCESS, dist)
+        part_sm = merged_symmetry_batch(net, subset, H_SYMMETRY, dist)
     assert np.array_equal(part_acc, full_acc[subset])
     assert np.array_equal(part_sm, full_sm[subset])
 
-    full = backbone_symmetry_batch(net, everyone, H_SYMMETRY, dist=dist_all)
-    part = backbone_symmetry_batch(net, subset, H_SYMMETRY, dist=dist)
+    full = backbone_symmetry_batch(net, everyone, H_SYMMETRY, dist_all)
+    part = backbone_symmetry_batch(net, subset, H_SYMMETRY, dist)
     assert np.array_equal(part, full[subset])
 
 
@@ -104,10 +105,10 @@ def test_ag_rows_do_not_depend_on_the_rows_sharing_their_block(net, data):
     for exclude_self in (False, True):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(graph, "BLOCK_BYTES", n * taylor_row_bytes(net))
-            full = generalized_accessibility(net, exclude_self)
+            full = generalized_accessibility(net, np.arange(n), exclude_self)
             patch.setattr(graph, "BLOCK_BYTES", budget)
-            part = generalized_accessibility(net, exclude_self, rows=subset)
-        assert np.array_equal(part.values[subset], full.values[subset])
+            part = generalized_accessibility(net, subset, exclude_self)
+        assert np.array_equal(part, full[subset])
 
 
 @PROPERTY
@@ -139,9 +140,10 @@ def test_nonbacktracking_walks_bound_the_saw_prefixes(net):
 def test_merged_symmetry_equals_its_per_row_ring_entropies(net):
     sources = np.arange(net.node_count)
     h_values = (1, 2, 3, 4, 5)
-    grouped = merged_symmetry_batch(net, sources, h_values)
+    dist = bfs_distances(net, sources)
+    grouped = merged_symmetry_batch(net, sources, h_values, dist)
     with mock.patch.object(walks, "_ring_exp_entropies", ring_exp_entropies_per_row):
-        per_row = merged_symmetry_batch(net, sources, h_values)
+        per_row = merged_symmetry_batch(net, sources, h_values, dist)
     assert np.array_equal(grouped, per_row)
 
 

@@ -22,7 +22,7 @@ from oracles import (
     symmetry,
     transition_probabilities,
 )
-from prosenet.graph import build_network
+from prosenet.graph import bfs_distances, build_network
 from prosenet.walks import (
     accessibility_batch,
     backbone_symmetry_batch,
@@ -171,7 +171,8 @@ class TestAccessibility:
         rng = np.random.default_rng(65)
         n, edges = random_connected_graph(rng, 6, 10)
         net = net_from_edges(n, edges)
-        batch = accessibility_batch(net, np.arange(n), (2, 3))
+        sources = np.arange(n)
+        batch = accessibility_batch(net, sources, (2, 3), bfs_distances(net, sources))
         for src in range(n):
             assert batch[src, 0] == pytest.approx(accessibility(net, src, 2), abs=1e-12)
             assert batch[src, 1] == pytest.approx(accessibility(net, src, 3), abs=1e-12)
@@ -207,13 +208,13 @@ class TestTransitionMatrix:
 class TestGeneralizedAccessibility:
     def test_complete_graph_vertex_transitive(self):
         net = net_from_edges(5, {(i, j) for i in range(5) for j in range(i + 1, 5)})
-        values = generalized_accessibility(net).values
+        values = generalized_accessibility(net, np.arange(5))
         assert np.allclose(values, values[0])
 
     def test_single_edge_hand_value(self):
         row = np.array([math.cosh(1), math.sinh(1)]) / math.e
         expected = math.exp(-(row * np.log(row)).sum())
-        values = generalized_accessibility(net_from_edges(2, {(0, 1)})).values
+        values = generalized_accessibility(net_from_edges(2, {(0, 1)}), np.arange(2))
         assert np.allclose(values, expected, atol=1e-12)
 
     def test_permutation_equivariance(self):
@@ -221,13 +222,13 @@ class TestGeneralizedAccessibility:
         n, edges = random_connected_graph(rng, 5, 9)
         perm = rng.permutation(n)
         mapped = {(min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in edges}
-        v1 = generalized_accessibility(net_from_edges(n, edges)).values
-        v2 = generalized_accessibility(net_from_edges(n, mapped)).values
+        v1 = generalized_accessibility(net_from_edges(n, edges), np.arange(n))
+        v2 = generalized_accessibility(net_from_edges(n, mapped), np.arange(n))
         assert np.allclose(v1, v2[perm], atol=1e-12)
 
     def test_exclude_self_flag(self):
         net = net_from_edges(2, {(0, 1)})
-        values = generalized_accessibility(net, exclude_self=True).values
+        values = generalized_accessibility(net, np.arange(2), exclude_self=True)
         assert np.allclose(values, 1.0)  # all off-diagonal mass on one node
 
 
@@ -352,8 +353,9 @@ class TestSymmetry:
             n, edges = random_connected_graph(rng)
             net = net_from_edges(n, edges)
             sources = np.arange(n)
-            sb = backbone_symmetry_batch(net, sources, (2, 3, 4))
-            sm = merged_symmetry_batch(net, sources, (2, 3, 4))
+            dist = bfs_distances(net, sources)
+            sb = backbone_symmetry_batch(net, sources, (2, 3, 4), dist)
+            sm = merged_symmetry_batch(net, sources, (2, 3, 4), dist)
             for i in range(n):
                 for col, h in enumerate((2, 3, 4)):
                     assert sb[i, col] == pytest.approx(
@@ -367,8 +369,9 @@ class TestSymmetry:
     def test_a_repeated_depth_fills_both_columns(self, batch):
         net = build_network(zipf_doc(300))
         sources = np.arange(net.node_count)
-        got = batch(net, sources, (2, 2))
-        once = batch(net, sources, (2,))
+        dist = bfs_distances(net, sources)
+        got = batch(net, sources, (2, 2), dist)
+        once = batch(net, sources, (2,), dist)
         assert np.array_equal(got[:, 1], got[:, 0])
         assert np.array_equal(got[:, :1], once)
         assert got[:, 0].any()
